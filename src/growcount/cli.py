@@ -22,6 +22,7 @@ from .core import (
     enumerate_growth_orders,
     growth_count,
     random_lattice_tree,
+    to_decimal,
     tree_from_json,
     tree_to_json,
     tree_weight,
@@ -40,7 +41,10 @@ from .generators import (
 )
 
 ORACLE_FREE_LIMIT = 12   # beyond this, `oracle` insists on --cap
-PRINT_INT_BITS = 2 ** 17   # larger ints report bit length, not digits
+# analyze reports a larger L by its bit length only.  Digit conversion
+# is fast enough to print it (see core.to_decimal); the limit stays to
+# keep analyze's output small and unchanged.
+PRINT_INT_BITS = 2 ** 17
 
 
 def _emit(payload: dict) -> int:
@@ -103,7 +107,8 @@ def cmd_count(args) -> int:
         n = growth_count(tree)
     except (GrowcountError, ValueError) as exc:
         return _fail(2, exc)
-    return _emit({"L": tree.bond_count, "W": str(w), "N": str(n)})
+    return _emit({"L": tree.bond_count, "W": to_decimal(w),
+                  "N": to_decimal(n)})
 
 
 def cmd_oracle(args) -> int:
@@ -144,10 +149,8 @@ def cmd_analyze(args) -> int:
         return _fail(2, exc)
     payload = report.to_dict()
     payload["mode"] = args.mode
-    # quadratic digit conversion makes huge counts unprintable in
-    # reasonable time, so past a threshold report only the bit length
     if total is not None and total.bit_length() <= PRINT_INT_BITS:
-        payload["L"] = str(total)
+        payload["L"] = to_decimal(total)
     else:
         payload["L"] = None
     payload["Lbits"] = total.bit_length() if total is not None else None

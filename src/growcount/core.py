@@ -7,9 +7,12 @@ step the added bonds form a connected graph containing the root.
 
 The number of distinct growth orders is L! / W(T), where W(T) is the
 product over bonds of (1 + number of bonds strictly downstream).  The
-division is always exact; `growth_count` checks the remainder and an
-independent brute-force enumerator (`enumerate_growth_orders`) is kept
-around as an oracle for that identity.
+division is always exact.  `growth_count` never divides: it builds N
+from prime exponents, Legendre's formula for L! minus the exponents in
+the hook sizes, and every exponent coming out non-negative is its
+certificate of exactness.  An independent brute-force enumerator
+(`enumerate_growth_orders`) is kept around as an oracle for the
+identity.
 
 Growth orders are exactly the linear extensions of the bond forest
 obtained by orienting every bond away from the root, so the counting
@@ -18,6 +21,8 @@ children lists, not just on lattice trees.  The Bethe-lattice module
 reuses them.
 """
 
+import decimal
+import itertools
 import json
 import math
 import random
@@ -89,6 +94,12 @@ class RootedTree:
             out.add(b.v)
         return frozenset(out)
 
+    @cached_property
+    def _weight_table(self) -> "WeightTable":
+        # shared by tree_weight and growth_count, so that `count` makes
+        # one weight pass for both W and N
+        return downstream_weights(self)
+
 
 @dataclass(frozen=True)
 class WeightTable:
@@ -137,6 +148,91 @@ def range_product(lo: int, hi: int) -> int:
         return out
     mid = (lo + hi) // 2
     return range_product(lo, mid) * range_product(mid + 1, hi)
+
+
+# --- big integers -----------------------------------------------------------
+
+# Below this many bits str() is as fast as the decimal route; above it
+# the quadratic int-to-str of CPython 3.11 falls further behind.
+STR_CUTOFF_BITS = 50_000
+# the pieces to_decimal stops splitting at
+_DECIMAL_LEAF_BITS = 2048
+
+
+def to_decimal(n: int) -> str:
+    """Exact decimal digits of n, the same string as str(n).
+
+    Large n is split in halves by powers of two, recursively, and put
+    back together in the decimal module, whose libmpdec multiplies in
+    subquadratic time; this is how CPython 3.12 converts large ints.
+    The context has unbounded precision and traps Inexact, so an
+    approximate result raises instead of printing.
+    """
+    if n.bit_length() <= STR_CUTOFF_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + to_decimal(-n)
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(bits: int) -> decimal.Decimal:   # 2**bits
+        if bits not in powers:
+            if bits <= _DECIMAL_LEAF_BITS:
+                powers[bits] = decimal.Decimal(1 << bits)
+            else:
+                half = bits >> 1
+                powers[bits] = power(half) * power(bits - half)
+        return powers[bits]
+
+    def convert(value: int, bits: int) -> decimal.Decimal:
+        if bits <= _DECIMAL_LEAF_BITS:
+            return decimal.Decimal(value)
+        half = bits >> 1
+        high = value >> half
+        low = value - (high << half)
+        return convert(high, bits - half) * power(half) + convert(low, half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        return str(convert(n, n.bit_length()))
+
+
+def factorial_quotient(total: int, hooks: Iterable[int]) -> int:
+    """Exact total! / prod(hooks), built from prime exponents.
+
+    Legendre's formula gives the exponent of a prime p in total! as the
+    sum of total // q over the powers q = p**k <= total; every hook
+    divisible by q takes one factor p away.  The counts of hooks
+    divisible by q are slices of a table of hook sizes, so no long
+    division and no total! is ever formed.  A negative exponent means
+    the product does not divide total! and raises InternalNonDivisible,
+    as does a hook outside 1..total.
+    """
+    sizes = [0] * (total + 1)
+    for h in hooks:
+        if not 1 <= h <= total:
+            raise InternalNonDivisible(f"hook {h} outside 1..{total}")
+        sizes[h] += 1
+    sieve = bytearray([1]) * (total + 1)
+    for p in range(2, math.isqrt(total) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, total + 1, p)))
+    factors = []
+    for p in itertools.compress(range(2, total + 1), sieve[2:]):
+        exponent, q = 0, p
+        while q <= total:
+            exponent += total // q - sum(sizes[q::q])
+            q *= p
+        if exponent < 0:
+            raise InternalNonDivisible(
+                f"{total}! is not a multiple of the hook product "
+                f"(prime {p} short by {-exponent})"
+            )
+        if exponent:
+            factors.append(p ** exponent)
+    return balanced_product(factors)
 
 
 # --- validation and orientation --------------------------------------------
@@ -227,17 +323,17 @@ def downstream_weights(tree: RootedTree) -> WeightTable:
 
 def tree_weight(tree: RootedTree) -> int:
     """The product W(T) of all downstream weights."""
-    return downstream_weights(tree).product()
+    return tree._weight_table.product()
 
 
 def growth_count(tree: RootedTree) -> int:
-    """Exact number of growth orders, L! / W(T)."""
-    n, rem = divmod(math.factorial(tree.bond_count), tree_weight(tree))
-    if rem:
-        raise InternalNonDivisible(
-            f"L! not divisible by weight product for tree rooted at {tree.root}"
-        )
-    return n
+    """Exact number of growth orders, L! / W(T).
+
+    Raises InternalNonDivisible if the weights do not divide L!, which
+    would mean the weight table is wrong (see `factorial_quotient`).
+    """
+    return factorial_quotient(tree.bond_count,
+                              tree._weight_table.weights.values())
 
 
 # --- brute-force oracle -----------------------------------------------------
