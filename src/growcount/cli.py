@@ -7,7 +7,8 @@ compose:
     growcount gen comb --bonds 6 | growcount count
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3
-resource guard tripped (enumeration cap, SVG size).  Big integers in
+resource guard tripped (enumeration cap, count or SVG size).  The size
+guards count the bonds as soon as the JSON is decoded.  Big integers in
 JSON output are decimal strings; everything printed is deterministic,
 byte for byte, for the same inputs.
 """
@@ -17,15 +18,15 @@ import json
 import math
 import sys
 
-from . import analytics, bethe, render, verify
+from . import analytics, bethe, core, render, verify
 from .core import (
     enumerate_growth_orders,
     growth_count,
+    product_to_decimal,
     random_lattice_tree,
     to_decimal,
     tree_from_json,
     tree_to_json,
-    tree_weight,
 )
 from .errors import (
     CapExceeded,
@@ -57,8 +58,8 @@ def _fail(code: int, exc) -> int:
     return code
 
 
-def _read_tree():
-    return tree_from_json(sys.stdin.read())
+def _read_tree(max_bonds=None):
+    return tree_from_json(sys.stdin.read(), max_bonds)
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -102,13 +103,14 @@ def _need(args, *names):
 
 def cmd_count(args) -> int:
     try:
-        tree = _read_tree()
-        w = tree_weight(tree)
+        tree = _read_tree(core.MAX_TREE_BONDS)
+        w = product_to_decimal(tree.hooks)
         n = growth_count(tree)
+    except TooLarge as exc:
+        return _fail(3, exc)
     except (GrowcountError, ValueError) as exc:
         return _fail(2, exc)
-    return _emit({"L": tree.bond_count, "W": to_decimal(w),
-                  "N": to_decimal(n)})
+    return _emit({"L": tree.bond_count, "W": w, "N": to_decimal(n)})
 
 
 def cmd_oracle(args) -> int:
@@ -180,18 +182,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
+    svg = args.format == "svg"
     try:
-        tree = _read_tree()
-    except (GrowcountError, ValueError) as exc:
-        return _fail(2, exc)
-    if args.format == "dot":
-        sys.stdout.write(render.to_dot(tree))
-        return 0
-    try:
-        text = render.to_svg(tree)
+        tree = _read_tree(render.MAX_SVG_BONDS if svg else None)
     except TooLarge as exc:
         return _fail(3, exc)
-    sys.stdout.write(text)
+    except (GrowcountError, ValueError) as exc:
+        return _fail(2, exc)
+    sys.stdout.write(render.to_svg(tree) if svg else render.to_dot(tree))
     return 0
 
 

@@ -6,27 +6,45 @@ Growing a tree means adding its bonds one at a time so that after every
 step the added bonds form a connected graph containing the root.
 
 The number of distinct growth orders is L! / W(T), where W(T) is the
-product over bonds of (1 + number of bonds strictly downstream).  The
-division is always exact.  `growth_count` never divides: it builds N
-from prime exponents, Legendre's formula for L! minus the exponents in
-the hook sizes, and every exponent coming out non-negative is its
-certificate of exactness.  An independent brute-force enumerator
-(`enumerate_growth_orders`) is kept around as an oracle for the
-identity.
+product over bonds of the hook size 1 + (number of bonds strictly
+downstream).  The division is always exact.  `growth_count` never
+divides: it builds N from prime exponents, Legendre's formula for L!
+minus the exponents in the hook sizes, and every exponent coming out
+non-negative is its certificate of exactness.  An independent
+brute-force enumerator (`enumerate_growth_orders`) is kept around as an
+oracle for the identity.
+
+A tree is stored as packed integers, not as one object per bond.  Site
+(x, y) packs to (x - min x) * stride + (y - min y), with the minimum
+over the tree's sites and stride one more than the height of its
+bounding box, so that a row of unused values keeps every column apart:
+the neighbours of site s are s +- 1 and s +- stride, and none of them
+wraps into another column.  A bond packs to 2 * (its lower endpoint)
++ 0 for a +y step or + 1 for a +x step, so sorted keys come in the
+order of sorted `Bond`s.  JSON is parsed straight into keys and the
+generators emit keys by the run (`tree_from_runs`).  Validation is one
+breadth-first walk from the root that looks up the four bonds of each
+site in a set of keys; the walk's site order and parent indices give
+every hook size in one reverse pass.  `Bond`s and sites exist only as
+views decoded on demand, for rendering, the oracle and tests.
 
 Growth orders are exactly the linear extensions of the bond forest
 obtained by orienting every bond away from the root, so the counting
 helpers at the bottom of this module work on any forest given as
 children lists, not just on lattice trees.  The Bethe-lattice module
-reuses them.
+reuses them as its independent route.
 """
 
+import bisect
 import decimal
+import gc
 import itertools
 import json
 import math
+import operator
 import random
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -38,12 +56,16 @@ from .errors import (
     NotConnected,
     RootDetached,
     Stuck,
+    TooLarge,
 )
 
 Site = tuple[int, int]
 
 # unit steps on the square lattice, in a fixed order for determinism
 NEIGHBOR_STEPS = ((0, -1), (-1, 0), (1, 0), (0, 1))
+
+# refuse to materialize or count trees past this many bonds
+MAX_TREE_BONDS = 10**7
 
 
 class Bond(NamedTuple):
@@ -73,54 +95,106 @@ class Bond(NamedTuple):
 
 @dataclass(frozen=True)
 class RootedTree:
-    """A validated rooted lattice tree.  Build instances via `validate_tree`.
+    """A validated rooted lattice tree.  Build instances via `validate_tree`,
+    `tree_from_json` or `tree_from_runs`.
 
-    `bonds` is sorted canonically, so two equal trees compare equal and
-    serialize to identical bytes.
+    `keys` are the packed bonds in sorted order and `origin` and
+    `stride` the packing (see the module docstring), all fixed by the
+    bond set, so two equal trees compare equal and serialize to
+    identical bytes.
     """
 
     root: Site
-    bonds: tuple[Bond, ...]
+    keys: tuple[int, ...]
+    origin: Site
+    stride: int
 
     @property
     def bond_count(self) -> int:
-        return len(self.bonds)
+        return len(self.keys)
+
+    @cached_property
+    def bonds(self) -> tuple[Bond, ...]:
+        """The bonds in canonical (sorted) order, decoded from the keys."""
+        return tuple(map(self._bond, self.keys))
 
     @cached_property
     def sites(self) -> frozenset[Site]:
-        out = set()
-        for b in self.bonds:
-            out.add(b.u)
-            out.add(b.v)
-        return frozenset(out)
+        return frozenset(itertools.chain.from_iterable(self.bonds))
 
     @cached_property
-    def _weight_table(self) -> "WeightTable":
-        # shared by tree_weight and growth_count, so that `count` makes
-        # one weight pass for both W and N
-        return downstream_weights(self)
+    def hooks(self) -> list[int]:
+        """Hook sizes from one `downstream_weights` pass, kept for reuse.
+
+        `tree_weight`, `growth_count` and the `count` verb share it.
+        """
+        return downstream_weights(self).hooks
+
+    @cached_property
+    def _walk(self) -> tuple[list[int], list[int]]:
+        # (order, parent): packed sites breadth-first from the root and
+        # the index in order of each one's parent.  Validation fills
+        # this in; it is recomputed only for a tree built directly.
+        present = set(self.keys)
+        return _breadth_first(self._pack(self.root), present, self.stride)[:2]
+
+    def _pack(self, site: Site) -> int:
+        return (site[0] - self.origin[0]) * self.stride \
+            + site[1] - self.origin[1]
+
+    def _bond(self, key: int) -> Bond:
+        x, y = divmod(key >> 1, self.stride)
+        x += self.origin[0]
+        y += self.origin[1]
+        step = key & 1
+        return Bond((x, y), (x + step, y + 1 - step))
+
+    def _parent_bonds(self) -> list[Bond]:
+        """The bond into each non-root site, in breadth-first order."""
+        order, parent = self._walk
+        return [self._bond(2 * min(a, b) + (abs(a - b) != 1))
+                for a, b in zip(order[1:],
+                                (order[p] for p in parent[1:]))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightTable:
-    """Downstream weights, one entry per bond of the tree they came from."""
+    """Downstream weights, one entry per bond of the tree they came from.
 
-    weights: Mapping[Bond, int]
+    `hooks[i]` belongs to the bond into the (i+1)-th site breadth-first
+    from the root; the `Bond`-keyed `weights` mapping is built on first
+    use.
+    """
+
+    tree: RootedTree = field(repr=False)
+    hooks: list[int]
+
+    @cached_property
+    def weights(self) -> dict[Bond, int]:
+        return dict(zip(self.tree._parent_bonds(), self.hooks))
 
     def __getitem__(self, bond: Bond) -> int:
         return self.weights[bond]
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self.hooks)
 
     def items(self):
         return self.weights.items()
 
     def product(self) -> int:
-        return balanced_product(list(self.weights.values()))
+        return balanced_product(self.hooks)
 
 
-def balanced_product(values: Sequence[int]) -> int:
+def _pairwise(vals: list) -> list:
+    """One level of pairwise products; an odd last value passes through."""
+    nxt = [vals[i] * vals[i + 1] for i in range(0, len(vals) - 1, 2)]
+    if len(vals) % 2:
+        nxt.append(vals[-1])
+    return nxt
+
+
+def balanced_product(values: Iterable) -> int:
     """Product of arbitrary-size integers by pairwise halving.
 
     Sequential accumulation is quadratic in total digit count; pairing
@@ -130,10 +204,7 @@ def balanced_product(values: Sequence[int]) -> int:
     if not vals:
         return 1
     while len(vals) > 1:
-        nxt = [vals[i] * vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
+        vals = _pairwise(vals)
     return vals[0]
 
 
@@ -157,6 +228,20 @@ def range_product(lo: int, hi: int) -> int:
 STR_CUTOFF_BITS = 50_000
 # the pieces to_decimal stops splitting at
 _DECIMAL_LEAF_BITS = 2048
+# product_to_decimal moves a product past this size into decimal
+_DECIMAL_PRODUCT_BITS = 4096
+
+
+@contextmanager
+def _exact_decimal():
+    """A decimal context with unbounded precision that traps Inexact,
+    so an approximate result raises instead of printing."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        yield
 
 
 def to_decimal(n: int) -> str:
@@ -165,8 +250,6 @@ def to_decimal(n: int) -> str:
     Large n is split in halves by powers of two, recursively, and put
     back together in the decimal module, whose libmpdec multiplies in
     subquadratic time; this is how CPython 3.12 converts large ints.
-    The context has unbounded precision and traps Inexact, so an
-    approximate result raises instead of printing.
     """
     if n.bit_length() <= STR_CUTOFF_BITS:
         return str(n)
@@ -191,12 +274,26 @@ def to_decimal(n: int) -> str:
         low = value - (high << half)
         return convert(high, bits - half) * power(half) + convert(low, half)
 
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = True
+    with _exact_decimal():
         return str(convert(n, n.bit_length()))
+
+
+def product_to_decimal(values: Iterable[int]) -> str:
+    """Exact decimal digits of the product, str(balanced_product(values)).
+
+    Meant for many small factors, such as hook sizes.  They are paired
+    up as ints until some product passes _DECIMAL_PRODUCT_BITS; the
+    remaining levels multiply in decimal, where libmpdec beats CPython's
+    Karatsuba at millions of bits, and the result needs no conversion
+    to digits.
+    """
+    vals = list(values) or [1]
+    while len(vals) > 1 \
+            and max(map(int.bit_length, vals)) <= _DECIMAL_PRODUCT_BITS:
+        vals = _pairwise(vals)
+    with _exact_decimal():
+        top = balanced_product(map(decimal.Decimal, vals))
+    return str(top) if top else "0"   # a decimal zero can carry a sign
 
 
 def factorial_quotient(total: int, hooks: Iterable[int]) -> int:
@@ -235,7 +332,76 @@ def factorial_quotient(total: int, hooks: Iterable[int]) -> int:
     return balanced_product(factors)
 
 
-# --- validation and orientation --------------------------------------------
+# --- packing and validation -------------------------------------------------
+
+def _breadth_first(start: int, present: set, stride: int):
+    """Walk packed sites from `start` over the bonds in `present`.
+
+    Returns (order, parent, reached): the sites reached, breadth first;
+    the index in order of each one's parent (-1 for start); and the
+    number of bonds reached, each of which is seen from both ends.
+    """
+    order, parent, seen = [start], [-1], {start}
+    ends = 0
+    # (bond key - 2 * site, neighbour - site) for +y, +x, -y, -x
+    steps = ((0, 1), (1, stride), (-2, -1), (1 - 2 * stride, -stride))
+    for i, s in enumerate(order):   # the list grows while it is read
+        k = 2 * s
+        for dk, ds in steps:
+            if k + dk in present:
+                ends += 1
+                t = s + ds
+                if t not in seen:
+                    seen.add(t)
+                    order.append(t)
+                    parent.append(i)
+    return order, parent, ends // 2
+
+
+def _packed_tree(root: Site, xs: list, ys: list, steps: list) -> RootedTree:
+    """Pack the bonds with lower endpoints (xs, ys) and steps (0 for +y,
+    1 for +x), check the tree axioms and return the RootedTree.
+
+    Raises DuplicateBond, RootDetached, NotConnected or HasCycle, in
+    that order of checking; a bond named in a message is decoded only
+    then.
+    """
+    if not xs:
+        raise ValueError("a rooted tree needs at least one bond")
+    ox, oy = min(xs), min(ys)
+    # the top site row is max(y + 1 - step); one unused row above it
+    stride = max(map(operator.sub, ys, steps)) + 3 - oy
+    base = 2 * (ox * stride + oy)
+    keys = [2 * (x * stride + y) + step - base
+            for x, y, step in zip(xs, ys, steps)]
+    tree = RootedTree(root=root, keys=tuple(sorted(keys)), origin=(ox, oy),
+                      stride=stride)
+    present = set(keys)
+    if len(present) != len(keys):
+        seen = set()
+        for key in keys:
+            if key in seen:
+                raise DuplicateBond(f"bond {tree._bond(key)} listed twice")
+            seen.add(key)
+    order, parent, reached = [], [], 0
+    # a root outside the packed rows would alias a site of another column
+    if oy <= root[1] <= oy + stride - 2:
+        order, parent, reached = _breadth_first(tree._pack(root), present,
+                                                stride)
+    if not reached:
+        raise RootDetached(f"root {root} touches no bond")
+    if reached != len(keys):
+        raise NotConnected(
+            f"{len(keys) - reached} bond(s) unreachable from the root"
+        )
+    if len(order) != len(keys) + 1:
+        # every site is reached, so order holds them all
+        raise HasCycle(
+            f"{len(keys)} bonds span {len(order)} sites; a tree needs L+1"
+        )
+    tree.__dict__["_walk"] = (order, parent)
+    return tree
+
 
 def validate_tree(root: Site, bonds: Iterable) -> RootedTree:
     """Check the tree axioms and return the canonical RootedTree.
@@ -245,85 +411,68 @@ def validate_tree(root: Site, bonds: Iterable) -> RootedTree:
     endpoint pairs.
     """
     root = (int(root[0]), int(root[1]))
-    blist = [b if isinstance(b, Bond) else Bond.between(*b) for b in bonds]
-    if not blist:
-        raise ValueError("a rooted tree needs at least one bond")
-    bond_set = set()
-    for b in blist:
-        if b in bond_set:
-            raise DuplicateBond(f"bond {b} listed twice")
-        bond_set.add(b)
-
-    incidence: dict[Site, list[Bond]] = {}
-    for b in blist:
-        incidence.setdefault(b.u, []).append(b)
-        incidence.setdefault(b.v, []).append(b)
-    if root not in incidence:
-        raise RootDetached(f"root {root} touches no bond")
-
-    # breadth-first sweep over sites starting at the root
-    seen_bonds = set()
-    seen_sites = {root}
-    queue = [root]
-    while queue:
-        site = queue.pop()
-        for b in incidence[site]:
-            if b in seen_bonds:
-                continue
-            seen_bonds.add(b)
-            nxt = b.other(site)
-            if nxt not in seen_sites:
-                seen_sites.add(nxt)
-                queue.append(nxt)
-    if len(seen_bonds) != len(blist):
-        raise NotConnected(
-            f"{len(blist) - len(seen_bonds)} bond(s) unreachable from the root"
-        )
-    if len(incidence) != len(blist) + 1:
-        raise HasCycle(
-            f"{len(blist)} bonds span {len(incidence)} sites; a tree needs L+1"
-        )
-    return RootedTree(root=root, bonds=tuple(sorted(blist)))
+    xs, ys, steps = [], [], []
+    for b in bonds:
+        u, v = Bond.between(*b)
+        xs.append(u[0])
+        ys.append(u[1])
+        steps.append(v[0] - u[0])
+    return _packed_tree(root, xs, ys, steps)
 
 
-def _oriented(tree: RootedTree):
-    """Return (children, root_bonds) with every bond pointed away from the root."""
-    incidence: dict[Site, list[Bond]] = {}
-    for b in tree.bonds:
-        incidence.setdefault(b.u, []).append(b)
-        incidence.setdefault(b.v, []).append(b)
-    children: dict[Bond, list[Bond]] = {}
-    root_bonds = sorted(incidence[tree.root])
-    seen = set(root_bonds)
-    # stack of (bond, its far site)
-    stack = [(b, b.other(tree.root)) for b in root_bonds]
-    while stack:
-        bond, far = stack.pop()
-        kids = sorted(b for b in incidence[far] if b not in seen)
-        children[bond] = kids
-        for kid in kids:
-            seen.add(kid)
-            stack.append((kid, kid.other(far)))
-    return children, root_bonds
+def tree_from_runs(root: Site, runs: Iterable) -> RootedTree:
+    """Check and return the tree made of straight runs of bonds.
+
+    A run (x, y, dx, dy, n) is the n bonds that step from site (x, y)
+    by the unit vector (dx, dy).
+    """
+    xs, ys, steps = [], [], []
+    for x, y, dx, dy, n in runs:
+        if dx * dx + dy * dy != 1:
+            raise ValueError(f"a run steps by a unit vector, got {(dx, dy)}")
+        if dx:
+            low = x if dx > 0 else x - n   # the lowest lower endpoint
+            xs.extend(range(low, low + n))
+            ys.extend([y] * n)
+        else:
+            low = y if dy > 0 else y - n
+            xs.extend([x] * n)
+            ys.extend(range(low, low + n))
+        steps.extend([dx * dx] * n)
+    return _packed_tree((int(root[0]), int(root[1])), xs, ys, steps)
 
 
 def orient_from_root(tree: RootedTree) -> dict[Bond, list[Bond]]:
     """Map each bond to its children in the orientation away from the root."""
-    children, _ = _oriented(tree)
+    order, parent = tree._walk
+    into = tree._parent_bonds()   # into[i - 1] ends at site order[i]
+    children: dict[Bond, list[Bond]] = {b: [] for b in into}
+    for i in range(1, len(order)):
+        if parent[i]:   # not a root bond
+            children[into[parent[i] - 1]].append(into[i - 1])
+    for kids in children.values():
+        kids.sort()
     return children
 
 
 def downstream_weights(tree: RootedTree) -> WeightTable:
-    """Per-bond weights 1 + (number of bonds strictly downstream)."""
-    children, root_bonds = _oriented(tree)
-    weights = forest_weights(children, root_bonds)
-    assert len(weights) == tree.bond_count
-    return WeightTable(weights)
+    """Per-bond weights 1 + (number of bonds strictly downstream).
+
+    One reverse pass over the breadth-first walk: each site's subtree
+    size is added to its parent's, and the size of a non-root site is
+    the hook of the bond into it.
+    """
+    order, parent = tree._walk
+    size = [1] * len(order)
+    for i in range(len(order) - 1, 0, -1):
+        size[parent[i]] += size[i]
+    del size[0]
+    return WeightTable(tree, size)
 
 
 def tree_weight(tree: RootedTree) -> int:
     """The product W(T) of all downstream weights."""
-    return tree._weight_table.product()
+    return balanced_product(tree.hooks)
 
 
 def growth_count(tree: RootedTree) -> int:
@@ -332,8 +481,7 @@ def growth_count(tree: RootedTree) -> int:
     Raises InternalNonDivisible if the weights do not divide L!, which
     would mean the weight table is wrong (see `factorial_quotient`).
     """
-    return factorial_quotient(tree.bond_count,
-                              tree._weight_table.weights.values())
+    return factorial_quotient(tree.bond_count, tree.hooks)
 
 
 # --- brute-force oracle -----------------------------------------------------
@@ -451,21 +599,31 @@ def random_lattice_tree(bond_count: int, seed: int) -> RootedTree:
     rng = random.Random(seed)
     root: Site = (0, 0)
     sites = {root}
-    bonds: list[Bond] = []
-    while len(bonds) < bond_count:
-        candidates = []
-        for u in sites:
-            for dx, dy in NEIGHBOR_STEPS:
-                v = (u[0] + dx, u[1] + dy)
-                if v not in sites:
-                    candidates.append((v, Bond.between(u, v)))
-        if not candidates:
-            raise Stuck(f"no legal extension after {len(bonds)} bonds")
-        candidates.sort()
-        site, bond = rng.choice(candidates)
+    # The candidate bonds as (outside site, tree site), kept sorted.
+    # For one outside site, sorting by tree site sorts by Bond, so this
+    # is the list a full rescan sorted by (site, Bond) would build, and
+    # rng.choice picks the same bond from it.
+    perimeter: list[tuple[Site, Site]] = []
+    pairs: list[tuple[Site, Site]] = []
+    site = root
+    while True:
+        for dx, dy in NEIGHBOR_STEPS:
+            nxt = (site[0] + dx, site[1] + dy)
+            if nxt not in sites:
+                bisect.insort(perimeter, (nxt, site))
+        if len(pairs) == bond_count:
+            break
+        if not perimeter:
+            raise Stuck(f"no legal extension after {len(pairs)} bonds")
+        site, inner = rng.choice(perimeter)
         sites.add(site)
-        bonds.append(bond)
-    return validate_tree(root, bonds)
+        pairs.append((inner, site))
+        # every candidate ending at the new site is now inside the tree
+        lo = hi = bisect.bisect_left(perimeter, (site,))
+        while hi < len(perimeter) and perimeter[hi][0] == site:
+            hi += 1
+        del perimeter[lo:hi]
+    return validate_tree(root, pairs)
 
 
 # --- canonical JSON ---------------------------------------------------------
@@ -474,13 +632,20 @@ def tree_to_json(tree: RootedTree) -> str:
     """Serialize to the canonical wire form, deterministic to the byte.
 
     {"root":[x,y],"bonds":[[[x1,y1],[x2,y2]],...]} with bonds sorted and
-    integer coordinates only.
+    integer coordinates only, formatted straight from the sorted keys.
     """
-    payload = {
-        "root": [tree.root[0], tree.root[1]],
-        "bonds": [[[b.u[0], b.u[1]], [b.v[0], b.v[1]]] for b in tree.bonds],
-    }
-    return json.dumps(payload, separators=(",", ":"))
+    (ox, oy), stride = tree.origin, tree.stride
+    parts = []
+    for key in tree.keys:
+        x, y = divmod(key >> 1, stride)
+        x += ox
+        y += oy
+        if key & 1:
+            parts.append(f"[[{x},{y}],[{x + 1},{y}]]")
+        else:
+            parts.append(f"[[{x},{y}],[{x},{y + 1}]]")
+    rx, ry = tree.root
+    return f'{{"root":[{rx},{ry}],"bonds":[{",".join(parts)}]}}'
 
 
 def _as_int(value) -> int:
@@ -496,12 +661,29 @@ def _as_site(value) -> Site:
     return (_as_int(value[0]), _as_int(value[1]))
 
 
-def tree_from_json(text: str) -> RootedTree:
-    """Parse and validate the canonical wire form.  Liberal in bond order."""
+def _as_bond(entry) -> Bond:
+    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+        raise ValueError(f"a bond is a pair of sites, got {entry!r}")
+    return Bond.between(_as_site(entry[0]), _as_site(entry[1]))
+
+
+def tree_from_json(text: str, max_bonds: int | None = None) -> RootedTree:
+    """Parse and validate the canonical wire form.  Liberal in bond order.
+
+    With `max_bonds` given, a longer bond list raises TooLarge as soon
+    as the JSON is decoded, before any bond is checked.
+    """
+    # json.loads allocates a list per bond and per site, and collector
+    # passes over them cost more than the decoding; they hold no cycle
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON: {exc}") from exc
+    finally:
+        if collecting:
+            gc.enable()
     if not isinstance(payload, dict):
         raise ValueError("tree JSON must be an object")
     missing = {"root", "bonds"} - payload.keys()
@@ -511,9 +693,29 @@ def tree_from_json(text: str) -> RootedTree:
     raw = payload["bonds"]
     if not isinstance(raw, list):
         raise ValueError("\"bonds\" must be a list")
-    bonds = []
+    if max_bonds is not None and len(raw) > max_bonds:
+        raise TooLarge(f"{len(raw)} bonds exceeds the guard {max_bonds}")
+    xs, ys, steps = [], [], []
     for entry in raw:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ValueError(f"a bond is a pair of sites, got {entry!r}")
-        bonds.append(Bond.between(_as_site(entry[0]), _as_site(entry[1])))
-    return validate_tree(root, bonds)
+        # the common case inline; _as_bond checks anything else in full
+        # and raises the message for the first thing wrong with it
+        try:
+            (ax, ay), (bx, by) = entry
+            exact = (type(ax) is int and type(ay) is int
+                     and type(bx) is int and type(by) is int)
+        except (TypeError, ValueError):
+            exact = False
+        if not exact:
+            (ax, ay), (bx, by) = _as_bond(entry)
+        if ax == bx and (by == ay + 1 or ay == by + 1):
+            xs.append(ax)
+            ys.append(ay if ay < by else by)
+            steps.append(0)
+        elif ay == by and (bx == ax + 1 or ax == bx + 1):
+            xs.append(ax if ax < bx else bx)
+            ys.append(ay)
+            steps.append(1)
+        else:
+            _as_bond(entry)   # raises: not at unit distance
+    del payload, raw   # the decoded lists are the largest thing alive
+    return _packed_tree(root, xs, ys, steps)

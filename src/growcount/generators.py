@@ -11,7 +11,8 @@ Everything the log-domain analytics needs survives past the horizon.
 
 from dataclasses import dataclass, field
 
-from .core import Bond, RootedTree, validate_tree
+# MAX_TREE_BONDS lives in core, whose `count` guard reads it too
+from .core import MAX_TREE_BONDS, Bond, RootedTree, tree_from_runs
 from .errors import (
     ConstraintViolated,
     DuplicateBond,
@@ -21,9 +22,6 @@ from .errors import (
     OverlapDetected,
     TooLarge,
 )
-
-# refuse to materialize trees past this many bonds
-MAX_TREE_BONDS = 10**7
 
 # refuse to materialize integers past this many bits (~500 kB)
 MAX_INT_BITS = 4_000_000
@@ -45,8 +43,7 @@ def path_tree(bond_count: int) -> RootedTree:
     """Straight path of `bond_count` bonds from the origin along +x."""
     if bond_count < 1:
         raise ValueError("a path needs at least one bond")
-    bonds = [Bond.between((i, 0), (i + 1, 0)) for i in range(bond_count)]
-    return validate_tree((0, 0), bonds)
+    return tree_from_runs((0, 0), [(0, 0, 1, 0, bond_count)])
 
 
 def comb_tree(bond_count: int) -> RootedTree:
@@ -57,9 +54,8 @@ def comb_tree(bond_count: int) -> RootedTree:
     if bond_count % 2:
         raise OddLength(f"comb needs an even bond count, got {bond_count}")
     half = bond_count // 2
-    bonds = [Bond.between((i, 0), (i + 1, 0)) for i in range(half)]
-    bonds += [Bond.between((i, 0), (i, 1)) for i in range(1, half + 1)]
-    return validate_tree((0, 0), bonds)
+    teeth = [(i, 0, 0, 1, 1) for i in range(1, half + 1)]
+    return tree_from_runs((0, 0), [(0, 0, 1, 0, half)] + teeth)
 
 
 # --- parameter sequences ----------------------------------------------------
@@ -157,36 +153,42 @@ def tower_params(a0: int, generations: int) -> TowerParams:
 
 # --- hierarchical embedding -------------------------------------------------
 
-def _emit_level(level, origin, direction, backbone, branches, out, labels):
-    """Append the bonds of one nesting level; recurse into its branches."""
+def _emit_level(level, origin, direction, backbone, branches, out):
+    """Append the backbone of one nesting level as (run, level), then
+    recurse into the branches at every spacing-th site along it."""
     length = backbone[level]
-    spacing = length // branches[level] if level >= 2 else None
-    dx, dy = direction
-    x, y = origin
-    for i in range(1, length + 1):
-        nxt = (x + dx, y + dy)
-        bond = Bond.between((x, y), nxt)
-        out.append(bond)
-        labels[bond] = level
-        x, y = nxt
-        if level >= 2 and i % spacing == 0:
+    (x, y), (dx, dy) = origin, direction
+    out.append(((x, y, dx, dy, length), level))
+    if level >= 2:
+        spacing = length // branches[level]
+        for i in range(spacing, length + 1, spacing):
             _emit_level(
-                level - 1, (x, y), _ROTATE[direction], backbone, branches,
-                out, labels,
+                level - 1, (x + i * dx, y + i * dy), _ROTATE[direction],
+                backbone, branches, out,
             )
 
 
 def _build(backbone: dict, branches: dict, levels: int):
-    bonds: list[Bond] = []
-    labels: dict[Bond, int] = {}
-    _emit_level(levels, (0, 0), (1, 0), backbone, branches, bonds, labels)
-    if len(set(bonds)) != len(bonds):
-        raise OverlapDetected("two branches produced the same bond")
+    """The tree and its runs of bonds, each as (run, nesting level)."""
+    leveled_runs: list = []
+    _emit_level(levels, (0, 0), (1, 0), backbone, branches, leveled_runs)
     try:
-        tree = validate_tree((0, 0), bonds)
-    except (DuplicateBond, HasCycle, NotConnected) as exc:
+        tree = tree_from_runs((0, 0), (run for run, _ in leveled_runs))
+    except DuplicateBond as exc:
+        raise OverlapDetected("two branches produced the same bond") from exc
+    except (HasCycle, NotConnected) as exc:
         raise OverlapDetected(f"embedding is not a tree: {exc}") from exc
-    return tree, labels
+    return tree, leveled_runs
+
+
+def _labels(leveled_runs) -> dict[Bond, int]:
+    """Map each bond of the runs to the nesting level of its run."""
+    labels = {}
+    for (x, y, dx, dy, length), level in leveled_runs:
+        for i in range(length):
+            a = (x + i * dx, y + i * dy)
+            labels[Bond.between(a, (a[0] + dx, a[1] + dy))] = level
+    return labels
 
 
 def _check_custom(ells, bs):
@@ -256,8 +258,7 @@ def hierarchical_generations(ells, bs) -> dict[Bond, int]:
     if total > MAX_TREE_BONDS:
         raise TooLarge(
             f"tree would have {_scale(total)} bonds (guard {MAX_TREE_BONDS})")
-    _, labels = _build(ell, b, m)
-    return labels
+    return _labels(_build(ell, b, m)[1])
 
 
 def tower_tree(params: TowerParams, generations: int | None = None) -> RootedTree:
@@ -291,4 +292,5 @@ def tower_tree_generations(params: TowerParams, generations: int | None = None):
             f"tree would have {_scale(total)} bonds (guard {MAX_TREE_BONDS})")
     ell = {k: params.backbone[k] for k in range(1, j + 1)}
     b = {k: params.branches[k] for k in range(2, j + 1)}
-    return _build(ell, b, j)
+    tree, leveled_runs = _build(ell, b, j)
+    return tree, _labels(leveled_runs)

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from growcount import cli, core
 from growcount.core import (
     STR_CUTOFF_BITS,
+    balanced_product,
     factorial_quotient,
     growth_count,
+    product_to_decimal,
     random_lattice_tree,
     to_decimal,
     tree_weight,
@@ -109,6 +111,26 @@ def test_to_decimal_at_powers_of_two(bits):
 def test_to_decimal_small_values():
     assert [to_decimal(n) for n in (0, 1, -1, 9, 10, 11)] \
         == ["0", "1", "-1", "9", "10", "11"]
+
+
+# --- product_to_decimal -----------------------------------------------------
+
+# factors from single digits to past the 4096-bit switch into decimal
+FACTORS = st.one_of(st.integers(0, 1000), st.integers(-(2 ** 64), 2 ** 64),
+                    st.integers(2 ** 3000, 2 ** 6000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(FACTORS, max_size=200))
+def test_product_to_decimal_matches_str_of_balanced_product(values):
+    assert product_to_decimal(values) == str(balanced_product(values))
+
+
+@pytest.mark.parametrize("bonds", [1, 2, 1000, 30_000])
+def test_product_to_decimal_prints_the_weight_of_a_path(bonds):
+    # W of a path is L!; its hooks run L, L-1, ..., 1
+    hooks = path_tree(bonds).hooks
+    assert product_to_decimal(hooks) == str(math.factorial(bonds))
 
 
 # --- factorial_quotient against the divmod oracle ---------------------------

@@ -1,0 +1,308 @@
+"""The packed tree core against an independent site-by-site reference.
+
+The reference below works on coordinate tuples only: a breadth-first
+walk over sites, subtree sizes summed back up the walk, and
+`json.dumps` of the sorted bonds.  Every tree is fed to the core with
+its bonds shuffled and endpoints swapped at random, through both
+`tree_from_json` and `validate_tree`.
+"""
+
+import io
+import json
+import random
+
+import pytest
+
+from growcount import cli, core, generators, render
+from growcount.core import (
+    NEIGHBOR_STEPS,
+    Bond,
+    downstream_weights,
+    orient_from_root,
+    random_lattice_tree,
+    tree_from_json,
+    tree_to_json,
+    validate_tree,
+)
+from growcount.errors import (
+    DuplicateBond,
+    HasCycle,
+    NotConnected,
+    RootDetached,
+)
+from growcount.generators import (
+    comb_tree,
+    custom_hierarchical_tree,
+    path_tree,
+    tower_params,
+    tower_tree,
+)
+
+
+def reference(root, pairs):
+    """What the core must produce for a valid tree, from coordinates alone.
+
+    Returns canonical JSON, sorted bonds as (u, v) tuples, the site set,
+    the weight of each bond and the children of each bond.
+    """
+    bonds = sorted(tuple(sorted((tuple(a), tuple(b)))) for a, b in pairs)
+    adjacent = {}
+    for u, v in bonds:
+        adjacent.setdefault(u, []).append(v)
+        adjacent.setdefault(v, []).append(u)
+    parent = {root: None}
+    order = [root]
+    for site in order:   # breadth first; the list grows while it is read
+        for nxt in adjacent[site]:
+            if nxt not in parent:
+                parent[nxt] = site
+                order.append(nxt)
+    size = dict.fromkeys(order, 1)
+    for site in reversed(order[1:]):
+        size[parent[site]] += size[site]
+
+    def into(site):
+        return tuple(sorted((site, parent[site])))
+
+    weights = {into(s): size[s] for s in order[1:]}
+    children = {into(s): [] for s in order[1:]}
+    for s in order[1:]:
+        if parent[s] != root:
+            children[into(parent[s])].append(into(s))
+    text = json.dumps({"root": list(root),
+                       "bonds": [[list(u), list(v)] for u, v in bonds]},
+                      separators=(",", ":"))
+    return text, bonds, set(adjacent), weights, children
+
+
+def scrambled(root, pairs, rng):
+    """The same tree as JSON text and pairs, in a random order."""
+    pairs = [list(p) for p in pairs]
+    rng.shuffle(pairs)
+    for p in pairs:
+        if rng.random() < 0.5:
+            p.reverse()
+    text = json.dumps({"root": list(root),
+                       "bonds": [[list(a), list(b)] for a, b in pairs]})
+    return text, pairs
+
+
+def variants(tree, rng):
+    """The tree as given, moved by an offset, and rooted at another site."""
+    pairs = [(b.u, b.v) for b in tree.bonds]
+    yield tree.root, pairs
+    dx, dy = rng.randint(-50, 50), rng.randint(-50, 50)
+    yield ((tree.root[0] + dx, tree.root[1] + dy),
+           [((a[0] + dx, a[1] + dy), (b[0] + dx, b[1] + dy))
+            for a, b in pairs])
+    yield rng.choice(sorted(tree.sites)), pairs
+
+
+TREES = {
+    "path 1": lambda: path_tree(1),
+    "path 9": lambda: path_tree(9),
+    "comb 12": lambda: comb_tree(12),
+    "tower 1/1": lambda: tower_tree(tower_params(1, 1)),
+    "tower 1/2": lambda: tower_tree(tower_params(1, 2)),
+    "tower 1/3": lambda: tower_tree(tower_params(1, 3)),
+    "tower 2/2": lambda: tower_tree(tower_params(2, 2)),
+    "custom 2,6,24": lambda: custom_hierarchical_tree((2, 6, 24), (2, 2)),
+    "custom 3,12,60": lambda: custom_hierarchical_tree((3, 12, 60), (3, 3)),
+    "star 4": lambda: validate_tree(
+        (0, 0), [((0, 0), step) for step in NEIGHBOR_STEPS]),
+}
+TREES.update({f"random {n}/{seed}": (lambda n=n, seed=seed:
+                                     random_lattice_tree(n, seed))
+              for n in (1, 2, 7, 60, 300) for seed in (0, 3, 11)})
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_core_agrees_with_the_reference(name):
+    rng = random.Random(name)
+    for root, pairs in variants(TREES[name](), rng):
+        want_text, want_bonds, want_sites, want_weights, want_children = \
+            reference(root, pairs)
+        text, shuffled = scrambled(root, pairs, rng)
+        for tree in (tree_from_json(text), validate_tree(root, shuffled)):
+            assert tree_to_json(tree) == want_text
+            assert tree.bonds == tuple(Bond(u, v) for u, v in want_bonds)
+            assert tree.sites == want_sites
+            assert tree.root == root
+            assert sorted(tree.hooks) == sorted(want_weights.values())
+            assert downstream_weights(tree).weights == want_weights
+            assert orient_from_root(tree) == {
+                Bond(*b): sorted(Bond(*c) for c in kids)
+                for b, kids in want_children.items()}
+        assert tree_from_json(text) == validate_tree(root, shuffled)
+
+
+def test_equal_trees_hash_alike_and_different_roots_differ():
+    a = tree_from_json(tree_to_json(comb_tree(6)))
+    b = comb_tree(6)
+    assert a == b and hash(a) == hash(b)
+    c = validate_tree((1, 0), [(x.u, x.v) for x in b.bonds])
+    assert c != b and c.keys == b.keys
+
+
+# --- each error class, and which one wins -----------------------------------
+
+BASE = [[[0, 0], [1, 0]], [[1, 0], [1, 1]], [[1, 1], [2, 1]]]
+
+
+def parse(bonds, root=(0, 0)):
+    return tree_from_json(json.dumps({"root": list(root), "bonds": bonds}))
+
+
+def test_duplicate_named_and_checked_first():
+    dup = BASE + [[[1, 1], [1, 0]]]
+    with pytest.raises(DuplicateBond,
+                       match=r"^bond Bond\(u=\(1, 0\), v=\(1, 1\)\) listed twice$"):
+        parse(dup)
+    # also detached, disconnected and cyclic: the duplicate still wins
+    worse = dup + [[[5, 5], [5, 6]], [[2, 1], [2, 0]], [[2, 0], [1, 0]]]
+    with pytest.raises(DuplicateBond):
+        parse(worse, root=(9, 9))
+
+
+@pytest.mark.parametrize("root", [
+    (9, 9), (-1, 0), (3, 0), (0, 2), (0, 3), (0, -1), (2, 0),
+])
+def test_detached_root(root):
+    # (0, 2) and (0, 3) would pack onto sites of the next column if the
+    # root were packed without checking its row
+    with pytest.raises(RootDetached, match=rf"^root \({root[0]}, {root[1]}\)"):
+        parse(BASE, root=root)
+
+
+def test_detached_root_checked_before_connectivity_and_cycles():
+    cyclic = BASE + [[[2, 1], [2, 0]], [[2, 0], [1, 0]], [[7, 7], [7, 8]]]
+    with pytest.raises(RootDetached):
+        parse(cyclic, root=(0, 1))
+
+
+def test_disconnected_counts_the_unreachable_bonds():
+    far = BASE + [[[5, 5], [5, 6]], [[5, 6], [6, 6]]]
+    with pytest.raises(NotConnected,
+                       match=r"^2 bond\(s\) unreachable from the root$"):
+        parse(far)
+    # a cycle in the unreachable part does not change the verdict
+    with pytest.raises(NotConnected):
+        parse(far + [[[6, 6], [6, 5]], [[6, 5], [5, 5]]])
+
+
+def test_cycle_reports_bonds_and_sites():
+    square = BASE + [[[2, 1], [2, 0]], [[2, 0], [1, 0]]]
+    with pytest.raises(HasCycle,
+                       match=r"^5 bonds span 5 sites; a tree needs L\+1$"):
+        parse(square)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ([[1, 1], [3, 1]], "unit distance"),
+    ([[1, 1], [1, 1]], "unit distance"),
+    ([[1, 1], [2, 2]], "unit distance"),
+    ([[1, 1], [True, 1]], "coordinates must be integers, got True"),
+    ([[1, 1], [2.0, 1]], "coordinates must be integers, got 2.0"),
+    ([[1, 1], [[2], 1]], r"coordinates must be integers, got \[2\]"),
+    ([[1, 1], [2, 1, 0]], "a site is a pair"),
+    ([[1, 1]], "a bond is a pair of sites"),
+    ("ab", "a bond is a pair of sites"),
+    (["ab", "cd"], "a site is a pair"),
+    (None, "a bond is a pair of sites"),
+])
+def test_malformed_entry(entry, message):
+    # per-entry checks run before any tree axiom, here a duplicate
+    with pytest.raises(ValueError, match=message):
+        parse(BASE + [entry] + [BASE[0]])
+
+
+def test_malformed_entries_are_reported_in_entry_order():
+    with pytest.raises(ValueError, match="unit distance"):
+        parse(BASE + [[[0, 0], [0, 5]], [[0, 0], [0.5, 0]]])
+    with pytest.raises(ValueError, match="integers"):
+        parse(BASE + [[[0, 0], [0.5, 0]], [[0, 0], [0, 5]]])
+
+
+def test_validate_tree_checks_bond_objects_too():
+    with pytest.raises(ValueError, match="unit distance"):
+        validate_tree((0, 0), [Bond((0, 0), (2, 0))])
+
+
+def test_runs_must_step_by_unit_vectors():
+    with pytest.raises(ValueError, match="unit vector"):
+        core.tree_from_runs((0, 0), [(0, 0, 1, 1, 3)])
+    with pytest.raises(ValueError, match="at least one bond"):
+        core.tree_from_runs((0, 0), [])
+
+
+# --- incremental random growth ----------------------------------------------
+
+def rescanning_random_tree(bond_count: int, seed: int):
+    """Random growth as it was first written: every step rescans the
+    whole tree for candidate bonds and sorts them."""
+    rng = random.Random(seed)
+    sites = {(0, 0)}
+    bonds = []
+    while len(bonds) < bond_count:
+        candidates = []
+        for u in sites:
+            for dx, dy in NEIGHBOR_STEPS:
+                v = (u[0] + dx, u[1] + dy)
+                if v not in sites:
+                    candidates.append((v, Bond.between(u, v)))
+        candidates.sort()
+        site, bond = rng.choice(candidates)
+        sites.add(site)
+        bonds.append(bond)
+    return validate_tree((0, 0), bonds)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123456])
+@pytest.mark.parametrize("bonds", [1, 5, 50, 400])
+def test_random_tree_matches_the_rescanning_loop(bonds, seed):
+    assert random_lattice_tree(bonds, seed) \
+        == rescanning_random_tree(bonds, seed)
+
+
+# --- guards fire on the raw bond count --------------------------------------
+
+def run_cli(monkeypatch, argv, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    out, err = io.StringIO(), io.StringIO()
+    monkeypatch.setattr("sys.stdout", out)
+    monkeypatch.setattr("sys.stderr", err)
+    return cli.main(argv), out.getvalue(), err.getvalue()
+
+
+def test_max_tree_bonds_is_one_constant():
+    assert generators.MAX_TREE_BONDS is core.MAX_TREE_BONDS
+
+
+def test_count_guard(monkeypatch):
+    monkeypatch.setattr(core, "MAX_TREE_BONDS", 6)
+    code, out, _ = run_cli(monkeypatch, ["count"], tree_to_json(comb_tree(6)))
+    assert code == 0 and json.loads(out)["N"] == "15"
+    code, out, err = run_cli(monkeypatch, ["count"],
+                             tree_to_json(comb_tree(8)))
+    assert (code, out) == (3, "")
+    assert "TooLarge: 8 bonds exceeds the guard 6" in err
+
+
+def test_guards_fire_before_the_bonds_are_checked(monkeypatch):
+    monkeypatch.setattr(core, "MAX_TREE_BONDS", 3)
+    monkeypatch.setattr(render, "MAX_SVG_BONDS", 3)
+    # four bonds, one of them malformed: a size refusal, not a parse error
+    text = json.dumps({"root": [0, 0], "bonds": BASE + [[[0, 0], [0.5, 0]]]})
+    for argv in (["count"], ["export", "--format", "svg"]):
+        code, out, err = run_cli(monkeypatch, argv, text)
+        assert (code, out) == (3, ""), argv
+        assert "TooLarge" in err
+    code, _, err = run_cli(monkeypatch, ["export", "--format", "dot"], text)
+    assert code == 2 and "integers" in err
+
+
+def test_svg_guard_passes_trees_at_the_limit(monkeypatch):
+    monkeypatch.setattr(render, "MAX_SVG_BONDS", 4)
+    code, out, _ = run_cli(monkeypatch, ["export", "--format", "svg"],
+                           tree_to_json(comb_tree(4)))
+    assert code == 0 and out.startswith("<svg")
