@@ -32,14 +32,16 @@ def children_addresses(address: str) -> tuple[str, str]:
 def bethe_growth_count(bond_count: int) -> int:
     """Count all growth sequences of length `bond_count` by brute force.
 
-    Checked on the spot against the closed form (L+2)!/2; a mismatch
-    would be an enumeration bug.
+    Every prefix of length L-1 is enumerated; the last step is counted
+    from the enumerated frontier, each of whose addresses completes the
+    prefix in exactly one way.  Checked on the spot against the closed
+    form (L+2)!/2; a mismatch would be an enumeration bug.
     """
     _check_bonds(bond_count)
 
     def rec(frontier: tuple, left: int) -> int:
-        if left == 0:
-            return 1
+        if left == 1:
+            return len(frontier)
         total = 0
         for i, addr in enumerate(frontier):
             nxt = frontier[:i] + frontier[i + 1:] + children_addresses(addr)

@@ -17,6 +17,7 @@ from .errors import (
     ConstraintViolated,
     DuplicateBond,
     HasCycle,
+    InternalMismatch,
     NotConnected,
     OddLength,
     OverlapDetected,
@@ -93,12 +94,46 @@ class TowerParams:
         return self.backbone[k] // self.branches[k]
 
 
+def _square(a: int) -> int:
+    """a*a, formed by a shift when a is a power of two."""
+    if a.bit_count() == 1:
+        return 1 << 2 * (a.bit_length() - 1)
+    return a * a
+
+
+def _exact_quotient(num: int, den: int, a0: int, k: int, identity: str) -> int:
+    """num // den where the family's identity says den divides num.
+
+    A power-of-two divisor is a shift whose low bits must be zero; any
+    other divisor goes through divmod.  A nonzero remainder raises
+    InternalMismatch naming a0, k and the identity.
+    """
+    if den.bit_count() == 1:
+        shift = den.bit_length() - 1
+        if num & ((1 << shift) - 1):
+            raise _broken(a0, k, identity)
+        return num >> shift
+    quotient, rem = divmod(num, den)
+    if rem:
+        raise _broken(a0, k, identity)
+    return quotient
+
+
+def _broken(a0: int, k: int, identity: str) -> InternalMismatch:
+    return InternalMismatch(
+        f"tower identity {identity} fails at a0={a0}, k={k}")
+
+
 def tower_params(a0: int, generations: int) -> TowerParams:
     """Compute all derived sequences for seed a0 up to the given generation.
 
-    Divisibility of backbone lengths by branch counts and the spacing
-    condition spacing(k) > backbone[k-2] are identities for this family;
-    both are asserted on every materializable level.
+    Every tower value past the seed is a power of two, and so is every
+    first-generation count past index 0: those squares are formed by
+    shifts, and the exact divisions by them are shifts too.  Divisibility
+    of backbone lengths by branch counts and the spacing condition
+    spacing(k) > backbone[k-2] are identities for this family; they are
+    checked on every materializable level and raise InternalMismatch
+    when one fails.
     """
     if a0 < 1:
         raise ValueError("a0 must be >= 1")
@@ -113,7 +148,7 @@ def tower_params(a0: int, generations: int) -> TowerParams:
             tower.append(None)
         else:
             tower.append(1 << prev)
-    first_gen = [a * a if a is not None else None for a in tower]
+    first_gen = [_square(a) if a is not None else None for a in tower]
 
     backbone: list = [None] * (j + 1)
     branches: list = [None] * (j + 1)
@@ -123,22 +158,28 @@ def tower_params(a0: int, generations: int) -> TowerParams:
     for k in range(2, j + 1):
         if first_gen[k] is None:
             break
-        num = 4 * first_gen[k] * first_gen[k - 2]
-        backbone[k], rem = divmod(num, first_gen[k - 1])
-        assert rem == 0
-        branches[k], rem = divmod(first_gen[k], first_gen[k - 1])
-        assert rem == 0
+        backbone[k] = _exact_quotient(
+            4 * first_gen[k] * first_gen[k - 2], first_gen[k - 1], a0, k,
+            "first_gen[k-1] | 4*first_gen[k]*first_gen[k-2]")
+        branches[k] = _exact_quotient(
+            first_gen[k], first_gen[k - 1], a0, k,
+            "first_gen[k-1] | first_gen[k]")
         bond_counts[k] = backbone[k] + branches[k] * bond_counts[k - 1]
 
     for k in range(2, j + 1):
         if backbone[k] is None:
             break
-        assert backbone[k] > backbone[k - 1]
-        assert backbone[k] % branches[k] == 0
-        assert backbone[k] // branches[k] == 4 * first_gen[k - 2]
+        if backbone[k] <= backbone[k - 1]:
+            raise _broken(a0, k, "backbone[k] > backbone[k-1]")
+        spacing = _exact_quotient(backbone[k], branches[k], a0, k,
+                                  "branches[k] | backbone[k]")
+        if spacing != 4 * first_gen[k - 2]:
+            raise _broken(a0, k, "spacing(k) == 4*first_gen[k-2]")
         if k >= 3:
-            assert backbone[k] // branches[k] > backbone[k - 2]
-            assert branches[k] > branches[k - 1]
+            if spacing <= backbone[k - 2]:
+                raise _broken(a0, k, "spacing(k) > backbone[k-2]")
+            if branches[k] <= branches[k - 1]:
+                raise _broken(a0, k, "branches[k] > branches[k-1]")
 
     return TowerParams(
         a0=a0,
@@ -248,7 +289,10 @@ def custom_hierarchical_tree(ells, bs) -> RootedTree:
         raise TooLarge(
             f"tree would have {_scale(total)} bonds (guard {MAX_TREE_BONDS})")
     tree, _ = _build(ell, b, m)
-    assert tree.bond_count == total
+    if tree.bond_count != total:
+        raise InternalMismatch(
+            f"built {tree.bond_count} bonds from lengths {list(ell.values())} "
+            f"and counts {list(b.values())}; the recurrence gives {total}")
     return tree
 
 
@@ -277,7 +321,10 @@ def tower_tree(params: TowerParams, generations: int | None = None) -> RootedTre
     ell = {k: params.backbone[k] for k in range(1, j + 1)}
     b = {k: params.branches[k] for k in range(2, j + 1)}
     tree, _ = _build(ell, b, j)
-    assert tree.bond_count == total
+    if tree.bond_count != total:
+        raise InternalMismatch(
+            f"built {tree.bond_count} bonds for a0={params.a0}, generation "
+            f"{j}; bond_counts[{j}] gives {total}")
     return tree
 
 

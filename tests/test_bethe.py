@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import pytest
 
+from growcount import bethe
 from growcount.bethe import (
     bethe_existence_bound,
     bethe_growth_count,
@@ -16,7 +17,7 @@ from growcount.bethe import (
     tree_growth_count,
     tree_growth_count_enumerated,
 )
-from growcount.errors import TooLarge
+from growcount.errors import InternalMismatch, TooLarge
 
 # exhaustively confirmed once, then frozen
 TREE_COUNTS = [3, 9, 28, 90, 297, 1001, 3432]
@@ -42,6 +43,34 @@ def test_addresses():
 @pytest.mark.parametrize("bonds", range(1, 8))
 def test_growth_count_closed_form(bonds):
     assert bethe_growth_count(bonds) == math.factorial(bonds + 2) // 2
+
+
+def full_recursion_count(frontier: tuple, left: int) -> int:
+    """Every growth sequence walked to depth L, where it counts 1."""
+    if left == 0:
+        return 1
+    return sum(
+        full_recursion_count(
+            frontier[:i] + frontier[i + 1:] + children_addresses(addr),
+            left - 1)
+        for i, addr in enumerate(frontier))
+
+
+@pytest.mark.parametrize("bonds", range(1, 8))
+def test_growth_count_matches_full_recursion(bonds):
+    assert bethe_growth_count(bonds) \
+        == full_recursion_count(("0", "1", "2"), bonds)
+
+
+@pytest.mark.parametrize("bonds", range(2, 8))
+def test_growth_count_catches_broken_enumeration(bonds, monkeypatch):
+    # three children per site: the frontier grows by two per step, so
+    # the count leaves the closed form (L+2)!/2 from L = 2 on (at L = 1
+    # both give 3)
+    monkeypatch.setattr(bethe, "children_addresses",
+                        lambda a: (a + "0", a + "1", a + "2"))
+    with pytest.raises(InternalMismatch, match=f"L={bonds}"):
+        bethe_growth_count(bonds)
 
 
 @pytest.mark.parametrize("bonds", range(1, 8))

@@ -1,11 +1,21 @@
 """Tree families: paths, combs, the tower construction and custom variants."""
 
+import dataclasses
+
 import pytest
 
+from growcount import cli, generators
 from growcount.core import Bond, validate_tree
-from growcount.errors import ConstraintViolated, OddLength, TooLarge
+from growcount.errors import (
+    ConstraintViolated,
+    InternalMismatch,
+    OddLength,
+    TooLarge,
+)
 from growcount.generators import (
+    MAX_INT_BITS,
     MAX_TREE_BONDS,
+    TowerParams,
     comb_tree,
     custom_hierarchical_tree,
     hierarchical_generations,
@@ -77,6 +87,90 @@ def test_materializability_horizon(a0, horizon):
     assert p.tower[horizon] is not None
     assert p.tower[horizon + 1] is None
     assert p.bond_counts[horizon + 1] is None
+
+
+def reference_tower_params(a0: int, generations: int) -> TowerParams:
+    """The sequences with plain squares and divmod, no shifts."""
+    j = generations
+    tower = [a0]
+    for k in range(1, j + 1):
+        prev = tower[k - 1]
+        fits = prev is not None and prev <= MAX_INT_BITS
+        tower.append(2 ** prev if fits else None)
+    first_gen = [a * a if a is not None else None for a in tower]
+    backbone = [None] * (j + 1)
+    branches = [None] * (j + 1)
+    bond_counts = [None] * (j + 1)
+    backbone[1] = bond_counts[1] = first_gen[1]
+    for k in range(2, j + 1):
+        if first_gen[k] is None:
+            break
+        backbone[k], rem = divmod(
+            4 * first_gen[k] * first_gen[k - 2], first_gen[k - 1])
+        assert rem == 0
+        branches[k], rem = divmod(first_gen[k], first_gen[k - 1])
+        assert rem == 0
+        bond_counts[k] = backbone[k] + branches[k] * bond_counts[k - 1]
+    return TowerParams(a0, j, tuple(tower), tuple(first_gen),
+                       tuple(backbone), tuple(branches), tuple(bond_counts))
+
+
+# a0 21 is the last seed with an exact second generation (4.2M-bit
+# first_gen[2]); from 22 on everything past tower[1] is None
+@pytest.mark.parametrize("a0", list(range(1, 25)) + [31, 32, 33, 64])
+def test_tower_params_match_plain_arithmetic(a0):
+    for gen in range(1, 9):
+        got = tower_params(a0, gen)
+        want = reference_tower_params(a0, gen)
+        for f in dataclasses.fields(TowerParams):
+            assert getattr(got, f.name) == getattr(want, f.name), \
+                (a0, gen, f.name)
+
+
+def test_exact_quotient_by_shift_and_by_divmod():
+    big = 1 << 4_000_000
+    assert generators._exact_quotient(7 * big, big, 1, 2, "id") == 7
+    assert generators._exact_quotient(91, 7, 1, 2, "id") == 13
+    with pytest.raises(InternalMismatch, match="a0=5, k=3"):
+        generators._exact_quotient(7 * big + 1, big, 5, 3, "id")
+    with pytest.raises(InternalMismatch, match="identity id fails at a0=1, k=2"):
+        generators._exact_quotient(12, 8, 1, 2, "id")
+    with pytest.raises(InternalMismatch):
+        generators._exact_quotient(92, 7, 1, 2, "id")
+
+
+def test_broken_tower_identity_raises(monkeypatch):
+    # squares one too large: first_gen[1] = 5 no longer divides
+    # 4 * first_gen[2] * first_gen[0] = 4 * 17 * 2
+    monkeypatch.setattr(generators, "_square", lambda a: a * a + 1)
+    with pytest.raises(InternalMismatch, match="a0=1, k=2"):
+        tower_params(1, 3)
+
+
+def test_broken_tower_identity_is_a_cli_error(monkeypatch, capsys):
+    monkeypatch.setattr(generators, "_square", lambda a: a * a + 1)
+    assert cli.main(["gen", "tower", "--a0", "1", "--gen", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: InternalMismatch: tower identity")
+
+
+def test_tower_tree_checks_its_bond_count():
+    p = tower_params(1, 2)
+    wrong = dataclasses.replace(p, bond_counts=(None, 4, 33))
+    with pytest.raises(InternalMismatch, match="a0=1, generation 2"):
+        tower_tree(wrong)
+
+
+def test_custom_tree_checks_its_bond_count(monkeypatch):
+    check = generators._check_custom
+
+    def off_by_one(ells, bs):
+        ell, b, m, total = check(ells, bs)
+        return ell, b, m, total + 1
+    monkeypatch.setattr(generators, "_check_custom", off_by_one)
+    with pytest.raises(InternalMismatch, match="recurrence gives 33"):
+        custom_hierarchical_tree([4, 16], [4])
 
 
 def test_tower_params_reject_bad_arguments():
