@@ -94,29 +94,20 @@ class TowerParams:
         return self.backbone[k] // self.branches[k]
 
 
-def _square(a: int) -> int:
-    """a*a, formed by a shift when a is a power of two."""
-    if a.bit_count() == 1:
-        return 1 << 2 * (a.bit_length() - 1)
-    return a * a
-
-
 def _exact_quotient(num: int, den: int, a0: int, k: int, identity: str) -> int:
     """num // den where the family's identity says den divides num.
 
-    A power-of-two divisor is a shift whose low bits must be zero; any
-    other divisor goes through divmod.  A nonzero remainder raises
-    InternalMismatch naming a0, k and the identity.
+    Every divisor the family produces is a power of two, so the division
+    is a shift whose low bits must be zero.  A divisor that is not a
+    power of two, or nonzero low bits, raises InternalMismatch naming
+    a0, k and the identity.
     """
-    if den.bit_count() == 1:
-        shift = den.bit_length() - 1
-        if num & ((1 << shift) - 1):
-            raise _broken(a0, k, identity)
-        return num >> shift
-    quotient, rem = divmod(num, den)
-    if rem:
+    if den.bit_count() != 1:
         raise _broken(a0, k, identity)
-    return quotient
+    shift = den.bit_length() - 1
+    if num & ((1 << shift) - 1):
+        raise _broken(a0, k, identity)
+    return num >> shift
 
 
 def _broken(a0: int, k: int, identity: str) -> InternalMismatch:
@@ -124,32 +115,15 @@ def _broken(a0: int, k: int, identity: str) -> InternalMismatch:
         f"tower identity {identity} fails at a0={a0}, k={k}")
 
 
-def tower_params(a0: int, generations: int) -> TowerParams:
-    """Compute all derived sequences for seed a0 up to the given generation.
+def _derived_levels(a0: int, first_gen: list) -> tuple:
+    """Backbone lengths, branch counts and bond counts from first_gen.
 
-    Every tower value past the seed is a power of two, and so is every
-    first-generation count past index 0: those squares are formed by
-    shifts, and the exact divisions by them are shifts too.  Divisibility
-    of backbone lengths by branch counts and the spacing condition
-    spacing(k) > backbone[k-2] are identities for this family; they are
-    checked on every materializable level and raise InternalMismatch
-    when one fails.
+    Divisibility of backbone lengths by branch counts and the spacing
+    condition spacing(k) > backbone[k-2] are identities for this family;
+    they are checked on every materializable level and raise
+    InternalMismatch when one fails.
     """
-    if a0 < 1:
-        raise ValueError("a0 must be >= 1")
-    if generations < 1:
-        raise ValueError("generations must be >= 1")
-    j = generations
-
-    tower: list = [a0]
-    for k in range(1, j + 1):
-        prev = tower[k - 1]
-        if prev is None or prev > MAX_INT_BITS:
-            tower.append(None)
-        else:
-            tower.append(1 << prev)
-    first_gen = [_square(a) if a is not None else None for a in tower]
-
+    j = len(first_gen) - 1
     backbone: list = [None] * (j + 1)
     branches: list = [None] * (j + 1)
     bond_counts: list = [None] * (j + 1)
@@ -180,6 +154,35 @@ def tower_params(a0: int, generations: int) -> TowerParams:
                 raise _broken(a0, k, "spacing(k) > backbone[k-2]")
             if branches[k] <= branches[k - 1]:
                 raise _broken(a0, k, "branches[k] > branches[k-1]")
+    return backbone, branches, bond_counts
+
+
+def tower_params(a0: int, generations: int) -> TowerParams:
+    """Compute all derived sequences for seed a0 up to the given generation.
+
+    Every tower value past the seed is a power of two, and so is every
+    first-generation count past index 0: those are formed by shifts, and
+    the exact divisions by them are shifts too.  The identities of the
+    family are checked by _derived_levels, which raises InternalMismatch
+    when one fails.
+    """
+    if a0 < 1:
+        raise ValueError("a0 must be >= 1")
+    if generations < 1:
+        raise ValueError("generations must be >= 1")
+    j = generations
+
+    tower: list = [a0]
+    first_gen: list = [a0 * a0]
+    for k in range(1, j + 1):
+        prev = tower[k - 1]
+        if prev is None or prev > MAX_INT_BITS:
+            tower.append(None)
+            first_gen.append(None)
+        else:
+            tower.append(1 << prev)
+            first_gen.append(1 << 2 * prev)
+    backbone, branches, bond_counts = _derived_levels(a0, first_gen)
 
     return TowerParams(
         a0=a0,

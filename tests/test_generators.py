@@ -127,28 +127,35 @@ def test_tower_params_match_plain_arithmetic(a0):
                 (a0, gen, f.name)
 
 
-def test_exact_quotient_by_shift_and_by_divmod():
+def test_exact_quotient_is_a_checked_shift():
     big = 1 << 4_000_000
     assert generators._exact_quotient(7 * big, big, 1, 2, "id") == 7
-    assert generators._exact_quotient(91, 7, 1, 2, "id") == 13
     with pytest.raises(InternalMismatch, match="a0=5, k=3"):
         generators._exact_quotient(7 * big + 1, big, 5, 3, "id")
     with pytest.raises(InternalMismatch, match="identity id fails at a0=1, k=2"):
         generators._exact_quotient(12, 8, 1, 2, "id")
+    # a divisor that is not a power of two breaks the family's identity
     with pytest.raises(InternalMismatch):
         generators._exact_quotient(92, 7, 1, 2, "id")
 
 
+def _squares_plus_one(derived):
+    """_derived_levels fed squares one too large: first_gen[1] = 5 no
+    longer divides 4 * first_gen[2] * first_gen[0] = 4 * 17 * 2."""
+    return lambda a0, first_gen: derived(
+        a0, [g + 1 if g is not None else None for g in first_gen])
+
+
 def test_broken_tower_identity_raises(monkeypatch):
-    # squares one too large: first_gen[1] = 5 no longer divides
-    # 4 * first_gen[2] * first_gen[0] = 4 * 17 * 2
-    monkeypatch.setattr(generators, "_square", lambda a: a * a + 1)
+    monkeypatch.setattr(generators, "_derived_levels",
+                        _squares_plus_one(generators._derived_levels))
     with pytest.raises(InternalMismatch, match="a0=1, k=2"):
         tower_params(1, 3)
 
 
 def test_broken_tower_identity_is_a_cli_error(monkeypatch, capsys):
-    monkeypatch.setattr(generators, "_square", lambda a: a * a + 1)
+    monkeypatch.setattr(generators, "_derived_levels",
+                        _squares_plus_one(generators._derived_levels))
     assert cli.main(["gen", "tower", "--a0", "1", "--gen", "2"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
