@@ -191,6 +191,15 @@ def _backbone_weight_product(length: int, count: int, sub_bonds: int) -> int:
     return balanced_product(parts)
 
 
+def _exact_weight_guard(params: TowerParams, j: int) -> None:
+    """Refuse an exact weight integer past MAX_EXACT_WEIGHT_BONDS bonds."""
+    total = bond_count(params, j)
+    if total > MAX_EXACT_WEIGHT_BONDS:
+        raise TooLarge(
+            f"{total} bonds exceeds the exact-weight guard {MAX_EXACT_WEIGHT_BONDS}"
+        )
+
+
 def exact_weight(params: TowerParams, generation: int | None = None) -> int:
     """The exact weight product, by level recursion.
 
@@ -201,11 +210,7 @@ def exact_weight(params: TowerParams, generation: int | None = None) -> int:
     tree.
     """
     j = params.generations if generation is None else generation
-    total = bond_count(params, j)
-    if total > MAX_EXACT_WEIGHT_BONDS:
-        raise TooLarge(
-            f"{total} bonds exceeds the exact-weight guard {MAX_EXACT_WEIGHT_BONDS}"
-        )
+    _exact_weight_guard(params, j)
     w = math.factorial(params.backbone[1])
     for k in range(2, j + 1):
         w = w ** params.branches[k] * _backbone_weight_product(
@@ -253,12 +258,7 @@ def weight_upper_bound(
         raise ValueError(f"generation must be in 1..{params.generations}")
 
     if mode == "exact":
-        total = bond_count(params, j)
-        if total > MAX_EXACT_WEIGHT_BONDS:
-            raise TooLarge(
-                f"{total} bonds exceeds the exact-weight guard "
-                f"{MAX_EXACT_WEIGHT_BONDS}"
-            )
+        _exact_weight_guard(params, j)
         bound = math.factorial(params.backbone[1])
         for k in range(2, j + 1):
             bound = bound ** params.branches[k] * (

@@ -7,7 +7,9 @@ compose:
     growcount gen comb --bonds 6 | growcount count
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3
-resource guard tripped (enumeration cap, count or SVG size).  The size
+resource guard tripped.  A guard on a tree read from stdin, or on the
+oracle's enumeration, exits 3; a guard on requested parameters (gen,
+analyze, bethe) is invalid input and exits 2.  The count and SVG size
 guards count the bonds as soon as the JSON is decoded.  Big integers in
 JSON output are decimal strings; everything printed is deterministic,
 byte for byte, for the same inputs.
@@ -41,6 +43,8 @@ from .generators import (
     path_tree,
 )
 
+# the verbs whose guards (TooLarge, CapExceeded) exit 3, not 2
+_STDIN_VERBS = ("count", "oracle", "export")
 ORACLE_FREE_LIMIT = 12   # beyond this, `oracle` insists on --cap
 # analyze reports a larger L by its bit length only.  Digit conversion
 # is fast enough to print it (see core.to_decimal); the limit stays to
@@ -51,11 +55,6 @@ PRINT_INT_BITS = 2 ** 17
 def _emit(payload: dict) -> int:
     print(json.dumps(payload, separators=(",", ":")))
     return 0
-
-
-def _fail(code: int, exc) -> int:
-    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-    return code
 
 
 def _read_tree(max_bonds=None):
@@ -71,26 +70,22 @@ def _csv_ints(text: str) -> tuple[int, ...]:
 
 
 def cmd_gen(args) -> int:
-    try:
-        if args.kind == "path":
-            _need(args, "bonds")
-            tree = path_tree(args.bonds)
-        elif args.kind == "comb":
-            _need(args, "bonds")
-            tree = comb_tree(args.bonds)
-        elif args.kind == "tower":
-            _need(args, "a0", "gen")
-            tree = tower_tree(tower_params(args.a0, args.gen))
-        elif args.kind == "random":
-            _need(args, "bonds")
-            tree = random_lattice_tree(args.bonds, seed=args.seed)
-        else:   # custom
-            _need(args, "ells")
-            bs = _csv_ints(args.bs) if args.bs is not None else ()
-            tree = custom_hierarchical_tree(_csv_ints(args.ells), bs)
-    except (GrowcountError, ValueError) as exc:
-        # every gen failure, guards included, is a bad request
-        return _fail(2, exc)
+    if args.kind == "path":
+        _need(args, "bonds")
+        tree = path_tree(args.bonds)
+    elif args.kind == "comb":
+        _need(args, "bonds")
+        tree = comb_tree(args.bonds)
+    elif args.kind == "tower":
+        _need(args, "a0", "gen")
+        tree = tower_tree(tower_params(args.a0, args.gen))
+    elif args.kind == "random":
+        _need(args, "bonds")
+        tree = random_lattice_tree(args.bonds, seed=args.seed)
+    else:   # custom
+        _need(args, "ells")
+        bs = _csv_ints(args.bs) if args.bs is not None else ()
+        tree = custom_hierarchical_tree(_csv_ints(args.ells), bs)
     sys.stdout.write(tree_to_json(tree) + "\n")
     return 0
 
@@ -102,53 +97,39 @@ def _need(args, *names):
 
 
 def cmd_count(args) -> int:
-    try:
-        tree = _read_tree(core.MAX_TREE_BONDS)
-        w = product_to_decimal(tree.hooks)
-        n = growth_count(tree)
-    except TooLarge as exc:
-        return _fail(3, exc)
-    except (GrowcountError, ValueError) as exc:
-        return _fail(2, exc)
+    tree = _read_tree(core.MAX_TREE_BONDS)
+    w = product_to_decimal(tree.hooks)
+    n = growth_count(tree)
     return _emit({"L": tree.bond_count, "W": w, "N": to_decimal(n)})
 
 
 def cmd_oracle(args) -> int:
-    try:
-        tree = _read_tree()
-        if tree.bond_count > ORACLE_FREE_LIMIT and args.cap is None:
-            raise ValueError(
-                f"L={tree.bond_count} needs an explicit --cap beyond "
-                f"L={ORACLE_FREE_LIMIT}"
-            )
-    except (GrowcountError, ValueError) as exc:
-        return _fail(2, exc)
-    try:
-        n = enumerate_growth_orders(tree, cap=args.cap)
-    except CapExceeded as exc:
-        return _fail(3, exc)
+    tree = _read_tree()
+    if tree.bond_count > ORACLE_FREE_LIMIT and args.cap is None:
+        raise ValueError(
+            f"L={tree.bond_count} needs an explicit --cap beyond "
+            f"L={ORACLE_FREE_LIMIT}"
+        )
+    n = enumerate_growth_orders(tree, cap=args.cap)
     return _emit({"N_enumerated": str(n)})
 
 
 def cmd_analyze(args) -> int:
-    try:
-        report = analytics.verify_main_bound(args.a0, args.gen)
-        params = tower_params(args.a0, args.gen)
-        structure = (
-            analytics.structure_fractions(args.a0, args.gen)
-            if args.gen >= 2 else None
+    report = analytics.verify_main_bound(args.a0, args.gen)
+    params = tower_params(args.a0, args.gen)
+    structure = (
+        analytics.structure_fractions(args.a0, args.gen)
+        if args.gen >= 2 else None
+    )
+    if args.mode == "exact":
+        total = analytics.bond_count(params, args.gen)
+        log_w = math.log(
+            analytics.weight_upper_bound(params, args.gen, mode="exact")
         )
-        if args.mode == "exact":
-            total = analytics.bond_count(params, args.gen)
-            log_w = math.log(
-                analytics.weight_upper_bound(params, args.gen, mode="exact")
-            )
-        else:
-            total = params.bond_counts[args.gen]
-            bound = analytics.weight_upper_bound(params, args.gen, mode="log")
-            log_w = bound.ln
-    except (GrowcountError, ValueError) as exc:
-        return _fail(2, exc)
+    else:
+        total = params.bond_counts[args.gen]
+        bound = analytics.weight_upper_bound(params, args.gen, mode="log")
+        log_w = bound.ln
     payload = report.to_dict()
     payload["mode"] = args.mode
     if total is not None and total.bit_length() <= PRINT_INT_BITS:
@@ -162,11 +143,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bethe(args) -> int:
-    try:
-        report = bethe.bethe_existence_bound(args.bonds)
-    except (GrowcountError, ValueError) as exc:
-        return _fail(2, exc)
-    return _emit(report.to_dict())
+    return _emit(bethe.bethe_existence_bound(args.bonds).to_dict())
 
 
 def cmd_verify(args) -> int:
@@ -183,12 +160,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     svg = args.format == "svg"
-    try:
-        tree = _read_tree(render.MAX_SVG_BONDS if svg else None)
-    except TooLarge as exc:
-        return _fail(3, exc)
-    except (GrowcountError, ValueError) as exc:
-        return _fail(2, exc)
+    tree = _read_tree(render.MAX_SVG_BONDS if svg else None)
     sys.stdout.write(render.to_svg(tree) if svg else render.to_dot(tree))
     return 0
 
@@ -246,7 +218,12 @@ def main(argv=None) -> int:
     except AttributeError:
         pass
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (GrowcountError, ValueError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        guard = isinstance(exc, (TooLarge, CapExceeded))
+        return 3 if guard and args.verb in _STDIN_VERBS else 2
 
 
 if __name__ == "__main__":

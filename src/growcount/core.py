@@ -46,7 +46,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     CapExceeded,
@@ -515,33 +515,6 @@ def enumerate_growth_orders(tree: RootedTree, cap: int | None = None) -> int:
 
     rec(0, frozenset([tree.root]))
     return count
-
-
-def iter_growth_orders(
-    tree: RootedTree, limit: int
-) -> Iterator[tuple[Bond, ...]]:
-    """Yield up to `limit` growth orders as bond sequences.  Debugging aid."""
-    bonds = tree.bonds
-    full = (1 << len(bonds)) - 1
-    emitted = 0
-
-    def rec(added: int, sites: frozenset[Site], prefix: tuple[Bond, ...]):
-        nonlocal emitted
-        if emitted >= limit:
-            return
-        if added == full:
-            emitted += 1
-            yield prefix
-            return
-        for i, b in enumerate(bonds):
-            if added >> i & 1:
-                continue
-            if b.u in sites:
-                yield from rec(added | 1 << i, sites | {b.v}, prefix + (b,))
-            elif b.v in sites:
-                yield from rec(added | 1 << i, sites | {b.u}, prefix + (b,))
-
-    yield from rec(0, frozenset([tree.root]), ())
 
 
 # --- forest counting helpers (shared with the Bethe module) -----------------

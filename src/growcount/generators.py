@@ -31,13 +31,14 @@ MAX_INT_BITS = 4_000_000
 _ROTATE = {(1, 0): (0, 1), (0, 1): (-1, 0), (-1, 0): (0, -1), (0, -1): (1, 0)}
 
 
-def _scale(n) -> str:
-    """Describe n for an error message without expanding its digits."""
+def _bonds(n) -> str:
+    """Describe a bond count for an error message without expanding its
+    digits."""
     if n is None:
-        return "beyond the integer horizon"
+        return "a bond count beyond the integer horizon"
     if n.bit_length() <= 64:
-        return str(n)
-    return f"about 2^{n.bit_length() - 1}"
+        return f"{n} bonds"
+    return f"about 2^{n.bit_length() - 1} bonds"
 
 
 def path_tree(bond_count: int) -> RootedTree:
@@ -212,8 +213,18 @@ def _emit_level(level, origin, direction, backbone, branches, out):
             )
 
 
-def _build(backbone: dict, branches: dict, levels: int):
-    """The tree and its runs of bonds, each as (run, nesting level)."""
+def _build(backbone, branches, levels: int, total, describe: str):
+    """The tree and its runs of bonds, each as (run, nesting level).
+
+    backbone and branches are indexed by generation; total is the bond
+    count the recurrence gives (None past the integer horizon).  A total
+    past MAX_TREE_BONDS raises TooLarge before any bond is laid, and a
+    built tree of another size raises InternalMismatch, reading
+    "built N bonds {describe} {total}".
+    """
+    if total is None or total > MAX_TREE_BONDS:
+        raise TooLarge(
+            f"tree would have {_bonds(total)} (guard {MAX_TREE_BONDS})")
     leveled_runs: list = []
     _emit_level(levels, (0, 0), (1, 0), backbone, branches, leveled_runs)
     try:
@@ -222,6 +233,9 @@ def _build(backbone: dict, branches: dict, levels: int):
         raise OverlapDetected("two branches produced the same bond") from exc
     except (HasCycle, NotConnected) as exc:
         raise OverlapDetected(f"embedding is not a tree: {exc}") from exc
+    if tree.bond_count != total:
+        raise InternalMismatch(
+            f"built {tree.bond_count} bonds {describe} {total}")
     return tree, leveled_runs
 
 
@@ -258,8 +272,8 @@ def _check_custom(ells, bs):
                 f"branch counts must not decrease: {a} > {b}"
             )
     # re-index to generation numbers: ell[k] for k=1..m, b[k] for k=2..m
-    ell = {k: v for k, v in enumerate(ells, start=1)}
-    b = {k: v for k, v in enumerate(bs, start=2)}
+    ell = (None,) + ells
+    b = (None, None) + bs
     m = len(ells)
     for k in range(2, m + 1):
         if ell[k] % b[k]:
@@ -278,6 +292,12 @@ def _check_custom(ells, bs):
     return ell, b, m, total
 
 
+def _custom(ells, bs):
+    ell, b, m, total = _check_custom(ells, bs)
+    return _build(ell, b, m, total, f"from lengths {list(ell[1:])} and "
+                  f"counts {list(b[2:])}; the recurrence gives")
+
+
 def custom_hierarchical_tree(ells, bs) -> RootedTree:
     """Build a hierarchical tree from caller-chosen backbone lengths and
     branch counts (lengths ell_1..ell_m, counts b_2..b_m).
@@ -287,25 +307,20 @@ def custom_hierarchical_tree(ells, bs) -> RootedTree:
     degrees.  Constraint failures raise ConstraintViolated naming the
     constraint; trees past MAX_TREE_BONDS raise TooLarge.
     """
-    ell, b, m, total = _check_custom(ells, bs)
-    if total > MAX_TREE_BONDS:
-        raise TooLarge(
-            f"tree would have {_scale(total)} bonds (guard {MAX_TREE_BONDS})")
-    tree, _ = _build(ell, b, m)
-    if tree.bond_count != total:
-        raise InternalMismatch(
-            f"built {tree.bond_count} bonds from lengths {list(ell.values())} "
-            f"and counts {list(b.values())}; the recurrence gives {total}")
-    return tree
+    return _custom(ells, bs)[0]
 
 
 def hierarchical_generations(ells, bs) -> dict[Bond, int]:
     """Map each bond to its nesting level (1 = innermost copies)."""
-    ell, b, m, total = _check_custom(ells, bs)
-    if total > MAX_TREE_BONDS:
-        raise TooLarge(
-            f"tree would have {_scale(total)} bonds (guard {MAX_TREE_BONDS})")
-    return _labels(_build(ell, b, m)[1])
+    return _labels(_custom(ells, bs)[1])
+
+
+def _tower(params: TowerParams, generations: int | None):
+    j = params.generations if generations is None else generations
+    if not 1 <= j <= params.generations:
+        raise ValueError(f"generation must be in 1..{params.generations}")
+    return _build(params.backbone, params.branches, j, params.bond_counts[j],
+                  f"for a0={params.a0}, generation {j}; bond_counts[{j}] gives")
 
 
 def tower_tree(params: TowerParams, generations: int | None = None) -> RootedTree:
@@ -314,33 +329,10 @@ def tower_tree(params: TowerParams, generations: int | None = None) -> RootedTre
     Only small generations exist as coordinates: the guard refuses
     anything past MAX_TREE_BONDS bonds (already generation 2 at a0=20).
     """
-    j = params.generations if generations is None else generations
-    if not 1 <= j <= params.generations:
-        raise ValueError(f"generation must be in 1..{params.generations}")
-    total = params.bond_counts[j]
-    if total is None or total > MAX_TREE_BONDS:
-        raise TooLarge(
-            f"tree would have {_scale(total)} bonds (guard {MAX_TREE_BONDS})")
-    ell = {k: params.backbone[k] for k in range(1, j + 1)}
-    b = {k: params.branches[k] for k in range(2, j + 1)}
-    tree, _ = _build(ell, b, j)
-    if tree.bond_count != total:
-        raise InternalMismatch(
-            f"built {tree.bond_count} bonds for a0={params.a0}, generation "
-            f"{j}; bond_counts[{j}] gives {total}")
-    return tree
+    return _tower(params, generations)[0]
 
 
 def tower_tree_generations(params: TowerParams, generations: int | None = None):
     """Like `tower_tree` but also return the per-bond nesting level map."""
-    j = params.generations if generations is None else generations
-    if not 1 <= j <= params.generations:
-        raise ValueError(f"generation must be in 1..{params.generations}")
-    total = params.bond_counts[j]
-    if total is None or total > MAX_TREE_BONDS:
-        raise TooLarge(
-            f"tree would have {_scale(total)} bonds (guard {MAX_TREE_BONDS})")
-    ell = {k: params.backbone[k] for k in range(1, j + 1)}
-    b = {k: params.branches[k] for k in range(2, j + 1)}
-    tree, leveled_runs = _build(ell, b, j)
+    tree, leveled_runs = _tower(params, generations)
     return tree, _labels(leveled_runs)

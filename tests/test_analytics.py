@@ -115,6 +115,20 @@ def test_exact_weight_guard():
         exact_weight(tower_params(1, 4), 4)   # 1.4e10 bonds
 
 
+@pytest.mark.parametrize("weigh", [
+    exact_weight,
+    lambda p, j: weight_upper_bound(p, j, mode="exact"),
+], ids=["exact_weight", "weight_upper_bound"])
+def test_exact_weight_guard_at_its_limit(monkeypatch, weigh):
+    p = tower_params(1, 2)   # 32 bonds
+    monkeypatch.setattr(analytics, "MAX_EXACT_WEIGHT_BONDS", 32)
+    assert weigh(p, 2) > 0
+    monkeypatch.setattr(analytics, "MAX_EXACT_WEIGHT_BONDS", 31)
+    with pytest.raises(TooLarge,
+                       match="^32 bonds exceeds the exact-weight guard 31$"):
+        weigh(p, 2)
+
+
 # --- the recursive upper bound ----------------------------------------------
 
 def test_upper_bound_exact_form():

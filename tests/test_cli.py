@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from growcount import cli as cli_module, verify
 from growcount.analytics import epsilon0
 from growcount.bethe import bethe_existence_bound
 from growcount.core import Bond, tree_from_json
+from growcount.errors import InternalMismatch
 from growcount.generators import comb_tree, tower_params, tower_tree
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -166,6 +168,38 @@ def test_analyze_rejects_bad_parameters(cli):
 def test_bethe_guard(cli):
     assert cli("bethe", "--bonds", "9").returncode == 2
     assert cli("bethe", "--bonds", "0").returncode == 2
+
+
+# a guard on requested parameters is invalid input (2); bad stdin is too
+@pytest.mark.parametrize("argv,stdin,code,error", [
+    (["gen", "custom", "--ells", "4000,40000000", "--bs", "1"], None, 2,
+     "TooLarge"),
+    (["gen", "tower", "--a0", "1", "--gen", "9"], None, 2, "TooLarge"),
+    (["oracle"], "not json", 2, "ValueError"),
+    (["export", "--format", "dot"], "not json", 2, "ValueError"),
+    (["count"], '{"root":[5,5],"bonds":[[[0,0],[1,0]]]}', 2, "RootDetached"),
+])
+def test_exit_code_table(cli, argv, stdin, code, error):
+    proc = cli(*argv, stdin=stdin)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {error}: ")
+
+
+def test_error_in_a_verify_suite_is_one_error_line(monkeypatch, capsys):
+    def broken():
+        raise InternalMismatch("two routes disagree")
+    monkeypatch.setitem(verify.SUITES, "core", broken)
+    assert cli_module.main(["verify", "--suite", "core"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: InternalMismatch: two routes disagree\n")
+
+
+def test_horizon_guard_message(cli):
+    proc = cli("gen", "tower", "--a0", "1", "--gen", "9")
+    assert proc.stderr == (
+        "error: TooLarge: tree would have a bond count beyond the integer "
+        "horizon (guard 10000000)\n")
 
 
 # --- report verbs -----------------------------------------------------------

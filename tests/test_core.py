@@ -14,7 +14,6 @@ from growcount.core import (
     downstream_weights,
     enumerate_growth_orders,
     growth_count,
-    iter_growth_orders,
     linear_extension_count,
     orient_from_root,
     random_lattice_tree,
@@ -196,24 +195,6 @@ def test_oracle_cap_trips():
     with pytest.raises(CapExceeded):
         enumerate_growth_orders(t, cap=50)
     assert enumerate_growth_orders(t, cap=105) == 105
-
-
-def test_iter_growth_orders_yields_valid_prefixes():
-    t = comb_tree(4)
-    orders = list(iter_growth_orders(t, limit=10))
-    assert len(orders) == 3
-    assert len(set(orders)) == 3
-    for order in orders:
-        sites = {t.root}
-        for bond in order:
-            # each added bond must touch the grown cluster at exactly one end
-            assert (bond.u in sites) != (bond.v in sites)
-            sites.update((bond.u, bond.v))
-
-
-def test_iter_growth_orders_respects_limit():
-    t = star_tree(4)   # 24 orders
-    assert len(list(iter_growth_orders(t, limit=7))) == 7
 
 
 # --- forest helpers ---------------------------------------------------------

@@ -162,22 +162,27 @@ def test_broken_tower_identity_is_a_cli_error(monkeypatch, capsys):
     assert err.startswith("error: InternalMismatch: tower identity")
 
 
-def test_tower_tree_checks_its_bond_count():
+@pytest.mark.parametrize("build", ["tower_tree", "tower_tree_generations"])
+def test_tower_tree_checks_its_bond_count(build):
     p = tower_params(1, 2)
     wrong = dataclasses.replace(p, bond_counts=(None, 4, 33))
-    with pytest.raises(InternalMismatch, match="a0=1, generation 2"):
-        tower_tree(wrong)
+    with pytest.raises(InternalMismatch, match=r"^built 32 bonds for a0=1, "
+                       r"generation 2; bond_counts\[2\] gives 33$"):
+        getattr(generators, build)(wrong)
 
 
-def test_custom_tree_checks_its_bond_count(monkeypatch):
+@pytest.mark.parametrize(
+    "build", ["custom_hierarchical_tree", "hierarchical_generations"])
+def test_custom_tree_checks_its_bond_count(monkeypatch, build):
     check = generators._check_custom
 
     def off_by_one(ells, bs):
         ell, b, m, total = check(ells, bs)
         return ell, b, m, total + 1
     monkeypatch.setattr(generators, "_check_custom", off_by_one)
-    with pytest.raises(InternalMismatch, match="recurrence gives 33"):
-        custom_hierarchical_tree([4, 16], [4])
+    with pytest.raises(InternalMismatch, match=r"^built 32 bonds from lengths "
+                       r"\[4, 16\] and counts \[4\]; the recurrence gives 33$"):
+        getattr(generators, build)([4, 16], [4])
 
 
 def test_tower_params_reject_bad_arguments():
