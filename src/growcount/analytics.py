@@ -397,6 +397,14 @@ class MainBoundReport:
         return out
 
 
+def _main_bound_params(a0: int, generation: int) -> TowerParams:
+    """The tower parameters `verify_main_bound` checks, after its own
+    argument check, so a caller holding them can reuse them."""
+    if generation < 1:
+        raise ValueError("generation must be >= 1")
+    return tower_params(a0, generation)
+
+
 def verify_main_bound(a0: int, generation: int) -> MainBoundReport:
     """Check the certified lower bound on growth counts at one generation.
 
@@ -404,9 +412,11 @@ def verify_main_bound(a0: int, generation: int) -> MainBoundReport:
     always holds, so that would mean an implementation bug) and
     InternalMismatch if the two margin computations drift apart.
     """
-    if generation < 1:
-        raise ValueError("generation must be >= 1")
-    params = tower_params(a0, generation)
+    return _verify_main_bound(_main_bound_params(a0, generation), generation)
+
+
+def _verify_main_bound(params: TowerParams, generation: int) -> MainBoundReport:
+    a0 = params.a0
     rep = constants(a0)
     wb = weight_upper_bound(params, generation, mode="log")
 
@@ -497,7 +507,11 @@ def structure_fractions(a0: int, generation: int) -> StructureReport:
     """
     if generation < 2:
         raise ValueError("structure fractions need generation >= 2")
-    params = tower_params(a0, generation)
+    return _structure_fractions(tower_params(a0, generation), generation)
+
+
+def _structure_fractions(params: TowerParams, generation: int) -> StructureReport:
+    a0 = params.a0
     eps = epsilon0(a0)
     j = generation
 

@@ -9,10 +9,11 @@ compose:
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3
 resource guard tripped.  A guard on a tree read from stdin, or on the
 oracle's enumeration, exits 3; a guard on requested parameters (gen,
-analyze, bethe) is invalid input and exits 2.  The count and SVG size
-guards count the bonds as soon as the JSON is decoded.  Big integers in
-JSON output are decimal strings; everything printed is deterministic,
-byte for byte, for the same inputs.
+analyze, bethe) is invalid input and exits 2, and so is a negative
+--cap.  The count and SVG size guards count the bonds as soon as the
+JSON is decoded.  Big integers in JSON output are decimal strings;
+everything printed is deterministic, byte for byte, for the same
+inputs.
 """
 
 import argparse
@@ -115,10 +116,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    report = analytics.verify_main_bound(args.a0, args.gen)
-    params = tower_params(args.a0, args.gen)
+    # one TowerParams for the whole report, checked as verify_main_bound
+    # checks its arguments
+    params = analytics._main_bound_params(args.a0, args.gen)
+    report = analytics._verify_main_bound(params, args.gen)
     structure = (
-        analytics.structure_fractions(args.a0, args.gen)
+        analytics._structure_fractions(params, args.gen)
         if args.gen >= 2 else None
     )
     if args.mode == "exact":

@@ -12,7 +12,9 @@ divides: it builds N from prime exponents, Legendre's formula for L!
 minus the exponents in the hook sizes, and every exponent coming out
 non-negative is its certificate of exactness.  An independent
 brute-force enumerator (`enumerate_growth_orders`) is kept around as an
-oracle for the identity.
+oracle for the identity.  It reads only which sites each bond joins,
+as one bit per site and one two-bit mask per bond, and never a hook or
+an orientation.
 
 A tree is stored as packed integers, not as one object per bond.  Site
 (x, y) packs to (x - min x) * stride + (y - min y), with the minimum
@@ -32,7 +34,9 @@ Growth orders are exactly the linear extensions of the bond forest
 obtained by orienting every bond away from the root, so the counting
 helpers at the bottom of this module work on any forest given as
 children lists, not just on lattice trees.  The Bethe-lattice module
-reuses them as its independent route.
+counts its subtrees' growth sequences with `linear_extension_count`;
+`forest_weights` is the children-list reference its address-based hook
+sizes are tested against.
 """
 
 import bisect
@@ -66,6 +70,21 @@ NEIGHBOR_STEPS = ((0, -1), (-1, 0), (1, 0), (0, 1))
 
 # refuse to materialize or count trees past this many bonds
 MAX_TREE_BONDS = 10**7
+
+
+def guard_tree_bonds(total: int | None, limit: int) -> None:
+    """Raise TooLarge before a tree of `total` bonds past `limit` (the
+    caller's MAX_TREE_BONDS) is built; None stands for a count beyond
+    the integer horizon."""
+    if total is None:
+        size = "a bond count beyond the integer horizon"
+    elif total <= limit:
+        return
+    elif total.bit_length() <= 64:
+        size = f"{total} bonds"
+    else:   # no decimal expansion of a huge count
+        size = f"about 2^{total.bit_length() - 1} bonds"
+    raise TooLarge(f"tree would have {size} (guard {limit})")
 
 
 class Bond(NamedTuple):
@@ -490,30 +509,40 @@ def enumerate_growth_orders(tree: RootedTree, cap: int | None = None) -> int:
     """Count growth orders by exhaustive depth-first search.
 
     Deliberately independent of the weight formula: the only structure
-    used is bond-to-site incidence.  Exponential in general; practical
-    for roughly L <= 12.  With `cap` given, raises CapExceeded as soon as
-    the running count passes it.
+    used is bond-to-site incidence.  Each site gets a bit and each bond
+    the mask of its two endpoints; the search carries the masks of the
+    bonds not yet added and the mask of the sites reached, and a bond
+    can be added when its mask meets the reached sites.  No hook sizes
+    and no orientation are read, and connectivity is not assumed: the
+    last bond counts only if it touches a reached site.  Exponential in
+    general; practical for roughly L <= 12.  With `cap` given, raises
+    CapExceeded as soon as the running count passes it; a negative cap
+    is a ValueError.
     """
-    bonds = tree.bonds
-    full = (1 << len(bonds)) - 1
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+    bit: dict[Site, int] = {}
+    masks = []
+    for bond in tree.bonds:
+        mask = 0
+        for site in bond:
+            mask |= 1 << bit.setdefault(site, len(bit))
+        masks.append(mask)
     count = 0
 
-    def rec(added: int, sites: frozenset[Site]):
+    def rec(left: tuple, sites: int):
         nonlocal count
-        if added == full:
-            count += 1
-            if cap is not None and count > cap:
-                raise CapExceeded(f"more than {cap} growth orders")
+        if len(left) == 1:
+            if left[0] & sites:
+                count += 1
+                if cap is not None and count > cap:
+                    raise CapExceeded(f"more than {cap} growth orders")
             return
-        for i, b in enumerate(bonds):
-            if added >> i & 1:
-                continue
-            if b.u in sites:
-                rec(added | 1 << i, sites | {b.v})
-            elif b.v in sites:
-                rec(added | 1 << i, sites | {b.u})
+        for i, mask in enumerate(left):
+            if mask & sites:
+                rec(left[:i] + left[i + 1:], sites | mask)
 
-    rec(0, frozenset([tree.root]))
+    rec(tuple(masks), 1 << bit[tree.root])
     return count
 
 
@@ -569,6 +598,7 @@ def random_lattice_tree(bond_count: int, seed: int) -> RootedTree:
     """
     if bond_count < 1:
         raise ValueError("bond_count must be >= 1")
+    guard_tree_bonds(bond_count, MAX_TREE_BONDS)
     rng = random.Random(seed)
     root: Site = (0, 0)
     sites = {root}

@@ -11,8 +11,15 @@ Everything the log-domain analytics needs survives past the horizon.
 
 from dataclasses import dataclass, field
 
-# MAX_TREE_BONDS lives in core, whose `count` guard reads it too
-from .core import MAX_TREE_BONDS, Bond, RootedTree, tree_from_runs
+# MAX_TREE_BONDS and the guard's text live in core, which guards `count`
+# and random trees with them; the guards here read this module's name
+from .core import (
+    MAX_TREE_BONDS,
+    Bond,
+    RootedTree,
+    guard_tree_bonds,
+    tree_from_runs,
+)
 from .errors import (
     ConstraintViolated,
     DuplicateBond,
@@ -21,7 +28,6 @@ from .errors import (
     NotConnected,
     OddLength,
     OverlapDetected,
-    TooLarge,
 )
 
 # refuse to materialize integers past this many bits (~500 kB)
@@ -31,20 +37,15 @@ MAX_INT_BITS = 4_000_000
 _ROTATE = {(1, 0): (0, 1), (0, 1): (-1, 0), (-1, 0): (0, -1), (0, -1): (1, 0)}
 
 
-def _bonds(n) -> str:
-    """Describe a bond count for an error message without expanding its
-    digits."""
-    if n is None:
-        return "a bond count beyond the integer horizon"
-    if n.bit_length() <= 64:
-        return f"{n} bonds"
-    return f"about 2^{n.bit_length() - 1} bonds"
-
-
 def path_tree(bond_count: int) -> RootedTree:
-    """Straight path of `bond_count` bonds from the origin along +x."""
+    """Straight path of `bond_count` bonds from the origin along +x.
+
+    Like every generator, raises TooLarge past MAX_TREE_BONDS before
+    building anything.
+    """
     if bond_count < 1:
         raise ValueError("a path needs at least one bond")
+    guard_tree_bonds(bond_count, MAX_TREE_BONDS)
     return tree_from_runs((0, 0), [(0, 0, 1, 0, bond_count)])
 
 
@@ -55,6 +56,7 @@ def comb_tree(bond_count: int) -> RootedTree:
         raise ValueError("a comb needs at least two bonds")
     if bond_count % 2:
         raise OddLength(f"comb needs an even bond count, got {bond_count}")
+    guard_tree_bonds(bond_count, MAX_TREE_BONDS)
     half = bond_count // 2
     teeth = [(i, 0, 0, 1, 1) for i in range(1, half + 1)]
     return tree_from_runs((0, 0), [(0, 0, 1, 0, half)] + teeth)
@@ -222,9 +224,7 @@ def _build(backbone, branches, levels: int, total, describe: str):
     built tree of another size raises InternalMismatch, reading
     "built N bonds {describe} {total}".
     """
-    if total is None or total > MAX_TREE_BONDS:
-        raise TooLarge(
-            f"tree would have {_bonds(total)} (guard {MAX_TREE_BONDS})")
+    guard_tree_bonds(total, MAX_TREE_BONDS)
     leveled_runs: list = []
     _emit_level(levels, (0, 0), (1, 0), backbone, branches, leveled_runs)
     try:

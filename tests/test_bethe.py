@@ -17,6 +17,7 @@ from growcount.bethe import (
     tree_growth_count,
     tree_growth_count_enumerated,
 )
+from growcount.core import forest_weights
 from growcount.errors import InternalMismatch, TooLarge
 
 # exhaustively confirmed once, then frozen
@@ -104,6 +105,21 @@ def test_trees_are_distinct_and_closed_under_parent():
 def test_hook_count_equals_enumerated_count(bonds):
     for tree in bethe_trees(bonds):
         assert tree_growth_count(tree) == tree_growth_count_enumerated(tree)
+
+
+def children_map_hook_count(tree) -> int:
+    """The hook route over a children map and core.forest_weights."""
+    children, roots = tree_children_map(tree)
+    w = math.prod(forest_weights(children, roots).values())
+    n, rem = divmod(math.factorial(len(tree)), w)
+    assert rem == 0
+    return n
+
+
+@pytest.mark.parametrize("bonds", range(1, 9))
+def test_hook_count_matches_children_map_route(bonds):
+    for tree in bethe_trees(bonds):
+        assert tree_growth_count(tree) == children_map_hook_count(tree)
 
 
 @pytest.mark.parametrize("bonds", range(1, 7))

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: goldens, determinism, exit codes, round trips."""
 
+import io
 import json
 import math
 import re
@@ -7,11 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from growcount import cli as cli_module, verify
+from growcount import analytics, cli as cli_module, core, generators, verify
 from growcount.analytics import epsilon0
 from growcount.bethe import bethe_existence_bound
-from growcount.core import Bond, tree_from_json
-from growcount.errors import InternalMismatch
+from growcount.core import Bond, to_decimal, tree_from_json, tree_to_json
+from growcount.errors import GrowcountError, InternalMismatch
 from growcount.generators import comb_tree, tower_params, tower_tree
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -98,6 +99,33 @@ def test_gen_guard_is_invalid_input(cli):
     assert "TooLarge" in proc.stderr
 
 
+def refuse_to_build(*args):
+    raise AssertionError("built a tree past the guard")
+
+
+@pytest.mark.parametrize("kind", ["path", "comb", "random"])
+def test_gen_bond_guard(monkeypatch, capsys, kind):
+    # path and comb read the limit generators re-exports, random trees
+    # read core's; both are the same constant unless patched
+    monkeypatch.setattr(generators, "MAX_TREE_BONDS", 6)
+    monkeypatch.setattr(core, "MAX_TREE_BONDS", 6)
+    assert cli_module.main(["gen", kind, "--bonds", "6"]) == 0
+    assert tree_from_json(capsys.readouterr().out).bond_count == 6
+    # the refusal comes before any bond is laid
+    monkeypatch.setattr(generators, "tree_from_runs", refuse_to_build)
+    monkeypatch.setattr(core.random, "Random", refuse_to_build)
+    assert cli_module.main(["gen", kind, "--bonds", "8"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: TooLarge: tree would have 8 bonds (guard 6)\n")
+
+
+def test_gen_path_guard_at_its_limit(monkeypatch, capsys):
+    monkeypatch.setattr(generators, "tree_from_runs", refuse_to_build)
+    assert cli_module.main(["gen", "path", "--bonds", "10000001"]) == 2
+    assert capsys.readouterr().err == (
+        "error: TooLarge: tree would have 10000001 bonds (guard 10000000)\n")
+
+
 def test_gen_odd_comb(cli):
     proc = cli("gen", "comb", "--bonds", "5")
     assert proc.returncode == 2
@@ -133,6 +161,21 @@ def test_oracle_cap_exceeded(cli):
     proc = cli("oracle", "--cap", "50", stdin=gen.stdout)
     assert proc.returncode == 3
     assert "CapExceeded" in proc.stderr
+
+
+def test_oracle_cap_exit_codes(capsys, monkeypatch):
+    text = tree_to_json(comb_tree(8))   # 105 growth orders
+    for cap, code in (("-1", 2), ("0", 3), ("50", 3), ("104", 3),
+                      ("105", 0)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert cli_module.main(["oracle", "--cap", cap]) == code, cap
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert json.loads(out) == {"N_enumerated": "105"}
+        elif code == 2:
+            assert err == "error: ValueError: cap must be >= 0, got -1\n"
+        else:
+            assert err == f"error: CapExceeded: more than {cap} growth orders\n"
 
 
 def test_oracle_requires_cap_for_large_trees(cli):
@@ -234,6 +277,73 @@ def test_analyze_exact_mode_small_case(cli):
     assert report["logW"] == pytest.approx(
         math.log(24 ** 64 * 32 ** 256) + 256 * math.log(768), rel=1e-9
     )
+
+
+def analyze_by_public_route(a0, gen, mode):
+    """analyze's stdout, stderr and exit code built from the public
+    (a0, generation) functions, each building its own TowerParams."""
+    try:
+        report = analytics.verify_main_bound(a0, gen)
+        params = tower_params(a0, gen)
+        structure = (analytics.structure_fractions(a0, gen)
+                     if gen >= 2 else None)
+        if mode == "exact":
+            total = analytics.bond_count(params, gen)
+            log_w = math.log(
+                analytics.weight_upper_bound(params, gen, mode="exact"))
+        else:
+            total = params.bond_counts[gen]
+            log_w = analytics.weight_upper_bound(params, gen, mode="log").ln
+    except (GrowcountError, ValueError) as exc:
+        return "", f"error: {type(exc).__name__}: {exc}\n", 2
+    payload = report.to_dict()
+    payload["mode"] = mode
+    printable = total is not None \
+        and total.bit_length() <= cli_module.PRINT_INT_BITS
+    payload["L"] = to_decimal(total) if printable else None
+    payload["Lbits"] = total.bit_length() if total is not None else None
+    payload["logW"] = log_w
+    payload["structure"] = structure.to_dict() if structure else None
+    return json.dumps(payload, separators=(",", ":")) + "\n", "", 0
+
+
+ANALYZE_POINTS = [
+    (20, 2, "log"), (1, 1, "log"), (1, 3, "exact"), (2, 2, "exact"),
+    (21, 3, "log"), (3, 8, "log"), (64, 8, "log"), (2, 0, "log"),
+    (0, 0, "log"), (0, 2, "exact"), (20, 3, "exact"), (1, -1, "exact"),
+]
+
+
+@pytest.mark.parametrize("a0,gen,mode", ANALYZE_POINTS)
+def test_analyze_matches_public_route(capsys, a0, gen, mode):
+    argv = ["analyze", "--a0", str(a0), "--gen", str(gen), "--mode", mode]
+    code = cli_module.main(argv)
+    out, err = capsys.readouterr()
+    assert (out, err, code) == analyze_by_public_route(a0, gen, mode)
+
+
+def test_analyze_refuses_generation_zero_first(capsys):
+    # the public route shares the argument check, so pin its text here
+    assert cli_module.main(["analyze", "--a0", "0", "--gen", "0"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: ValueError: generation must be >= 1\n")
+
+
+@pytest.mark.parametrize("a0,gen,mode", [
+    (21, 3, "log"), (20, 1, "log"), (1, 3, "exact"), (3, 8, "log"),
+])
+def test_analyze_builds_one_tower_params(monkeypatch, capsys, a0, gen, mode):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tower_params(*args)
+    for module in (analytics, cli_module, generators):
+        monkeypatch.setattr(module, "tower_params", counted)
+    argv = ["analyze", "--a0", str(a0), "--gen", str(gen), "--mode", mode]
+    assert cli_module.main(argv) == 0
+    capsys.readouterr()
+    assert calls == [(a0, gen)]
 
 
 def test_bethe_report_matches_library(cli):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from growcount.core import (
     Bond,
     NEIGHBOR_STEPS,
+    RootedTree,
     balanced_product,
     downstream_weights,
     enumerate_growth_orders,
@@ -195,6 +196,85 @@ def test_oracle_cap_trips():
     with pytest.raises(CapExceeded):
         enumerate_growth_orders(t, cap=50)
     assert enumerate_growth_orders(t, cap=105) == 105
+
+
+def reference_growth_orders(tree, cap=None) -> int:
+    """The oracle as it was written over sites as frozensets: each step
+    adds a bond with exactly one endpoint among the reached sites."""
+    bonds = tree.bonds
+    full = (1 << len(bonds)) - 1
+    count = 0
+
+    def rec(added: int, sites: frozenset):
+        nonlocal count
+        if added == full:
+            count += 1
+            if cap is not None and count > cap:
+                raise CapExceeded(f"more than {cap} growth orders")
+            return
+        for i, b in enumerate(bonds):
+            if added >> i & 1:
+                continue
+            if b.u in sites:
+                rec(added | 1 << i, sites | {b.v})
+            elif b.v in sites:
+                rec(added | 1 << i, sites | {b.u})
+
+    rec(0, frozenset([tree.root]))
+    return count
+
+
+def rerooted(tree, index: int):
+    sites = sorted(tree.sites)
+    return validate_tree(sites[index % len(sites)], tree.bonds)
+
+
+def assert_cap_boundary(tree, n: int):
+    """cap = N - 1 trips with the reference's message; cap = N passes."""
+    with pytest.raises(CapExceeded) as got:
+        enumerate_growth_orders(tree, cap=n - 1)
+    with pytest.raises(CapExceeded) as want:
+        reference_growth_orders(tree, cap=n - 1)
+    assert str(got.value) == str(want.value) == f"more than {n - 1} growth orders"
+    assert enumerate_growth_orders(tree, cap=n) == n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 10 ** 6), st.integers(0, 10))
+def test_oracle_matches_reference_on_rerooted_random_trees(bonds, seed, root):
+    t = rerooted(random_lattice_tree(bonds, seed=seed), root)
+    n = reference_growth_orders(t)
+    assert enumerate_growth_orders(t) == n
+    assert_cap_boundary(t, n)
+
+
+@pytest.mark.parametrize("tree", [
+    pytest.param(path_tree(10), id="path10"),
+    pytest.param(star_tree(4), id="star4"),
+] + [pytest.param(comb_tree(b), id=f"comb{b}") for b in range(2, 11, 2)])
+def test_oracle_matches_reference_on_fixtures(tree):
+    for root in range(len(tree.sites)):
+        t = rerooted(tree, root)
+        n = reference_growth_orders(t)
+        assert enumerate_growth_orders(t) == n == growth_count(t)
+        assert_cap_boundary(t, n)
+
+
+def test_oracle_cap_zero_and_negative():
+    for t in (path_tree(1), star_tree(3), comb_tree(6)):
+        with pytest.raises(CapExceeded, match="more than 0 growth orders"):
+            enumerate_growth_orders(t, cap=0)
+        with pytest.raises(ValueError, match="cap must be >= 0"):
+            enumerate_growth_orders(t, cap=-1)
+
+
+def test_oracle_does_not_assume_connectivity():
+    # a three-bond path with its middle bond removed: the last bond
+    # never touches a reached site, so no growth order exists
+    t = path_tree(3)
+    gapped = RootedTree(t.root, t.keys[:1] + t.keys[2:], t.origin, t.stride)
+    assert reference_growth_orders(gapped) == 0
+    assert enumerate_growth_orders(gapped) == 0
 
 
 # --- forest helpers ---------------------------------------------------------
