@@ -398,8 +398,8 @@ class MainBoundReport:
 
 
 def _main_bound_params(a0: int, generation: int) -> TowerParams:
-    """The tower parameters `verify_main_bound` checks, after its own
-    argument check, so a caller holding them can reuse them."""
+    """Check `verify_main_bound`'s arguments in its order and build the
+    TowerParams it certifies, for callers that reuse them."""
     if generation < 1:
         raise ValueError("generation must be >= 1")
     return tower_params(a0, generation)
