@@ -376,12 +376,14 @@ class MainBoundReport:
     margin_naive is the same quantity computed the direct way and must
     agree to the error budget.  When L still fits a double the
     equivalent count form log N >= log L! - L log C is evaluated too.
+    log_weight is the `ln` of the LogWeightBound, analyze's logW.
     """
 
     a0: int
     generation: int
     constants: ConstantsReport
     log_weight_per_firstgen: float
+    log_weight: float | None
     eps_partial: float
     margin_per_bond: float
     margin_naive: float
@@ -457,8 +459,8 @@ def _verify_main_bound(params: TowerParams, generation: int) -> MainBoundReport:
             )
     return MainBoundReport(
         a0=a0, generation=generation, constants=rep,
-        log_weight_per_firstgen=wb.per_firstgen, eps_partial=partial,
-        margin_per_bond=margin, margin_naive=naive,
+        log_weight_per_firstgen=wb.per_firstgen, log_weight=wb.ln,
+        eps_partial=partial, margin_per_bond=margin, margin_naive=naive,
         log_factorial_bonds=log_fact, log_count_lower=lower,
         log_count_required=required,
     )

@@ -105,10 +105,10 @@ def tree_growth_count(tree: frozenset) -> int:
     first, each size is final when it is reached, so it enters W and is
     added to the entry of its parent, addr[:-1].  This is the
     independent hook-product route: it uses neither the sequence
-    enumeration it is checked against nor core.factorial_quotient, and
-    it divides L! by W with divmod on purpose.  At L <= 8 the prime
-    route measured 6.0 us against 0.3 us per call, and `bethe 8` makes
-    11,934 calls.
+    enumeration it is checked against nor core's prime powers, and it
+    divides L! by W with divmod on purpose.  At L <= 8 the prime route
+    measured 6.0 us against 0.3 us per call, and `bethe 8` makes 11,934
+    calls.
     """
     size = dict.fromkeys(tree, 1)
     w = 1

@@ -24,10 +24,9 @@ import sys
 from . import analytics, bethe, core, render, verify
 from .core import (
     enumerate_growth_orders,
-    growth_count,
+    factorial_quotient_factors,
     product_to_decimal,
     random_lattice_tree,
-    to_decimal,
     tree_from_json,
     tree_to_json,
 )
@@ -47,9 +46,9 @@ from .generators import (
 # the verbs whose guards (TooLarge, CapExceeded) exit 3, not 2
 _STDIN_VERBS = ("count", "oracle", "export")
 ORACLE_FREE_LIMIT = 12   # beyond this, `oracle` insists on --cap
-# analyze reports a larger L by its bit length only.  Digit conversion
-# is fast enough to print it (see core.to_decimal); the limit stays to
-# keep analyze's output small and unchanged.
+# analyze reports a larger L by its bit length only.  str() of an int
+# this size takes about 20 ms once main lifts the digit cap; the limit
+# keeps analyze's output small and unchanged.
 PRINT_INT_BITS = 2 ** 17
 
 
@@ -99,9 +98,9 @@ def _need(args, *names):
 
 def cmd_count(args) -> int:
     tree = _read_tree(core.MAX_TREE_BONDS)
-    w = product_to_decimal(tree.hooks)
-    n = growth_count(tree)
-    return _emit({"L": tree.bond_count, "W": w, "N": to_decimal(n)})
+    n = factorial_quotient_factors(tree.bond_count, tree.hooks)
+    return _emit({"L": tree.bond_count, "W": product_to_decimal(tree.hooks),
+                  "N": product_to_decimal(n)})
 
 
 def cmd_oracle(args) -> int:
@@ -131,14 +130,11 @@ def cmd_analyze(args) -> int:
         )
     else:
         total = params.bond_counts[args.gen]
-        bound = analytics.weight_upper_bound(params, args.gen, mode="log")
-        log_w = bound.ln
+        log_w = report.log_weight
     payload = report.to_dict()
     payload["mode"] = args.mode
-    if total is not None and total.bit_length() <= PRINT_INT_BITS:
-        payload["L"] = to_decimal(total)
-    else:
-        payload["L"] = None
+    printable = total is not None and total.bit_length() <= PRINT_INT_BITS
+    payload["L"] = str(total) if printable else None
     payload["Lbits"] = total.bit_length() if total is not None else None
     payload["logW"] = log_w
     payload["structure"] = structure.to_dict() if structure else None

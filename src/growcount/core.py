@@ -7,11 +7,11 @@ step the added bonds form a connected graph containing the root.
 
 The number of distinct growth orders is L! / W(T), where W(T) is the
 product over bonds of the hook size 1 + (number of bonds strictly
-downstream).  The division is always exact.  `growth_count` never
-divides: it builds N from prime exponents, Legendre's formula for L!
-minus the exponents in the hook sizes, and every exponent coming out
-non-negative is its certificate of exactness.  An independent
-brute-force enumerator (`enumerate_growth_orders`) is kept around as an
+downstream).  The division is exact and never done: N comes as prime
+powers, Legendre's formula for L! minus the exponents in the hooks, and
+every exponent >= 0 is its certificate.  `growth_count` multiplies them
+and `count` prints them, as it prints W, with `product_to_decimal`.  A
+brute-force enumerator (`enumerate_growth_orders`) is the independent
 oracle for the identity.  It reads only which sites each bond joins,
 as one bit per site and one two-bit mask per bond, and never a hook or
 an orientation.
@@ -47,7 +47,6 @@ import json
 import math
 import operator
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -70,6 +69,9 @@ NEIGHBOR_STEPS = ((0, -1), (-1, 0), (1, 0), (0, 1))
 
 # refuse to materialize or count trees past this many bonds
 MAX_TREE_BONDS = 10**7
+# enumerate_growth_orders recurses once per bond; past this many bonds
+# it would hit the interpreter's default recursion limit of 1000
+MAX_ORACLE_BONDS = 900
 
 
 def guard_tree_bonds(total: int | None, limit: int) -> None:
@@ -242,81 +244,33 @@ def range_product(lo: int, hi: int) -> int:
 
 # --- big integers -----------------------------------------------------------
 
-# Below this many bits str() is as fast as the decimal route; above it
-# the quadratic int-to-str of CPython 3.11 falls further behind.
-STR_CUTOFF_BITS = 50_000
-# the pieces to_decimal stops splitting at
-_DECIMAL_LEAF_BITS = 2048
-# product_to_decimal moves a product past this size into decimal
+# product_to_decimal moves a product past this size into decimal, where
+# unbounded precision and a trapped Inexact keep every step exact
 _DECIMAL_PRODUCT_BITS = 4096
-
-
-@contextmanager
-def _exact_decimal():
-    """A decimal context with unbounded precision that traps Inexact,
-    so an approximate result raises instead of printing."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = True
-        yield
-
-
-def to_decimal(n: int) -> str:
-    """Exact decimal digits of n, the same string as str(n).
-
-    Large n is split in halves by powers of two, recursively, and put
-    back together in the decimal module, whose libmpdec multiplies in
-    subquadratic time; this is how CPython 3.12 converts large ints.
-    """
-    if n.bit_length() <= STR_CUTOFF_BITS:
-        return str(n)
-    if n < 0:
-        return "-" + to_decimal(-n)
-    powers: dict[int, decimal.Decimal] = {}
-
-    def power(bits: int) -> decimal.Decimal:   # 2**bits
-        if bits not in powers:
-            if bits <= _DECIMAL_LEAF_BITS:
-                powers[bits] = decimal.Decimal(1 << bits)
-            else:
-                half = bits >> 1
-                powers[bits] = power(half) * power(bits - half)
-        return powers[bits]
-
-    def convert(value: int, bits: int) -> decimal.Decimal:
-        if bits <= _DECIMAL_LEAF_BITS:
-            return decimal.Decimal(value)
-        half = bits >> 1
-        high = value >> half
-        low = value - (high << half)
-        return convert(high, bits - half) * power(half) + convert(low, half)
-
-    with _exact_decimal():
-        return str(convert(n, n.bit_length()))
+_EXACT_DECIMAL = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                                 Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
 
 
 def product_to_decimal(values: Iterable[int]) -> str:
     """Exact decimal digits of the product, str(balanced_product(values)).
 
-    Meant for many small factors, such as hook sizes.  They are paired
-    up as ints until some product passes _DECIMAL_PRODUCT_BITS; the
-    remaining levels multiply in decimal, where libmpdec beats CPython's
-    Karatsuba at millions of bits, and the result needs no conversion
-    to digits.
+    Meant for many small factors, such as hook sizes or the prime powers
+    of N.  They are paired up as ints until some product passes
+    _DECIMAL_PRODUCT_BITS; the remaining levels multiply in decimal
+    (libmpdec beats CPython's Karatsuba at millions of bits), exactly:
+    an inexact step raises, and the result needs no conversion.
     """
     vals = list(values) or [1]
     while len(vals) > 1 \
             and max(map(int.bit_length, vals)) <= _DECIMAL_PRODUCT_BITS:
         vals = _pairwise(vals)
-    with _exact_decimal():
+    with decimal.localcontext(_EXACT_DECIMAL):
         top = balanced_product(map(decimal.Decimal, vals))
     return str(top) if top else "0"   # a decimal zero can carry a sign
 
 
-def factorial_quotient(total: int, hooks: Iterable[int]) -> int:
-    """Exact total! / prod(hooks), built from prime exponents.
+def factorial_quotient_factors(total: int, hooks: Iterable[int]) -> list[int]:
+    """The prime powers p**e whose product is total! / prod(hooks).
 
     Legendre's formula gives the exponent of a prime p in total! as the
     sum of total // q over the powers q = p**k <= total; every hook
@@ -324,7 +278,7 @@ def factorial_quotient(total: int, hooks: Iterable[int]) -> int:
     divisible by q are slices of a table of hook sizes, so no long
     division and no total! is ever formed.  A negative exponent means
     the product does not divide total! and raises InternalNonDivisible,
-    as does a hook outside 1..total.
+    as does a hook outside 1..total.  A quotient of 1 gives [].
     """
     sizes = [0] * (total + 1)
     for h in hooks:
@@ -348,7 +302,7 @@ def factorial_quotient(total: int, hooks: Iterable[int]) -> int:
             )
         if exponent:
             factors.append(p ** exponent)
-    return balanced_product(factors)
+    return factors
 
 
 # --- packing and validation -------------------------------------------------
@@ -498,9 +452,10 @@ def growth_count(tree: RootedTree) -> int:
     """Exact number of growth orders, L! / W(T).
 
     Raises InternalNonDivisible if the weights do not divide L!, which
-    would mean the weight table is wrong (see `factorial_quotient`).
+    would mean the weight table is wrong.
     """
-    return factorial_quotient(tree.bond_count, tree.hooks)
+    factors = factorial_quotient_factors(tree.bond_count, tree.hooks)
+    return balanced_product(factors)
 
 
 # --- brute-force oracle -----------------------------------------------------
@@ -517,10 +472,13 @@ def enumerate_growth_orders(tree: RootedTree, cap: int | None = None) -> int:
     last bond counts only if it touches a reached site.  Exponential in
     general; practical for roughly L <= 12.  With `cap` given, raises
     CapExceeded as soon as the running count passes it; a negative cap
-    is a ValueError.
+    is a ValueError, and more than MAX_ORACLE_BONDS bonds TooLarge.
     """
     if cap is not None and cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
+    if tree.bond_count > MAX_ORACLE_BONDS:
+        raise TooLarge(f"{tree.bond_count} bonds exceeds the oracle guard "
+                       f"{MAX_ORACLE_BONDS}")
     bit: dict[Site, int] = {}
     masks = []
     for bond in tree.bonds:

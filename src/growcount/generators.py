@@ -28,6 +28,7 @@ from .errors import (
     NotConnected,
     OddLength,
     OverlapDetected,
+    TooLarge,
 )
 
 # refuse to materialize integers past this many bits (~500 kB)
@@ -167,12 +168,15 @@ def tower_params(a0: int, generations: int) -> TowerParams:
     first-generation count past index 0: those are formed by shifts, and
     the exact divisions by them are shifts too.  The identities of the
     family are checked by _derived_levels, which raises InternalMismatch
-    when one fails.
+    when one fails.  A seed past MAX_INT_BITS, whose first level cannot
+    be materialized, raises TooLarge.
     """
     if a0 < 1:
         raise ValueError("a0 must be >= 1")
     if generations < 1:
         raise ValueError("generations must be >= 1")
+    if a0 > MAX_INT_BITS:
+        raise TooLarge(f"a0={a0}: 2^a0 exceeds the {MAX_INT_BITS}-bit budget")
     j = generations
 
     tower: list = [a0]

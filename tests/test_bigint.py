@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 
 from growcount import cli, core
 from growcount.core import (
-    STR_CUTOFF_BITS,
     balanced_product,
-    factorial_quotient,
+    factorial_quotient_factors,
     growth_count,
     product_to_decimal,
     random_lattice_tree,
-    to_decimal,
+    tree_to_json,
     tree_weight,
 )
 from growcount.errors import InternalNonDivisible
@@ -37,80 +36,6 @@ def unlimited_int_digits():
         yield
     finally:
         sys.set_int_max_str_digits(old)
-
-
-def shaped_int(bits: int, seed: int, shape: str) -> int:
-    """A non-negative integer of exactly `bits` bits (0 when bits is 0).
-
-    "sparse" sets only a few bits, so most split halves print with long
-    runs of inner zeros; "ones" is 2**bits - 1.
-    """
-    if bits == 0:
-        return 0
-    rng = random.Random(seed)
-    if shape == "ones":
-        return (1 << bits) - 1
-    if shape == "sparse":
-        n = 1 << (bits - 1)
-        for _ in range(3):
-            n |= 1 << rng.randrange(bits)
-        return n
-    return rng.getrandbits(bits) | 1 << (bits - 1)
-
-
-SHAPES = st.sampled_from(["random", "sparse", "ones"])
-SEEDS = st.integers(0, 2 ** 32)
-
-
-# --- to_decimal -------------------------------------------------------------
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 4 * STR_CUTOFF_BITS), SEEDS, SHAPES, st.booleans())
-def test_to_decimal_matches_str_around_the_cutoff(bits, seed, shape, negate):
-    n = shaped_int(bits, seed, shape)
-    if negate:
-        n = -n
-    assert to_decimal(n) == str(n)
-
-
-@settings(max_examples=3, deadline=None)
-@given(st.integers(4 * STR_CUTOFF_BITS, 2_000_000), SEEDS, SHAPES)
-def test_to_decimal_matches_str_up_to_two_million_bits(bits, seed, shape):
-    n = shaped_int(bits, seed, shape)
-    assert to_decimal(n) == str(n)
-
-
-def _powers_of_ten_near(bits: int) -> list:
-    """Exponents k whose 10**k have bit lengths next to `bits`."""
-    k = math.floor((bits - 1) / math.log2(10))
-    return [k - 1, k, k + 1, k + 2]
-
-
-# the cutoff itself, the first split, and deeper splits where one half
-# starts with a long run of decimal zeros
-BOUNDARY_BITS = [STR_CUTOFF_BITS, STR_CUTOFF_BITS + 1, 2 * STR_CUTOFF_BITS,
-                 2 * STR_CUTOFF_BITS + 1, 4 * STR_CUTOFF_BITS + 3]
-
-
-@pytest.mark.parametrize("k", sorted({k for bits in BOUNDARY_BITS
-                                      for k in _powers_of_ten_near(bits)}))
-def test_to_decimal_keeps_inner_zeros_of_powers_of_ten(k):
-    p = 10 ** k
-    for n in (p - 1, p, p + 1, -p):
-        assert to_decimal(n) == str(n)
-    assert to_decimal(p) == "1" + "0" * k
-    assert to_decimal(p + 1) == "1" + "0" * (k - 1) + "1"
-
-
-@pytest.mark.parametrize("bits", BOUNDARY_BITS)
-def test_to_decimal_at_powers_of_two(bits):
-    for n in ((1 << bits) - 1, 1 << bits, (1 << bits) + 1):
-        assert to_decimal(n) == str(n)
-
-
-def test_to_decimal_small_values():
-    assert [to_decimal(n) for n in (0, 1, -1, 9, 10, 11)] \
-        == ["0", "1", "-1", "9", "10", "11"]
 
 
 # --- product_to_decimal -----------------------------------------------------
@@ -133,7 +58,15 @@ def test_product_to_decimal_prints_the_weight_of_a_path(bonds):
     assert product_to_decimal(hooks) == str(math.factorial(bonds))
 
 
-# --- factorial_quotient against the divmod oracle ---------------------------
+@pytest.mark.parametrize("k", [1, 1233, 15051, 60206])
+def test_product_to_decimal_keeps_the_zeros_of_powers_of_ten(k):
+    # 10**k as the prime powers N is printed from; every digit but the
+    # first is an inner zero of some partial product in decimal
+    assert product_to_decimal([2 ** k, 5 ** k]) == "1" + "0" * k
+    assert product_to_decimal([2 ** k, 5 ** k, 3]) == "3" + "0" * k
+
+
+# --- factorial_quotient_factors against the divmod oracle -------------------
 
 def divmod_count(tree) -> int:
     """L!/W by long division, the route growth_count used to take."""
@@ -162,6 +95,16 @@ def test_growth_count_matches_divmod_on_random_trees(bonds, seed):
     assert growth_count(tree) == divmod_count(tree)
 
 
+def smallest_prime_factor(n: int) -> int:
+    return next(d for d in range(2, n + 1) if n % d == 0)
+
+
+def is_power_of(n: int, p: int) -> bool:
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 40).flatmap(
     lambda total: st.tuples(st.just(total),
@@ -171,26 +114,73 @@ def test_factorial_quotient_divides_exactly_or_raises(case):
     n, rem = divmod(math.factorial(total), math.prod(hooks))
     if rem:
         with pytest.raises(InternalNonDivisible):
-            factorial_quotient(total, hooks)
+            factorial_quotient_factors(total, hooks)
     else:
-        assert factorial_quotient(total, hooks) == n
+        factors = factorial_quotient_factors(total, hooks)
+        assert math.prod(factors) == n
+        # one power per prime, in increasing order of the prime
+        primes = [smallest_prime_factor(f) for f in factors]
+        assert all(map(is_power_of, factors, primes))
+        assert primes == sorted(set(primes))
 
 
 def test_factorial_quotient_rejects_a_non_divisor():
     # 2*2*2 = 8 does not divide 3! = 6
     with pytest.raises(InternalNonDivisible):
-        factorial_quotient(3, [2, 2, 2])
+        factorial_quotient_factors(3, [2, 2, 2])
 
 
 @pytest.mark.parametrize("hooks", [[4, 1, 1], [0, 1, 1], [-1, 1, 1]])
 def test_factorial_quotient_rejects_hooks_outside_one_to_total(hooks):
     with pytest.raises(InternalNonDivisible):
-        factorial_quotient(3, hooks)
+        factorial_quotient_factors(3, hooks)
 
 
 def test_factorial_quotient_of_nothing_is_one():
-    assert factorial_quotient(0, []) == 1
-    assert factorial_quotient(1, [1]) == 1
+    # a quotient of 1 has no prime powers at all
+    assert factorial_quotient_factors(0, []) == []
+    assert factorial_quotient_factors(1, [1]) == []
+    assert factorial_quotient_factors(3, [3, 2, 1]) == []
+    assert balanced_product([]) == 1 and product_to_decimal([]) == "1"
+
+
+# --- count prints N through the same route ----------------------------------
+
+def count_payload(tree) -> dict:
+    """`growcount count`'s JSON for the tree, run in process."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr("sys.stdin", io.StringIO(tree_to_json(tree)))
+        out = io.StringIO()
+        monkeypatch.setattr("sys.stdout", out)
+        assert cli.main(["count"]) == 0
+    return json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("tree", [
+    pytest.param(lambda: tower_tree(tower_params(3, 2)), id="tower3/2"),
+    pytest.param(lambda: comb_tree(60_000), id="comb60000"),
+    pytest.param(lambda: tower_tree(tower_params(1, 3)), id="tower1/3"),
+])
+def test_count_prints_n_as_str_of_growth_count(tree):
+    tree = tree()
+    payload = count_payload(tree)
+    assert payload["N"] == str(growth_count(tree))
+    assert payload["W"] == str(tree_weight(tree))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 400), st.integers(0, 10 ** 6))
+def test_count_prints_n_as_str_of_growth_count_on_random_trees(bonds, seed):
+    tree = random_lattice_tree(bonds, seed=seed)
+    assert count_payload(tree)["N"] == str(growth_count(tree))
+
+
+@pytest.mark.parametrize("bonds", [1, 2, 5000])
+def test_count_prints_one_for_a_path_from_no_factors(bonds):
+    tree = path_tree(bonds)
+    assert factorial_quotient_factors(bonds, tree.hooks) == []
+    assert count_payload(tree) == {"L": bonds, "N": "1",
+                                   "W": str(math.factorial(bonds))}
 
 
 # --- one weight pass per count ----------------------------------------------

@@ -11,9 +11,14 @@ import pytest
 from growcount import analytics, cli as cli_module, core, generators, verify
 from growcount.analytics import epsilon0
 from growcount.bethe import bethe_existence_bound
-from growcount.core import Bond, to_decimal, tree_from_json, tree_to_json
+from growcount.core import Bond, tree_from_json, tree_to_json
 from growcount.errors import GrowcountError, InternalMismatch
-from growcount.generators import comb_tree, tower_params, tower_tree
+from growcount.generators import (
+    comb_tree,
+    path_tree,
+    tower_params,
+    tower_tree,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -187,6 +192,22 @@ def test_oracle_requires_cap_for_large_trees(cli):
     assert json.loads(proc.stdout) == {"N_enumerated": "1"}
 
 
+def test_oracle_depth_guard(capsys, monkeypatch):
+    # the enumeration recurses once per bond; past the guard it exits 3
+    # instead of running out of stack
+    for bonds, code in ((core.MAX_ORACLE_BONDS, 0),
+                        (core.MAX_ORACLE_BONDS + 1, 3)):
+        text = tree_to_json(path_tree(bonds))
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert cli_module.main(["oracle", "--cap", "10"]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert (out, err) == ('{"N_enumerated":"1"}\n', "")
+        else:
+            assert (out, err) == ("", "error: TooLarge: 901 bonds exceeds "
+                                  "the oracle guard 900\n")
+
+
 def test_svg_guard(cli):
     gen = cli("gen", "path", "--bonds", "100001")
     assert gen.returncode == 0
@@ -300,7 +321,7 @@ def analyze_by_public_route(a0, gen, mode):
     payload["mode"] = mode
     printable = total is not None \
         and total.bit_length() <= cli_module.PRINT_INT_BITS
-    payload["L"] = to_decimal(total) if printable else None
+    payload["L"] = str(total) if printable else None
     payload["Lbits"] = total.bit_length() if total is not None else None
     payload["logW"] = log_w
     payload["structure"] = structure.to_dict() if structure else None
@@ -344,6 +365,38 @@ def test_analyze_builds_one_tower_params(monkeypatch, capsys, a0, gen, mode):
     assert cli_module.main(argv) == 0
     capsys.readouterr()
     assert calls == [(a0, gen)]
+
+
+@pytest.mark.parametrize("a0,gen", [(21, 3), (20, 1), (3, 8), (64, 8)])
+def test_analyze_computes_one_log_weight_bound(monkeypatch, capsys, a0, gen):
+    calls = []
+    original = analytics.weight_upper_bound
+
+    def counted(params, generation=None, mode="exact"):
+        calls.append(mode)
+        return original(params, generation, mode)
+    monkeypatch.setattr(analytics, "weight_upper_bound", counted)
+    argv = ["analyze", "--a0", str(a0), "--gen", str(gen), "--mode", "log"]
+    assert cli_module.main(argv) == 0
+    out, _ = capsys.readouterr()
+    assert calls == ["log"]
+    want = original(tower_params(a0, gen), gen, mode="log").ln
+    assert json.loads(out)["logW"] == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--a0", "5000000", "--gen", "1"],
+    ["analyze", "--a0", "4000001", "--gen", "2", "--mode", "exact"],
+    ["gen", "tower", "--a0", "5000000", "--gen", "1"],
+])
+def test_seed_past_the_integer_budget_is_invalid_input(capsys, argv):
+    # no level past such a seed can be materialized, not even the
+    # first-generation count analyze divides by
+    a0 = argv[argv.index("--a0") + 1]
+    assert cli_module.main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: TooLarge: a0={a0}: 2^a0 exceeds the 4000000-bit "
+        "budget\n")
 
 
 def test_bethe_report_matches_library(cli):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growcount.core import (
+    MAX_ORACLE_BONDS,
     Bond,
     NEIGHBOR_STEPS,
     RootedTree,
@@ -30,6 +31,7 @@ from growcount.errors import (
     HasCycle,
     NotConnected,
     RootDetached,
+    TooLarge,
 )
 from growcount.generators import comb_tree, path_tree
 
@@ -266,6 +268,16 @@ def test_oracle_cap_zero_and_negative():
             enumerate_growth_orders(t, cap=0)
         with pytest.raises(ValueError, match="cap must be >= 0"):
             enumerate_growth_orders(t, cap=-1)
+
+
+def test_oracle_depth_guard_fires_before_any_mask():
+    at = path_tree(MAX_ORACLE_BONDS)
+    assert enumerate_growth_orders(at, cap=10) == 1
+    past = path_tree(MAX_ORACLE_BONDS + 1)
+    with pytest.raises(TooLarge, match="901 bonds exceeds the oracle guard"):
+        enumerate_growth_orders(past, cap=10)
+    # the masks are built from the decoded bonds, which were never decoded
+    assert "bonds" not in past.__dict__
 
 
 def test_oracle_does_not_assume_connectivity():

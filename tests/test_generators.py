@@ -89,6 +89,15 @@ def test_materializability_horizon(a0, horizon):
     assert p.bond_counts[horizon + 1] is None
 
 
+def test_seed_past_the_integer_budget_is_refused():
+    # the largest seed still materializes its first level
+    p = tower_params(MAX_INT_BITS, 2)
+    assert p.exact_levels == 1
+    assert p.first_gen[1] == 1 << 2 * MAX_INT_BITS
+    with pytest.raises(TooLarge, match=f"a0={MAX_INT_BITS + 1}: 2\\^a0"):
+        tower_params(MAX_INT_BITS + 1, 1)
+
+
 def reference_tower_params(a0: int, generations: int) -> TowerParams:
     """The sequences with plain squares and divmod, no shifts."""
     j = generations
