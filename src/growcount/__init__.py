@@ -14,7 +14,6 @@ from .bethe import bethe_existence_bound, bethe_growth_count, bethe_trees
 from .core import (
     Bond,
     RootedTree,
-    WeightTable,
     downstream_weights,
     enumerate_growth_orders,
     growth_count,
@@ -37,7 +36,6 @@ from .errors import (
     OddLength,
     OverlapDetected,
     RootDetached,
-    Stuck,
     TooLarge,
 )
 from .generators import (
@@ -75,9 +73,7 @@ __all__ = [
     "OverlapDetected",
     "RootDetached",
     "RootedTree",
-    "Stuck",
     "TooLarge",
-    "WeightTable",
     "bethe_existence_bound",
     "bethe_growth_count",
     "bethe_trees",

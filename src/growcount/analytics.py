@@ -10,16 +10,18 @@ every generation even though both quantities leave the representable
 range after a handful of levels.
 
 The bridge between the regimes is the series with terms
-4*(a/2^a)^2 evaluated at successive tower values a.  The same floats
-feed epsilon0, the constant C, and the bound iteration, which keeps the
-final margin computation free of catastrophic cancellation.
+4*(a/2^a)^2 evaluated at successive tower values a.  `_series_rows` is
+the one place it is evaluated: its rows of terms and running sums feed
+epsilon0, the constant C, the bound iteration and the structure
+fractions, which keeps the final margin computation free of
+catastrophic cancellation.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import balanced_product, range_product
+from .core import _bonds_phrase, balanced_product, range_product
 from .errors import BoundViolated, InternalMismatch, TooLarge
 from .generators import MAX_INT_BITS, TowerParams, tower_params
 
@@ -53,15 +55,17 @@ def _per_bond_log_factorial(n: int) -> float:
     return math.log(n) - 1.0
 
 
-def _series_rows(a0: int):
-    """Yield (k, a, e1, e2) for k = 2, 3, ... along the tower a_{k-2}.
+def _series_rows(a0: int) -> list[tuple[int, float, float, float, float]]:
+    """The epsilon series as rows (k, e1, e2, r, partial), k = 2, 3, ...
 
-    e1 = a^2/2^a and e2 = a^2/4^a, evaluated in log domain so no huge
-    power is ever materialized.  Stops after the first row where both
-    underflow to zero; all later rows are smaller still.
+    With a the tower value a_{k-2}: e1 = a^2/2^a, e2 = a^2/4^a, the term
+    r = 4*e2 and partial the running sum of r through k.  e1 and e2 are
+    evaluated in log domain so no huge power is ever materialized.  The
+    list ends at the first row where both underflow to zero; every later
+    row reads as that one.
     """
-    a = a0
-    k = 2
+    rows = []
+    a, k, partial = a0, 2, 0.0
     while True:
         if a.bit_length() > 1000:
             e1 = e2 = 0.0
@@ -70,9 +74,11 @@ def _series_rows(a0: int):
             al2 = float(a) * LN2
             e1 = math.exp(2.0 * la - al2)
             e2 = math.exp(2.0 * la - 2.0 * al2)
-        yield k, a, e1, e2
+        r = 4.0 * e2
+        partial += r
+        rows.append((k, e1, e2, r, partial))
         if e1 == 0.0 and e2 == 0.0:
-            return
+            return rows
         a = 1 << a
         k += 1
 
@@ -100,21 +106,13 @@ def epsilon0_breakdown(a0: int) -> EpsilonReport:
     """
     if a0 < 1:
         raise ValueError("a0 must be >= 1")
-    value = 0.0
-    terms = []
-    truncation_k = 2
-    tail_bound = 0.0
-    for k, _a, _e1, e2 in _series_rows(a0):
-        r = 4.0 * e2
-        if r < TERM_FLOOR:
-            truncation_k = k
-            tail_bound = 2.0 * r
-            break
-        value += r
-        terms.append((k, r))
+    rows = _series_rows(a0)
+    # the zero row ends the list, so some row is below the floor
+    n = next(i for i, row in enumerate(rows) if row[3] < TERM_FLOOR)
     return EpsilonReport(
-        a0=a0, value=value, terms=tuple(terms),
-        truncation_k=truncation_k, tail_bound=tail_bound,
+        a0=a0, value=rows[n - 1][4] if n else 0.0,
+        terms=tuple((k, r) for k, _e1, _e2, r, _p in rows[:n]),
+        truncation_k=rows[n][0], tail_bound=2.0 * rows[n][3],
     )
 
 
@@ -196,7 +194,8 @@ def _exact_weight_guard(params: TowerParams, j: int) -> None:
     total = bond_count(params, j)
     if total > MAX_EXACT_WEIGHT_BONDS:
         raise TooLarge(
-            f"{total} bonds exceeds the exact-weight guard {MAX_EXACT_WEIGHT_BONDS}"
+            f"{_bonds_phrase(total)} exceeds the exact-weight guard "
+            f"{MAX_EXACT_WEIGHT_BONDS}"
         )
 
 
@@ -269,22 +268,11 @@ def weight_upper_bound(
     if mode != "log":
         raise ValueError(f"mode must be 'exact' or 'log', got {mode!r}")
 
-    rows = {}
-    for k, _a, e1, e2 in _series_rows(params.a0):
-        if k > j:
-            break
-        rows[k] = (e1, e2)
-
     x = _per_bond_log_factorial(params.first_gen[1])
     terms = [(1, x)]
     partial = 0.0
-    for k in range(2, j + 1):
-        e1, e2 = rows.get(k, (0.0, 0.0))
-        r = 4.0 * e2
-        partial += r
-        if e1 == 0.0 and e2 == 0.0:
-            term = 0.0
-        elif params.bond_counts[k] is not None:
+    for k, e1, e2, r, partial in _series_rows(params.a0)[:j - 1]:
+        if params.bond_counts[k] is not None:
             term = r * math.log(params.bond_counts[k])
         else:
             # series form of r*log(bond count), valid because each
@@ -292,6 +280,8 @@ def weight_upper_bound(
             term = 8.0 * LN2 * e1 + 4.0 * math.log1p(partial) * e2
         x += term
         terms.append((k, term))
+    # past the rows every term is zero and partial stays put
+    terms += [(k, 0.0) for k in range(len(terms) + 1, j + 1)]
 
     ln = None
     firstgen = params.first_gen[j]
@@ -348,11 +338,10 @@ def constants(a0: int) -> ConstantsReport:
     ln1p_eps = math.log1p(eps.value)
     c1 = 0.0
     terms = []
-    truncation_k = 2
-    for k, _a, e1, e2 in _series_rows(a0):
+    # the zero row ends the rows, so the loop always breaks
+    for k, e1, e2, _r, _p in _series_rows(a0):
         t = 8.0 * LN2 * e1 + 4.0 * ln1p_eps * e2
         if t < TERM_FLOOR:
-            truncation_k = k
             break
         c1 += t
         terms.append((k, t))
@@ -363,7 +352,7 @@ def constants(a0: int) -> ConstantsReport:
         raise BoundViolated(f"C = exp({c2}) should exceed 1")
     return ConstantsReport(
         a0=a0, epsilon0=eps.value, epsilon_tail_bound=eps.tail_bound,
-        c1=c1, c2=c2, c=c, terms=tuple(terms), truncation_k=truncation_k,
+        c1=c1, c2=c2, c=c, terms=tuple(terms), truncation_k=k,
     )
 
 
@@ -547,15 +536,8 @@ def _structure_fractions(params: TowerParams, generation: int) -> StructureRepor
             backbone_bound=float(bound), epsilon0=eps,
         )
 
-    partial = 0.0
-    r_j = 0.0
-    for k, _a, _e1, e2 in _series_rows(a0):
-        if k > j:
-            break
-        r = 4.0 * e2
-        partial += r
-        if k == j:
-            r_j = r
+    rows = _series_rows(a0)
+    _k, _e1, _e2, r_j, partial = rows[min(j - 2, len(rows) - 1)]
     ratio_f = 1.0 + partial
     if ratio_f > (1.0 + eps) * (1.0 + 1e-12):
         raise InternalMismatch(

@@ -27,8 +27,9 @@ order of sorted `Bond`s.  JSON is parsed straight into keys and the
 generators emit keys by the run (`tree_from_runs`).  Validation is one
 breadth-first walk from the root that looks up the four bonds of each
 site in a set of keys; the walk's site order and parent indices give
-every hook size in one reverse pass.  `Bond`s and sites exist only as
-views decoded on demand, for rendering, the oracle and tests.
+every hook size in one reverse pass, as a plain list in walk order.
+`Bond`s and sites exist only as views decoded on demand, for rendering,
+the oracle and tests; no hook or child list is keyed by `Bond`.
 
 Growth orders are exactly the linear extensions of the bond forest
 obtained by orienting every bond away from the root, so the counting
@@ -47,7 +48,7 @@ import json
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -58,7 +59,6 @@ from .errors import (
     InternalNonDivisible,
     NotConnected,
     RootDetached,
-    Stuck,
     TooLarge,
 )
 
@@ -74,6 +74,15 @@ MAX_TREE_BONDS = 10**7
 MAX_ORACLE_BONDS = 900
 
 
+def _bonds_phrase(total: int) -> str:
+    """`total` bonds as a guard message names them: in decimal up to 64
+    bits, and past that as a power of two, so no huge count is ever
+    expanded to decimal."""
+    if total.bit_length() <= 64:
+        return f"{total} bonds"
+    return f"about 2^{total.bit_length() - 1} bonds"
+
+
 def guard_tree_bonds(total: int | None, limit: int) -> None:
     """Raise TooLarge before a tree of `total` bonds past `limit` (the
     caller's MAX_TREE_BONDS) is built; None stands for a count beyond
@@ -82,10 +91,8 @@ def guard_tree_bonds(total: int | None, limit: int) -> None:
         size = "a bond count beyond the integer horizon"
     elif total <= limit:
         return
-    elif total.bit_length() <= 64:
-        size = f"{total} bonds"
-    else:   # no decimal expansion of a huge count
-        size = f"about 2^{total.bit_length() - 1} bonds"
+    else:
+        size = _bonds_phrase(total)
     raise TooLarge(f"tree would have {size} (guard {limit})")
 
 
@@ -102,16 +109,6 @@ class Bond(NamedTuple):
         if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
             raise ValueError(f"bond endpoints must be at unit distance: {a} {b}")
         return cls(a, b) if a < b else cls(b, a)
-
-    def other(self, site: Site) -> Site:
-        if site == self.u:
-            return self.v
-        if site == self.v:
-            return self.u
-        raise ValueError(f"{site} is not an endpoint of {self}")
-
-    def touches(self, site: Site) -> bool:
-        return site == self.u or site == self.v
 
 
 @dataclass(frozen=True)
@@ -149,7 +146,7 @@ class RootedTree:
 
         `tree_weight`, `growth_count` and the `count` verb share it.
         """
-        return downstream_weights(self).hooks
+        return downstream_weights(self)
 
     @cached_property
     def _walk(self) -> tuple[list[int], list[int]]:
@@ -169,42 +166,6 @@ class RootedTree:
         y += self.origin[1]
         step = key & 1
         return Bond((x, y), (x + step, y + 1 - step))
-
-    def _parent_bonds(self) -> list[Bond]:
-        """The bond into each non-root site, in breadth-first order."""
-        order, parent = self._walk
-        return [self._bond(2 * min(a, b) + (abs(a - b) != 1))
-                for a, b in zip(order[1:],
-                                (order[p] for p in parent[1:]))]
-
-
-@dataclass(frozen=True, eq=False)
-class WeightTable:
-    """Downstream weights, one entry per bond of the tree they came from.
-
-    `hooks[i]` belongs to the bond into the (i+1)-th site breadth-first
-    from the root; the `Bond`-keyed `weights` mapping is built on first
-    use.
-    """
-
-    tree: RootedTree = field(repr=False)
-    hooks: list[int]
-
-    @cached_property
-    def weights(self) -> dict[Bond, int]:
-        return dict(zip(self.tree._parent_bonds(), self.hooks))
-
-    def __getitem__(self, bond: Bond) -> int:
-        return self.weights[bond]
-
-    def __len__(self) -> int:
-        return len(self.hooks)
-
-    def items(self):
-        return self.weights.items()
-
-    def product(self) -> int:
-        return balanced_product(self.hooks)
 
 
 def _pairwise(vals: list) -> list:
@@ -415,32 +376,20 @@ def tree_from_runs(root: Site, runs: Iterable) -> RootedTree:
     return _packed_tree((int(root[0]), int(root[1])), xs, ys, steps)
 
 
-def orient_from_root(tree: RootedTree) -> dict[Bond, list[Bond]]:
-    """Map each bond to its children in the orientation away from the root."""
-    order, parent = tree._walk
-    into = tree._parent_bonds()   # into[i - 1] ends at site order[i]
-    children: dict[Bond, list[Bond]] = {b: [] for b in into}
-    for i in range(1, len(order)):
-        if parent[i]:   # not a root bond
-            children[into[parent[i] - 1]].append(into[i - 1])
-    for kids in children.values():
-        kids.sort()
-    return children
-
-
-def downstream_weights(tree: RootedTree) -> WeightTable:
+def downstream_weights(tree: RootedTree) -> list[int]:
     """Per-bond weights 1 + (number of bonds strictly downstream).
 
     One reverse pass over the breadth-first walk: each site's subtree
     size is added to its parent's, and the size of a non-root site is
-    the hook of the bond into it.
+    the hook of the bond into it.  Entry i belongs to the bond into the
+    (i+1)-th site breadth first from the root.
     """
     order, parent = tree._walk
     size = [1] * len(order)
     for i in range(len(order) - 1, 0, -1):
         size[parent[i]] += size[i]
     del size[0]
-    return WeightTable(tree, size)
+    return size
 
 
 def tree_weight(tree: RootedTree) -> int:
@@ -551,8 +500,8 @@ def random_lattice_tree(bond_count: int, seed: int) -> RootedTree:
 
     Each step picks uniformly among lattice bonds with exactly one
     endpoint on the current tree, so no site is ever reused and no cycle
-    can form.  Deterministic in `seed`.  On the infinite grid a legal
-    extension always exists; Stuck is kept for contract completeness.
+    can form.  Deterministic in `seed`.  A finite tree on the infinite
+    grid always has a free neighbour, so a legal extension always exists.
     """
     if bond_count < 1:
         raise ValueError("bond_count must be >= 1")
@@ -574,8 +523,6 @@ def random_lattice_tree(bond_count: int, seed: int) -> RootedTree:
                 bisect.insort(perimeter, (nxt, site))
         if len(pairs) == bond_count:
             break
-        if not perimeter:
-            raise Stuck(f"no legal extension after {len(pairs)} bonds")
         site, inner = rng.choice(perimeter)
         sites.add(site)
         pairs.append((inner, site))

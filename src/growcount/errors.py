@@ -48,10 +48,6 @@ class OverlapDetected(ConstraintViolated):
     """Embedding placed two bonds or sites on top of each other."""
 
 
-class Stuck(GrowcountError):
-    """Random growth ran out of legal extensions before reaching L bonds."""
-
-
 class CapExceeded(GrowcountError):
     """Enumeration passed the caller-supplied cap."""
 

@@ -200,6 +200,24 @@ def test_epsilon0_tail_bookkeeping():
     assert rep.truncation_k > max(k for k, _ in rep.terms)
 
 
+@pytest.mark.parametrize("a0", [1, 9, 20, 509])
+def test_epsilon0_is_the_sum_of_its_listed_terms(a0):
+    rep = epsilon0_breakdown(a0)
+    total = 0.0   # in order, as the series is summed; sum() compensates on 3.12
+    for _k, t in rep.terms:
+        total += t
+    assert rep.value == total
+
+
+def test_epsilon0_tail_bound_is_twice_the_first_dropped_term():
+    # at a0 = 9 the k = 3 term 4*512^2/4^512 = 2^-1004 is the first one
+    # below TERM_FLOOR, and it has not underflowed yet
+    rep = epsilon0_breakdown(9)
+    assert rep.truncation_k == 3
+    assert [k for k, _ in rep.terms] == [2]
+    assert rep.tail_bound == pytest.approx(2.0 ** -1003, rel=1e-12, abs=0.0)
+
+
 def test_epsilon_partial_guard():
     with pytest.raises(TooLarge):
         epsilon_partial_exact(1, 9)

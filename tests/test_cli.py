@@ -399,6 +399,32 @@ def test_seed_past_the_integer_budget_is_invalid_input(capsys, argv):
         "budget\n")
 
 
+def test_exact_weight_guard_names_a_huge_count_by_its_power_of_two(capsys):
+    # a0=1 has about 2^131073 bonds at gen 5, a 39,457-digit count
+    argv = ["analyze", "--a0", "1", "--gen", "5", "--mode", "exact"]
+    assert cli_module.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err) < 200
+    assert re.fullmatch(r"error: TooLarge: about 2\^\d+ bonds exceeds the "
+                        r"exact-weight guard 1000000\n", err)
+
+
+# analyze's stdout and exit code over a grid of seeds, generations and
+# modes, one JSON line per call, recorded before the epsilon series was
+# read from one row list; seeds past 508, whose margin is 0.0, are left
+# out until that margin is certified
+ANALYZE_GRID = [json.loads(line)
+                for line in golden("analyze_grid.jsonl").splitlines()]
+
+
+@pytest.mark.parametrize("case", ANALYZE_GRID,
+                         ids=lambda case: "-".join(case["argv"][2::2]))
+def test_analyze_matches_the_golden_grid(capsys, case):
+    assert cli_module.main(case["argv"]) == case["exit"]
+    assert capsys.readouterr().out == case["stdout"]
+
+
 def test_bethe_report_matches_library(cli):
     proc = cli("bethe", "--bonds", "4")
     assert proc.returncode == 0

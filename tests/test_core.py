@@ -17,7 +17,6 @@ from growcount.core import (
     enumerate_growth_orders,
     growth_count,
     linear_extension_count,
-    orient_from_root,
     random_lattice_tree,
     range_product,
     tree_from_json,
@@ -34,6 +33,8 @@ from growcount.errors import (
     TooLarge,
 )
 from growcount.generators import comb_tree, path_tree
+
+from test_tree_core import reference
 
 
 def double_factorial(n: int) -> int:
@@ -64,15 +65,6 @@ def test_bond_rejects_non_unit_distance():
         Bond.between((0, 0), (0, 0))
     with pytest.raises(ValueError):
         Bond.between((0, 0), (2, 0))
-
-
-def test_bond_other_and_touches():
-    b = Bond.between((0, 0), (0, 1))
-    assert b.other((0, 0)) == (0, 1)
-    assert b.other((0, 1)) == (0, 0)
-    assert b.touches((0, 0)) and not b.touches((5, 5))
-    with pytest.raises(ValueError):
-        b.other((9, 9))
 
 
 # --- validation -------------------------------------------------------------
@@ -113,42 +105,27 @@ def test_validate_rejects_empty_tree():
         validate_tree((0, 0), [])
 
 
-# --- orientation and weights ------------------------------------------------
-
-def test_orientation_of_comb_four():
-    t = comb_tree(4)
-    children = orient_from_root(t)
-    first = Bond.between((0, 0), (1, 0))
-    # the first horizontal bond feeds the second one and the first tooth
-    assert sorted(children[first]) == sorted([
-        Bond.between((1, 0), (2, 0)), Bond.between((1, 0), (1, 1)),
-    ])
-    leaves = [b for b, kids in children.items() if not kids]
-    assert len(leaves) == 2
-
+# --- weights ----------------------------------------------------------------
 
 def test_path_weights_count_down_from_length():
     t = path_tree(5)
-    table = downstream_weights(t)
-    values = sorted(table.weights.values(), reverse=True)
-    assert values == [5, 4, 3, 2, 1]
-    assert table.product() == 120
+    # the walk starts at the root, so the hooks count down along the path
+    assert downstream_weights(t) == [5, 4, 3, 2, 1]
+    assert t.hooks == [5, 4, 3, 2, 1]
     assert tree_weight(t) == math.factorial(5)
 
 
 def test_comb_four_weights():
     t = comb_tree(4)
-    table = downstream_weights(t)
-    assert table[Bond.between((0, 0), (1, 0))] == 4
-    assert table[Bond.between((1, 0), (2, 0))] == 2
-    assert table[Bond.between((1, 0), (1, 1))] == 1
-    assert table[Bond.between((2, 0), (2, 1))] == 1
+    # the first horizontal bond carries the whole comb, the second one
+    # its tooth, and the two teeth are leaves
+    assert sorted(downstream_weights(t)) == [1, 1, 2, 4]
     assert tree_weight(t) == 8
 
 
 def test_star_weights_are_all_one():
     t = star_tree(4)
-    assert all(w == 1 for w in downstream_weights(t).weights.values())
+    assert downstream_weights(t) == [1, 1, 1, 1]
     assert growth_count(t) == math.factorial(4)
 
 
@@ -300,11 +277,10 @@ def test_linear_extension_count_small_forest():
 def test_linear_extension_matches_oracle_on_lattice_trees():
     for seed in range(5):
         t = random_lattice_tree(6, seed=seed)
-        children, roots = {}, []
-        oriented = orient_from_root(t)
-        for bond, kids in oriented.items():
-            children[bond] = kids
-        roots = [b for b in t.bonds if b.touches(t.root)]
+        # bonds oriented away from the root by the coordinate-only reference
+        _text, bonds, _sites, _weights, children = \
+            reference(t.root, [(b.u, b.v) for b in t.bonds])
+        roots = [b for b in bonds if t.root in b]
         assert linear_extension_count(children, roots) \
             == enumerate_growth_orders(t)
 
