@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .core import _bonds_phrase, balanced_product, range_product
 from .errors import BoundViolated, InternalMismatch, TooLarge
-from .generators import MAX_INT_BITS, TowerParams, tower_params
+from .generators import MAX_INT_BITS, TowerParams
 
 LN2 = math.log(2.0)
 
@@ -388,25 +388,13 @@ class MainBoundReport:
         return out
 
 
-def _main_bound_params(a0: int, generation: int) -> TowerParams:
-    """Check `verify_main_bound`'s arguments in its order and build the
-    TowerParams it certifies, for callers that reuse them."""
-    if generation < 1:
-        raise ValueError("generation must be >= 1")
-    return tower_params(a0, generation)
-
-
-def verify_main_bound(a0: int, generation: int) -> MainBoundReport:
+def verify_main_bound(params: TowerParams, generation: int) -> MainBoundReport:
     """Check the certified lower bound on growth counts at one generation.
 
     Raises BoundViolated if any margin is negative (the inequality
     always holds, so that would mean an implementation bug) and
     InternalMismatch if the two margin computations drift apart.
     """
-    return _verify_main_bound(_main_bound_params(a0, generation), generation)
-
-
-def _verify_main_bound(params: TowerParams, generation: int) -> MainBoundReport:
     a0 = params.a0
     rep = constants(a0)
     wb = weight_upper_bound(params, generation, mode="log")
@@ -489,19 +477,16 @@ class StructureReport:
         }
 
 
-def structure_fractions(a0: int, generation: int) -> StructureReport:
+def structure_fractions(params: TowerParams, generation: int) -> StructureReport:
     """Bond-ratio, first-generation and backbone fractions at a generation.
 
     All three inequalities (ratio within [1, 1+epsilon0], backbone
     fraction under its bound) are verified, in rational arithmetic when
     possible; violations raise InternalMismatch.
     """
-    if generation < 2:
-        raise ValueError("structure fractions need generation >= 2")
-    return _structure_fractions(tower_params(a0, generation), generation)
-
-
-def _structure_fractions(params: TowerParams, generation: int) -> StructureReport:
+    if not 2 <= generation <= params.generations:
+        raise ValueError(
+            f"structure fractions need generation in 2..{params.generations}")
     a0 = params.a0
     eps = epsilon0(a0)
     j = generation

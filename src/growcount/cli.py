@@ -115,12 +115,14 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    # one TowerParams for the whole report, checked as verify_main_bound
-    # checks its arguments
-    params = analytics._main_bound_params(args.a0, args.gen)
-    report = analytics._verify_main_bound(params, args.gen)
+    # a bad generation is reported before a bad seed, which tower_params
+    # would check first
+    if args.gen < 1:
+        raise ValueError("generation must be >= 1")
+    params = tower_params(args.a0, args.gen)
+    report = analytics.verify_main_bound(params, args.gen)
     structure = (
-        analytics._structure_fractions(params, args.gen)
+        analytics.structure_fractions(params, args.gen)
         if args.gen >= 2 else None
     )
     if args.mode == "exact":

@@ -73,9 +73,9 @@ class TowerParams:
     their first valid index: tower[k] = a_k for k >= 0, first_gen[k] =
     a_k^2 for k >= 0, backbone[k] (k >= 1) is the backbone length,
     branches[k] (k >= 2) the number of sub-copies, bond_counts[k]
-    (k >= 1) the total number of bonds.  Entries are exact integers up
-    to `exact_levels`; past that the values exceed MAX_INT_BITS bits and
-    are stored as None.
+    (k >= 1) the total number of bonds.  Entry k is an exact integer
+    while tower[k-1] <= MAX_INT_BITS, so that 2^tower[k-1] can be
+    materialized; past that every entry is None.
     """
 
     a0: int
@@ -85,17 +85,6 @@ class TowerParams:
     backbone: tuple = field(repr=False)
     branches: tuple = field(repr=False)
     bond_counts: tuple = field(repr=False)
-
-    @property
-    def exact_levels(self) -> int:
-        k = 0
-        while k + 1 <= self.generations and self.tower[k + 1] is not None:
-            k += 1
-        return k
-
-    def spacing(self, k: int) -> int:
-        """Distance between branch attachment points on backbone k."""
-        return self.backbone[k] // self.branches[k]
 
 
 def _exact_quotient(num: int, den: int, a0: int, k: int, identity: str) -> int:
@@ -122,9 +111,10 @@ def _broken(a0: int, k: int, identity: str) -> InternalMismatch:
 def _derived_levels(a0: int, first_gen: list) -> tuple:
     """Backbone lengths, branch counts and bond counts from first_gen.
 
-    Divisibility of backbone lengths by branch counts and the spacing
-    condition spacing(k) > backbone[k-2] are identities for this family;
-    they are checked on every materializable level and raise
+    Divisibility of backbone lengths by branch counts, the spacing
+    backbone[k]/branches[k] == 4*first_gen[k-2] between attachment
+    points, and its clearing backbone[k-2] are identities for this
+    family; they are checked on every materializable level and raise
     InternalMismatch when one fails.
     """
     j = len(first_gen) - 1
@@ -296,12 +286,6 @@ def _check_custom(ells, bs):
     return ell, b, m, total
 
 
-def _custom(ells, bs):
-    ell, b, m, total = _check_custom(ells, bs)
-    return _build(ell, b, m, total, f"from lengths {list(ell[1:])} and "
-                  f"counts {list(b[2:])}; the recurrence gives")
-
-
 def custom_hierarchical_tree(ells, bs) -> RootedTree:
     """Build a hierarchical tree from caller-chosen backbone lengths and
     branch counts (lengths ell_1..ell_m, counts b_2..b_m).
@@ -311,12 +295,9 @@ def custom_hierarchical_tree(ells, bs) -> RootedTree:
     degrees.  Constraint failures raise ConstraintViolated naming the
     constraint; trees past MAX_TREE_BONDS raise TooLarge.
     """
-    return _custom(ells, bs)[0]
-
-
-def hierarchical_generations(ells, bs) -> dict[Bond, int]:
-    """Map each bond to its nesting level (1 = innermost copies)."""
-    return _labels(_custom(ells, bs)[1])
+    ell, b, m, total = _check_custom(ells, bs)
+    return _build(ell, b, m, total, f"from lengths {list(ell[1:])} and "
+                  f"counts {list(b[2:])}; the recurrence gives")[0]
 
 
 def _tower(params: TowerParams, generations: int | None):

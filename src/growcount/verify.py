@@ -21,7 +21,14 @@ def _check(name, ok, detail=""):
     return Check(name, bool(ok), "" if ok else str(detail))
 
 
-def core_suite(samples: int = 200, max_bonds: int = 9) -> list[Check]:
+# core_suite checks CORE_SAMPLES random trees of 1..CORE_MAX_BONDS bonds;
+# bethe_suite runs the Bethe chain up to BETHE_MAX_BONDS bonds
+CORE_SAMPLES = 200
+CORE_MAX_BONDS = 9
+BETHE_MAX_BONDS = 7
+
+
+def core_suite() -> list[Check]:
     """Oracle identity and extreme cases on fixtures plus random trees."""
     checks = []
 
@@ -34,13 +41,13 @@ def core_suite(samples: int = 200, max_bonds: int = 9) -> list[Check]:
         ))
 
     bad = []
-    for i in range(samples):
-        tree = core.random_lattice_tree(1 + i % max_bonds, seed=i)
+    for i in range(CORE_SAMPLES):
+        tree = core.random_lattice_tree(1 + i % CORE_MAX_BONDS, seed=i)
         if core.enumerate_growth_orders(tree) * core.tree_weight(tree) \
                 != math.factorial(tree.bond_count):
             bad.append(i)
     checks.append(_check(
-        f"core: oracle * weight == L! on {samples} random trees",
+        f"core: oracle * weight == L! on {CORE_SAMPLES} random trees",
         not bad, f"failing seeds {bad[:5]}"))
 
     bad = [
@@ -70,10 +77,13 @@ def core_suite(samples: int = 200, max_bonds: int = 9) -> list[Check]:
 def tower_suite() -> list[Check]:
     """Tower-family identities, exact where materializable, log past that."""
     checks = []
+    # one TowerParams per seed, up to the deepest generation checked below
+    by_seed = {a0: generators.tower_params(a0, top)
+               for a0, top in ((1, 6), (2, 6), (3, 3), (20, 4))}
 
     expected = {1: (4, 32, 768)}
     ok = all(
-        analytics.bond_count(generators.tower_params(1, j), j) == want
+        analytics.bond_count(by_seed[1], j) == want
         for j, want in zip((1, 2, 3), expected[1])
     )
     checks.append(_check("tower: bond counts at a0=1 are 4, 32, 768", ok))
@@ -81,16 +91,15 @@ def tower_suite() -> list[Check]:
     horizons = {1: 5, 2: 4, 3: 3, 20: 2}
     bad = []
     for a0, horizon in horizons.items():
-        params = generators.tower_params(a0, horizon)
         for j in range(1, horizon + 1):
             try:
-                analytics.bond_count(params, j)
+                analytics.bond_count(by_seed[a0], j)
             except Exception as exc:   # noqa: BLE001 - reported, not hidden
                 bad.append((a0, j, repr(exc)))
     checks.append(_check(
         "tower: count formulas agree over the exact horizon", not bad, bad))
 
-    params = generators.tower_params(1, 3)
+    params = by_seed[1]
     bad = []
     for j in (1, 2, 3):
         tree = generators.tower_tree(params, j)
@@ -124,7 +133,7 @@ def tower_suite() -> list[Check]:
     bad = []
     for a0, top in ((1, 6), (2, 6), (20, 4)):
         for j in range(1, top + 1):
-            rep = analytics.verify_main_bound(a0, j)
+            rep = analytics.verify_main_bound(by_seed[a0], j)
             if rep.margin_per_bond < 0:
                 bad.append((a0, j, rep.margin_per_bond))
     checks.append(_check(
@@ -134,7 +143,7 @@ def tower_suite() -> list[Check]:
     bad = []
     for a0, top in ((1, 5), (2, 4), (3, 3), (20, 2)):
         for j in range(2, top + 1):
-            rep = analytics.structure_fractions(a0, j)
+            rep = analytics.structure_fractions(by_seed[a0], j)
             if not rep.exact:
                 bad.append((a0, j))
     checks.append(_check(
@@ -143,27 +152,27 @@ def tower_suite() -> list[Check]:
     return checks
 
 
-def bethe_suite(max_bonds: int = 7) -> list[Check]:
+def bethe_suite() -> list[Check]:
     """Sequence counts, subtree census and the pigeonhole chain."""
     checks = []
 
     bad = []
-    for length in range(1, max_bonds + 1):
+    for length in range(1, BETHE_MAX_BONDS + 1):
         if bethe.bethe_growth_count(length) \
                 != math.factorial(length + 2) // 2:
             bad.append(length)
     checks.append(_check(
-        f"bethe: sequence totals match (L+2)!/2 up to L={max_bonds}",
+        f"bethe: sequence totals match (L+2)!/2 up to L={BETHE_MAX_BONDS}",
         not bad, bad))
 
     bad = [
-        length for length in range(1, max_bonds + 1)
+        length for length in range(1, BETHE_MAX_BONDS + 1)
         if bethe.bethe_tree_count(length) > 9 ** length
     ]
     checks.append(_check("bethe: subtree census under 9^L", not bad, bad))
 
     bad = []
-    for length in range(1, min(max_bonds, 5) + 1):
+    for length in range(1, min(BETHE_MAX_BONDS, 5) + 1):
         for tree in bethe.bethe_trees(length):
             if bethe.tree_growth_count(tree) \
                     != bethe.tree_growth_count_enumerated(tree):
@@ -174,7 +183,7 @@ def bethe_suite(max_bonds: int = 7) -> list[Check]:
         not bad, bad[:1]))
 
     bad = []
-    for length in range(1, max_bonds + 1):
+    for length in range(1, BETHE_MAX_BONDS + 1):
         rep = bethe.bethe_existence_bound(length)
         if rep.average <= rep.naive_floor:
             bad.append(length)

@@ -129,8 +129,9 @@ def test_criterion_6_certified_margins():
         for a0, top in ((1, 6), (2, 6), (20, 4)):
             rep_c = constants(a0)
             assert rep_c.c > 1.0
+            params = tower_params(a0, top)
             for j in range(1, top + 1):
-                rep = verify_main_bound(a0, j)
+                rep = verify_main_bound(params, j)
                 assert rep.margin_per_bond >= 0.0
                 tol = 1e-9 * max(1.0, rep.constants.c2)
                 assert abs(rep.margin_per_bond - rep.margin_naive) <= tol
@@ -141,14 +142,16 @@ def test_criterion_6_certified_margins():
 def test_criterion_7_structure_fractions():
     with criterion(7, "bond ratio and backbone fraction bounds hold"):
         for a0, top in ((1, 5), (2, 4), (3, 3), (20, 2)):
+            params = tower_params(a0, top)
             for j in range(2, top + 1):
-                rep = structure_fractions(a0, j)
+                rep = structure_fractions(params, j)
                 assert rep.exact
                 assert 1 <= rep.bond_ratio_exact
                 assert float(rep.bond_ratio_exact - 1) \
                     <= rep.epsilon0 * (1 + 1e-12) + 1e-300
                 assert rep.backbone_fraction_exact <= Fraction(rep.backbone_bound)
-        beyond = structure_fractions(1, 6)   # past the integer horizon
+        # past the integer horizon
+        beyond = structure_fractions(tower_params(1, 6), 6)
         assert not beyond.exact
         assert abs(beyond.bond_ratio - (1 + beyond.epsilon0)) \
             <= 1e-12 * beyond.bond_ratio

@@ -253,8 +253,9 @@ def test_constants_seed_twenty_magnitude():
 
 @pytest.mark.parametrize("a0,top", [(1, 6), (2, 6), (20, 4)])
 def test_margin_nonnegative_on_grid(a0, top):
+    params = tower_params(a0, top)
     for j in range(1, top + 1):
-        rep = verify_main_bound(a0, j)
+        rep = verify_main_bound(params, j)
         assert rep.margin_per_bond >= 0
         assert rep.margin_per_bond == pytest.approx(
             rep.margin_naive, abs=1e-9 * max(1.0, rep.constants.c2)
@@ -262,12 +263,12 @@ def test_margin_nonnegative_on_grid(a0, top):
 
 
 def test_margin_seed_twenty_is_tiny_but_positive():
-    rep = verify_main_bound(20, 4)
+    rep = verify_main_bound(tower_params(20, 4), 4)
     assert 1e-9 < rep.margin_per_bond < 1e-6
 
 
 def test_count_form_at_materializable_size():
-    rep = verify_main_bound(1, 3)
+    rep = verify_main_bound(tower_params(1, 3), 3)
     assert rep.log_factorial_bonds == pytest.approx(
         log_factorial(768), rel=1e-15
     )
@@ -278,7 +279,7 @@ def test_count_form_at_materializable_size():
 
 
 def test_count_form_skipped_past_double_range():
-    rep = verify_main_bound(1, 6)
+    rep = verify_main_bound(tower_params(1, 6), 6)
     assert rep.log_factorial_bonds is None
     assert rep.margin_per_bond > 0
 
@@ -286,7 +287,7 @@ def test_count_form_skipped_past_double_range():
 # --- structure fractions ----------------------------------------------------
 
 def test_structure_seed_one_generation_three():
-    rep = structure_fractions(1, 3)
+    rep = structure_fractions(tower_params(1, 3), 3)
     assert rep.exact
     assert rep.bond_ratio_exact == Fraction(3)
     assert rep.first_gen_fraction_exact == Fraction(1, 3)
@@ -295,14 +296,14 @@ def test_structure_seed_one_generation_three():
 
 
 def test_structure_seed_twenty():
-    rep = structure_fractions(20, 2)
+    rep = structure_fractions(tower_params(20, 2), 2)
     assert rep.exact
     assert rep.bond_ratio_exact == 1 + Fraction(1600, 2 ** 40)
     assert rep.backbone_fraction <= rep.backbone_bound
 
 
 def test_structure_past_horizon_uses_floats():
-    rep = structure_fractions(1, 6)
+    rep = structure_fractions(tower_params(1, 6), 6)
     assert not rep.exact
     assert rep.bond_ratio == pytest.approx(1 + epsilon0(1), rel=1e-12)
     assert rep.first_gen_fraction == pytest.approx(
@@ -312,7 +313,10 @@ def test_structure_past_horizon_uses_floats():
 
 def test_structure_needs_generation_two():
     with pytest.raises(ValueError):
-        structure_fractions(1, 1)
+        structure_fractions(tower_params(1, 1), 1)
+    # and one past the generations the params cover
+    with pytest.raises(ValueError, match=r"generation in 2\.\.2$"):
+        structure_fractions(tower_params(1, 2), 3)
 
 
 # --- log factorial ----------------------------------------------------------

@@ -302,11 +302,15 @@ def test_analyze_exact_mode_small_case(cli):
 
 def analyze_by_public_route(a0, gen, mode):
     """analyze's stdout, stderr and exit code built from the public
-    (a0, generation) functions, each building its own TowerParams."""
+    functions on analyze's own route: the generation check, one
+    TowerParams, then the certificate.  test_analyze_argument_errors
+    pins the order of the checks."""
     try:
-        report = analytics.verify_main_bound(a0, gen)
+        if gen < 1:
+            raise ValueError("generation must be >= 1")
         params = tower_params(a0, gen)
-        structure = (analytics.structure_fractions(a0, gen)
+        report = analytics.verify_main_bound(params, gen)
+        structure = (analytics.structure_fractions(params, gen)
                      if gen >= 2 else None)
         if mode == "exact":
             total = analytics.bond_count(params, gen)
@@ -344,10 +348,23 @@ def test_analyze_matches_public_route(capsys, a0, gen, mode):
 
 
 def test_analyze_refuses_generation_zero_first(capsys):
-    # the public route shares the argument check, so pin its text here
+    # the generation is checked before the seed
     assert cli_module.main(["analyze", "--a0", "0", "--gen", "0"]) == 2
     assert capsys.readouterr() == (
         "", "error: ValueError: generation must be >= 1\n")
+
+
+# the literal errors in analyze's check order, generation before seed;
+# --a0 0 --gen 0 is pinned above
+@pytest.mark.parametrize("args,error", [
+    ("--a0 2 --gen 0", "generation must be >= 1"),
+    ("--a0 0 --gen 2 --mode exact", "a0 must be >= 1"),
+    ("--a0 1 --gen -1 --mode exact", "generation must be >= 1"),
+    ("--a0 -5 --gen 1", "a0 must be >= 1"),
+])
+def test_analyze_argument_errors(capsys, args, error):
+    assert cli_module.main(["analyze", *args.split()]) == 2
+    assert capsys.readouterr() == ("", f"error: ValueError: {error}\n")
 
 
 @pytest.mark.parametrize("a0,gen,mode", [
@@ -359,12 +376,39 @@ def test_analyze_builds_one_tower_params(monkeypatch, capsys, a0, gen, mode):
     def counted(*args):
         calls.append(args)
         return tower_params(*args)
-    for module in (analytics, cli_module, generators):
+    for module in (cli_module, generators):
         monkeypatch.setattr(module, "tower_params", counted)
     argv = ["analyze", "--a0", str(a0), "--gen", str(gen), "--mode", mode]
     assert cli_module.main(argv) == 0
     capsys.readouterr()
     assert calls == [(a0, gen)]
+
+
+@pytest.mark.parametrize("a0,gen,mode", [
+    (21, 3, "log"), (20, 1, "log"), (1, 3, "exact"), (3, 8, "log"),
+])
+def test_analyze_certifies_once_with_one_tower_params(
+        monkeypatch, capsys, a0, gen, mode):
+    calls = []
+
+    def counted(name):
+        original = getattr(analytics, name)
+
+        def wrapper(params, generation):
+            calls.append((name, params, generation))
+            return original(params, generation)
+        return wrapper
+    for name in ("verify_main_bound", "structure_fractions"):
+        monkeypatch.setattr(analytics, name, counted(name))
+    argv = ["analyze", "--a0", str(a0), "--gen", str(gen), "--mode", mode]
+    assert cli_module.main(argv) == 0
+    capsys.readouterr()
+    names = ["verify_main_bound"] + (["structure_fractions"] if gen >= 2
+                                     else [])
+    assert [name for name, _, _ in calls] == names
+    assert all(g == gen for _, _, g in calls)
+    assert all(params is calls[0][1] for _, params, _ in calls)
+    assert (calls[0][1].a0, calls[0][1].generations) == (a0, gen)
 
 
 @pytest.mark.parametrize("a0,gen", [(21, 3), (20, 1), (3, 8), (64, 8)])

@@ -18,7 +18,6 @@ from growcount.generators import (
     TowerParams,
     comb_tree,
     custom_hierarchical_tree,
-    hierarchical_generations,
     path_tree,
     tower_params,
     tower_tree,
@@ -69,8 +68,8 @@ def test_tower_sequences_for_seed_one():
 def test_tower_spacing_identity():
     p = tower_params(1, 4)
     for k in (2, 3, 4):
-        assert p.spacing(k) == 4 * p.first_gen[k - 2]
         assert p.backbone[k] % p.branches[k] == 0
+        assert p.backbone[k] // p.branches[k] == 4 * p.first_gen[k - 2]
 
 
 def test_tower_seed_twenty_first_generation():
@@ -83,7 +82,6 @@ def test_tower_seed_twenty_first_generation():
 @pytest.mark.parametrize("a0,horizon", [(1, 5), (2, 4), (3, 3), (20, 2)])
 def test_materializability_horizon(a0, horizon):
     p = tower_params(a0, horizon + 1)
-    assert p.exact_levels == horizon
     assert p.tower[horizon] is not None
     assert p.tower[horizon + 1] is None
     assert p.bond_counts[horizon + 1] is None
@@ -92,8 +90,8 @@ def test_materializability_horizon(a0, horizon):
 def test_seed_past_the_integer_budget_is_refused():
     # the largest seed still materializes its first level
     p = tower_params(MAX_INT_BITS, 2)
-    assert p.exact_levels == 1
     assert p.first_gen[1] == 1 << 2 * MAX_INT_BITS
+    assert p.tower[2] is None and p.bond_counts[2] is None
     with pytest.raises(TooLarge, match=f"a0={MAX_INT_BITS + 1}: 2\\^a0"):
         tower_params(MAX_INT_BITS + 1, 1)
 
@@ -180,9 +178,7 @@ def test_tower_tree_checks_its_bond_count(build):
         getattr(generators, build)(wrong)
 
 
-@pytest.mark.parametrize(
-    "build", ["custom_hierarchical_tree", "hierarchical_generations"])
-def test_custom_tree_checks_its_bond_count(monkeypatch, build):
+def test_custom_tree_checks_its_bond_count(monkeypatch):
     check = generators._check_custom
 
     def off_by_one(ells, bs):
@@ -191,7 +187,7 @@ def test_custom_tree_checks_its_bond_count(monkeypatch, build):
     monkeypatch.setattr(generators, "_check_custom", off_by_one)
     with pytest.raises(InternalMismatch, match=r"^built 32 bonds from lengths "
                        r"\[4, 16\] and counts \[4\]; the recurrence gives 33$"):
-        getattr(generators, build)([4, 16], [4])
+        custom_hierarchical_tree([4, 16], [4])
 
 
 def test_tower_params_reject_bad_arguments():
@@ -256,8 +252,8 @@ def test_custom_reproduces_tower_generation_two():
 def test_custom_small_family():
     t = custom_hierarchical_tree((2, 6, 24), (2, 2))
     assert t.bond_count == 24 + 2 * (6 + 2 * 2)
-    labels = hierarchical_generations((2, 6, 24), (2, 2))
-    assert sum(1 for lvl in labels.values() if lvl == 3) == 24
+    # the level-3 backbone is the only run on the x axis
+    assert sum(1 for bond in t.bonds if bond.u[1] == bond.v[1] == 0) == 24
 
 
 def test_custom_spacing_violation():
