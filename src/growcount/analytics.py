@@ -149,7 +149,7 @@ def bond_count(params: TowerParams, generation: int | None = None) -> int:
     j = params.generations if generation is None else generation
     if not 1 <= j <= params.generations:
         raise ValueError(f"generation must be in 1..{params.generations}")
-    if params.bond_counts[j] is None:
+    if params.bonds(j) is None:
         raise TooLarge(f"generation {j} bond count exceeds the integer budget")
 
     total = params.backbone[j]
@@ -227,8 +227,9 @@ class LogWeightBound:
     per_firstgen is log(bound) divided by the first-generation count
     and is finite for every generation; ln is the absolute log(bound),
     or None once the first-generation count leaves the double range.
-    terms holds the (k, increment) breakdown of the iteration,
-    eps_partial the series partial sum through the generation.
+    terms holds the (k, increment) breakdown of the iteration, one pair
+    per series row through the generation; levels past the rows add 0.
+    eps_partial is the series partial sum through the generation.
     """
 
     generation: int
@@ -271,22 +272,20 @@ def weight_upper_bound(
     x = _per_bond_log_factorial(params.first_gen[1])
     terms = [(1, x)]
     partial = 0.0
+    # the rows end where every later term is zero and partial stays put
     for k, e1, e2, r, partial in _series_rows(params.a0)[:j - 1]:
-        if params.bond_counts[k] is not None:
-            term = r * math.log(params.bond_counts[k])
+        if params.bonds(k) is not None:
+            term = r * math.log(params.bonds(k))
         else:
             # series form of r*log(bond count), valid because each
             # tower value is 2 to the previous one
             term = 8.0 * LN2 * e1 + 4.0 * math.log1p(partial) * e2
         x += term
         terms.append((k, term))
-    # past the rows every term is zero and partial stays put
-    terms += [(k, 0.0) for k in range(len(terms) + 1, j + 1)]
 
     ln = None
-    firstgen = params.first_gen[j]
-    if firstgen is not None and firstgen.bit_length() <= 1020:
-        total_ln = x * float(firstgen)
+    if params.bonds(j) is not None and params.first_gen[j].bit_length() <= 1020:
+        total_ln = x * float(params.first_gen[j])
         if math.isfinite(total_ln):
             ln = total_ln
     return LogWeightBound(
@@ -423,7 +422,7 @@ def verify_main_bound(params: TowerParams, generation: int) -> MainBoundReport:
         )
 
     log_fact = lower = required = None
-    total = params.bond_counts[generation]
+    total = params.bonds(generation)
     if total is not None and total.bit_length() <= LGAMMA_MAX_BITS:
         log_fact = log_factorial(total)
         log_w = wb.per_firstgen * float(params.first_gen[generation])
@@ -491,7 +490,7 @@ def structure_fractions(params: TowerParams, generation: int) -> StructureReport
     eps = epsilon0(a0)
     j = generation
 
-    if params.bond_counts[j] is not None:
+    if params.bonds(j) is not None:
         total = bond_count(params, j)
         firstgen = params.first_gen[j]
         ratio = Fraction(total, firstgen)

@@ -5,8 +5,9 @@ family controlled by a tower sequence a_k = 2^(a_{k-1}): generation j
 is a straight backbone carrying equally spaced, 90-degree-rotated
 copies of generation j-1.  The derived sequences grow so fast that
 integers stop being materializable after a few levels; TowerParams
-keeps exact values up to a bit-size horizon and records None beyond it.
-Everything the log-domain analytics needs survives past the horizon.
+keeps exact values up to a bit-size horizon and ends there, however
+many generations are asked for.  Everything the log-domain analytics
+needs survives past the horizon.
 """
 
 from dataclasses import dataclass, field
@@ -73,9 +74,10 @@ class TowerParams:
     their first valid index: tower[k] = a_k for k >= 0, first_gen[k] =
     a_k^2 for k >= 0, backbone[k] (k >= 1) is the backbone length,
     branches[k] (k >= 2) the number of sub-copies, bond_counts[k]
-    (k >= 1) the total number of bonds.  Entry k is an exact integer
-    while tower[k-1] <= MAX_INT_BITS, so that 2^tower[k-1] can be
-    materialized; past that every entry is None.
+    (k >= 1) the total number of bonds.  Level k exists while
+    tower[k-1] <= MAX_INT_BITS, so that 2^tower[k-1] can be
+    materialized; every sequence ends at the last such level or at
+    `generations`, whichever comes first.
     """
 
     a0: int
@@ -85,6 +87,10 @@ class TowerParams:
     backbone: tuple = field(repr=False)
     branches: tuple = field(repr=False)
     bond_counts: tuple = field(repr=False)
+
+    def bonds(self, k: int) -> int | None:
+        """bond_counts[k], or None past the integer horizon."""
+        return self.bond_counts[k] if k < len(self.bond_counts) else None
 
 
 def _exact_quotient(num: int, den: int, a0: int, k: int, identity: str) -> int:
@@ -117,26 +123,20 @@ def _derived_levels(a0: int, first_gen: list) -> tuple:
     family; they are checked on every materializable level and raise
     InternalMismatch when one fails.
     """
-    j = len(first_gen) - 1
-    backbone: list = [None] * (j + 1)
-    branches: list = [None] * (j + 1)
-    bond_counts: list = [None] * (j + 1)
-    backbone[1] = first_gen[1]
-    bond_counts[1] = backbone[1]
-    for k in range(2, j + 1):
-        if first_gen[k] is None:
-            break
-        backbone[k] = _exact_quotient(
+    levels = range(2, len(first_gen))
+    backbone: list = [None, first_gen[1]]
+    branches: list = [None, None]
+    bond_counts: list = [None, first_gen[1]]
+    for k in levels:
+        backbone.append(_exact_quotient(
             4 * first_gen[k] * first_gen[k - 2], first_gen[k - 1], a0, k,
-            "first_gen[k-1] | 4*first_gen[k]*first_gen[k-2]")
-        branches[k] = _exact_quotient(
+            "first_gen[k-1] | 4*first_gen[k]*first_gen[k-2]"))
+        branches.append(_exact_quotient(
             first_gen[k], first_gen[k - 1], a0, k,
-            "first_gen[k-1] | first_gen[k]")
-        bond_counts[k] = backbone[k] + branches[k] * bond_counts[k - 1]
+            "first_gen[k-1] | first_gen[k]"))
+        bond_counts.append(backbone[k] + branches[k] * bond_counts[k - 1])
 
-    for k in range(2, j + 1):
-        if backbone[k] is None:
-            break
+    for k in levels:
         if backbone[k] <= backbone[k - 1]:
             raise _broken(a0, k, "backbone[k] > backbone[k-1]")
         spacing = _exact_quotient(backbone[k], branches[k], a0, k,
@@ -167,23 +167,18 @@ def tower_params(a0: int, generations: int) -> TowerParams:
         raise ValueError("generations must be >= 1")
     if a0 > MAX_INT_BITS:
         raise TooLarge(f"a0={a0}: 2^a0 exceeds the {MAX_INT_BITS}-bit budget")
-    j = generations
-
     tower: list = [a0]
     first_gen: list = [a0 * a0]
-    for k in range(1, j + 1):
-        prev = tower[k - 1]
-        if prev is None or prev > MAX_INT_BITS:
-            tower.append(None)
-            first_gen.append(None)
-        else:
-            tower.append(1 << prev)
-            first_gen.append(1 << 2 * prev)
+    # stop at the horizon: 2 to a power past MAX_INT_BITS is never formed
+    while len(tower) <= generations and tower[-1] <= MAX_INT_BITS:
+        prev = tower[-1]
+        tower.append(1 << prev)
+        first_gen.append(1 << 2 * prev)
     backbone, branches, bond_counts = _derived_levels(a0, first_gen)
 
     return TowerParams(
         a0=a0,
-        generations=j,
+        generations=generations,
         tower=tuple(tower),
         first_gen=tuple(first_gen),
         backbone=tuple(backbone),
@@ -304,7 +299,7 @@ def _tower(params: TowerParams, generations: int | None):
     j = params.generations if generations is None else generations
     if not 1 <= j <= params.generations:
         raise ValueError(f"generation must be in 1..{params.generations}")
-    return _build(params.backbone, params.branches, j, params.bond_counts[j],
+    return _build(params.backbone, params.branches, j, params.bonds(j),
                   f"for a0={params.a0}, generation {j}; bond_counts[{j}] gives")
 
 

@@ -162,10 +162,15 @@ def test_log_bound_matches_exact_bound(j):
 
 
 def test_log_bound_survives_past_horizon():
-    wb = weight_upper_bound(tower_params(1, 8), 8, mode="log")
+    p = tower_params(1, 8)
+    wb = weight_upper_bound(p, 8, mode="log")
     assert math.isfinite(wb.per_firstgen)
     assert wb.ln is None   # E_8 has left the double range
-    assert len(wb.terms) == 8
+    # one term per series row: row 6 is the first zero row, and levels 7
+    # and 8 add nothing, so they are not listed
+    assert [k for k, _ in wb.terms] == [1, 2, 3, 4, 5, 6]
+    assert wb.terms[-1] == (6, 0.0)
+    assert wb.per_firstgen == weight_upper_bound(p, 6, mode="log").per_firstgen
 
 
 def test_log_bound_rejects_unknown_mode():

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -317,7 +318,7 @@ def analyze_by_public_route(a0, gen, mode):
             log_w = math.log(
                 analytics.weight_upper_bound(params, gen, mode="exact"))
         else:
-            total = params.bond_counts[gen]
+            total = params.bonds(gen)
             log_w = analytics.weight_upper_bound(params, gen, mode="log").ln
     except (GrowcountError, ValueError) as exc:
         return "", f"error: {type(exc).__name__}: {exc}\n", 2
@@ -467,6 +468,79 @@ ANALYZE_GRID = [json.loads(line)
 def test_analyze_matches_the_golden_grid(capsys, case):
     assert cli_module.main(case["argv"]) == case["exit"]
     assert capsys.readouterr().out == case["stdout"]
+
+
+# argparse rejections that exit 2 before any verb runs
+PARSER_ERRORS = [
+    ["analyze", "--gen", "two"], ["analyze", "--mode", "fancy"],
+    ["analyze", "--bogus"], ["frobnicate"], [],
+]
+
+
+def test_an_argparse_error_leaves_the_shared_parser_usable(capsys):
+    # the parser is built once per process, so each golden analyze call
+    # runs right after a rejected call on that same parser
+    assert cli_module.build_parser() is cli_module.build_parser()
+    for i, case in enumerate(ANALYZE_GRID):
+        with pytest.raises(SystemExit) as exc:
+            cli_module.main(PARSER_ERRORS[i % len(PARSER_ERRORS)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert cli_module.main(case["argv"]) == case["exit"]
+        assert capsys.readouterr().out == case["stdout"]
+
+
+def test_a_handler_wrapped_after_the_parser_is_built_sees_the_call(
+        monkeypatch, capsys):
+    # perfbench's tracer wraps cmd_* by name once the parser exists
+    cli_module.build_parser()
+    calls = []
+    original = cli_module.cmd_bethe
+
+    def wrapper(args):
+        calls.append(args.bonds)
+        return original(args)
+    monkeypatch.setattr(cli_module, "cmd_bethe", wrapper)
+    assert cli_module.main(["bethe", "--bonds", "3"]) == 0
+    assert calls == [3]
+    assert json.loads(capsys.readouterr().out) \
+        == bethe_existence_bound(3).to_dict()
+
+
+def _analyze_peak(argv):
+    """The peak traced allocation of one CLI call, and its exit code."""
+    tracemalloc.start()
+    try:
+        code = cli_module.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, code
+
+
+@pytest.mark.parametrize("mode", ["log", "exact"])
+def test_analyze_past_the_horizon_costs_what_generation_eight_costs(
+        capsys, mode):
+    # seed 20's levels past generation 2 are not materialized and its
+    # series rows end at k = 4, so a million generations print what eight
+    # print, apart from "j", in the memory eight take.  (10**6 keeps the
+    # test bearable against a TowerParams that pads each level past the
+    # horizon, which peaks at about 150 MB at this size.)
+    argv = ["analyze", "--a0", "20", "--mode", mode, "--gen"]
+    cli_module.main(argv + ["8"])   # imports and caches outside the peaks
+    capsys.readouterr()
+    near_peak, near_code = _analyze_peak(argv + ["8"])
+    near = capsys.readouterr()
+    far_peak, far_code = _analyze_peak(argv + ["1000000"])
+    far = capsys.readouterr()
+    assert far_code == near_code == (0 if mode == "log" else 2)
+    if mode == "log":
+        assert '"j":8,' in near.out and near.err == far.err == ""
+        assert far.out.replace('"j":1000000,', '"j":8,') == near.out
+    else:
+        assert near.out == far.out == ""
+        assert far.err.replace("1000000", "8") == near.err
+    assert far_peak < 2 * near_peak
 
 
 def test_bethe_report_matches_library(cli):

@@ -79,51 +79,67 @@ def test_tower_seed_twenty_first_generation():
     assert p.backbone[1] == 2 ** 40
 
 
+# the per-generation sequences of TowerParams
+FIELDS = ("tower", "first_gen", "backbone", "branches", "bond_counts")
+
+
 @pytest.mark.parametrize("a0,horizon", [(1, 5), (2, 4), (3, 3), (20, 2)])
 def test_materializability_horizon(a0, horizon):
     p = tower_params(a0, horizon + 1)
-    assert p.tower[horizon] is not None
-    assert p.tower[horizon + 1] is None
-    assert p.bond_counts[horizon + 1] is None
+    # a_horizon is exact, but 2 to its power is past the budget, so
+    # every sequence ends at the horizon, one short of the generations
+    assert p.tower[horizon] > MAX_INT_BITS
+    for f in FIELDS:
+        assert len(getattr(p, f)) == horizon + 1, f
+    assert p.bonds(horizon) == p.bond_counts[horizon]
+    assert p.bonds(horizon + 1) is None
+
+
+def test_generations_past_the_horizon_add_no_entries():
+    # a million generations asked for, three levels kept: the sequences
+    # of seed 20 end at generation 2 whatever the generation count
+    p = tower_params(20, 10**6)
+    assert p.generations == 10**6
+    for f in FIELDS:
+        assert len(getattr(p, f)) == 3, f
+    assert dataclasses.replace(p, generations=2) == tower_params(20, 2)
+    assert p.bonds(3) is None and p.bonds(10**6) is None
 
 
 def test_seed_past_the_integer_budget_is_refused():
     # the largest seed still materializes its first level
     p = tower_params(MAX_INT_BITS, 2)
     assert p.first_gen[1] == 1 << 2 * MAX_INT_BITS
-    assert p.tower[2] is None and p.bond_counts[2] is None
+    assert len(p.tower) == len(p.bond_counts) == 2 and p.bonds(2) is None
     with pytest.raises(TooLarge, match=f"a0={MAX_INT_BITS + 1}: 2\\^a0"):
         tower_params(MAX_INT_BITS + 1, 1)
 
 
 def reference_tower_params(a0: int, generations: int) -> TowerParams:
-    """The sequences with plain squares and divmod, no shifts."""
-    j = generations
+    """The sequences with plain squares and divmod, no shifts, through
+    the last generation k whose 2 ** tower[k-1] fits the bit budget."""
     tower = [a0]
-    for k in range(1, j + 1):
-        prev = tower[k - 1]
-        fits = prev is not None and prev <= MAX_INT_BITS
-        tower.append(2 ** prev if fits else None)
-    first_gen = [a * a if a is not None else None for a in tower]
-    backbone = [None] * (j + 1)
-    branches = [None] * (j + 1)
-    bond_counts = [None] * (j + 1)
-    backbone[1] = bond_counts[1] = first_gen[1]
-    for k in range(2, j + 1):
-        if first_gen[k] is None:
-            break
-        backbone[k], rem = divmod(
+    while len(tower) <= generations and tower[-1] <= MAX_INT_BITS:
+        tower.append(2 ** tower[-1])
+    first_gen = [a * a for a in tower]
+    backbone = [None, first_gen[1]]
+    branches = [None, None]
+    bond_counts = [None, first_gen[1]]
+    for k in range(2, len(tower)):
+        length, rem = divmod(
             4 * first_gen[k] * first_gen[k - 2], first_gen[k - 1])
         assert rem == 0
-        branches[k], rem = divmod(first_gen[k], first_gen[k - 1])
+        count, rem = divmod(first_gen[k], first_gen[k - 1])
         assert rem == 0
-        bond_counts[k] = backbone[k] + branches[k] * bond_counts[k - 1]
-    return TowerParams(a0, j, tuple(tower), tuple(first_gen),
+        backbone.append(length)
+        branches.append(count)
+        bond_counts.append(length + count * bond_counts[k - 1])
+    return TowerParams(a0, generations, tuple(tower), tuple(first_gen),
                        tuple(backbone), tuple(branches), tuple(bond_counts))
 
 
 # a0 21 is the last seed with an exact second generation (4.2M-bit
-# first_gen[2]); from 22 on everything past tower[1] is None
+# first_gen[2]); from 22 on every sequence ends at generation 1
 @pytest.mark.parametrize("a0", list(range(1, 25)) + [31, 32, 33, 64])
 def test_tower_params_match_plain_arithmetic(a0):
     for gen in range(1, 9):
@@ -149,8 +165,7 @@ def test_exact_quotient_is_a_checked_shift():
 def _squares_plus_one(derived):
     """_derived_levels fed squares one too large: first_gen[1] = 5 no
     longer divides 4 * first_gen[2] * first_gen[0] = 4 * 17 * 2."""
-    return lambda a0, first_gen: derived(
-        a0, [g + 1 if g is not None else None for g in first_gen])
+    return lambda a0, first_gen: derived(a0, [g + 1 for g in first_gen])
 
 
 def test_broken_tower_identity_raises(monkeypatch):
