@@ -25,8 +25,8 @@ import sys
 from . import analytics, bethe, core, render, verify
 from .core import (
     enumerate_growth_orders,
-    factorial_quotient_factors,
-    product_to_decimal,
+    prime_exponents,
+    prime_power_digits,
     random_lattice_tree,
     tree_from_json,
     tree_to_json,
@@ -99,9 +99,9 @@ def _need(args, *names):
 
 def cmd_count(args) -> int:
     tree = _read_tree(core.MAX_TREE_BONDS)
-    n = factorial_quotient_factors(tree.bond_count, tree.hooks)
-    return _emit({"L": tree.bond_count, "W": product_to_decimal(tree.hooks),
-                  "N": product_to_decimal(n)})
+    primes, w, n = prime_exponents(tree.bond_count, tree.hooks)
+    return _emit({"L": tree.bond_count, "W": prime_power_digits(primes, w),
+                  "N": prime_power_digits(primes, n)})
 
 
 def cmd_oracle(args) -> int:

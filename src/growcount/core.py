@@ -7,14 +7,17 @@ step the added bonds form a connected graph containing the root.
 
 The number of distinct growth orders is L! / W(T), where W(T) is the
 product over bonds of the hook size 1 + (number of bonds strictly
-downstream).  The division is exact and never done: N comes as prime
-powers, Legendre's formula for L! minus the exponents in the hooks, and
-every exponent >= 0 is its certificate.  `growth_count` multiplies them
-and `count` prints them, as it prints W, with `product_to_decimal`.  A
-brute-force enumerator (`enumerate_growth_orders`) is the independent
-oracle for the identity.  It reads only which sites each bond joins,
-as one bit per site and one two-bit mask per bond, and never a hook or
-an orientation.
+downstream).  The division is exact and never done: one sieve pass,
+`prime_exponents`, gives each prime p <= L with its exponent in W,
+counted from the hooks, and in N, Legendre's formula for L! minus that;
+every exponent of N >= 0 is its certificate.  `growth_count` multiplies
+N's prime powers.  `count` prints W and N from their exponents with
+`prime_power_digits`, which squares once per exponent bit (Borwein's
+method) and multiplies in `decimal` past a few thousand bits, so no
+big int is ever converted to digits.  A brute-force enumerator
+(`enumerate_growth_orders`) is the independent oracle for the identity.
+It reads only which sites each bond joins, as one bit per site and one
+two-bit mask per bond, and never a hook or an orientation.
 
 A tree is stored as packed integers, not as one object per bond.  Site
 (x, y) packs to (x - min x) * stride + (y - min y), with the minimum
@@ -205,33 +208,61 @@ def range_product(lo: int, hi: int) -> int:
 
 # --- big integers -----------------------------------------------------------
 
-# product_to_decimal moves a product past this size into decimal, where
-# unbounded precision and a trapped Inexact keep every step exact
+# a product past this size is carried on in decimal, where unbounded
+# precision and a trapped Inexact keep every step exact
 _DECIMAL_PRODUCT_BITS = 4096
 _EXACT_DECIMAL = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                                  Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
 
 
-def product_to_decimal(values: Iterable[int]) -> str:
-    """Exact decimal digits of the product, str(balanced_product(values)).
+def _decimal_product(values: list[int]) -> int | decimal.Decimal:
+    """The product of small factors; call it under _EXACT_DECIMAL.
 
-    Meant for many small factors, such as hook sizes or the prime powers
-    of N.  They are paired up as ints until some product passes
+    They are paired up as ints until some product passes
     _DECIMAL_PRODUCT_BITS; the remaining levels multiply in decimal
-    (libmpdec beats CPython's Karatsuba at millions of bits), exactly:
-    an inexact step raises, and the result needs no conversion.
+    (libmpdec beats CPython's Karatsuba at millions of bits), where an
+    inexact step would raise.  The result is an int if the pairing
+    finished below that size and a Decimal otherwise, so no big int is
+    ever converted.
     """
-    vals = list(values) or [1]
+    vals = values or [1]
     while len(vals) > 1 \
             and max(map(int.bit_length, vals)) <= _DECIMAL_PRODUCT_BITS:
         vals = _pairwise(vals)
+    if len(vals) == 1:
+        return vals[0]
+    return balanced_product(map(decimal.Decimal, vals))
+
+
+def prime_power_digits(primes: Sequence[int], exponents: Sequence[int]) -> str:
+    """Exact decimal digits of the product of p**e over the pairs, e >= 0.
+
+    Borwein's order: from the top exponent bit down, square the running
+    product, then multiply in the primes whose exponent has that bit
+    set, so the last squaring does most of the work; a product tree
+    repeats a full-size multiplication at every level.  The running
+    product turns from int into Decimal past _DECIMAL_PRODUCT_BITS, so
+    no big int meets CPython's quadratic int-to-str or Decimal(int).
+    """
+    by_bit = [[] for _ in range(max(exponents, default=0).bit_length())]
+    for p, e in zip(primes, exponents):
+        while e:
+            low = e & -e
+            by_bit[low.bit_length() - 1].append(p)
+            e ^= low
+    out = 1
     with decimal.localcontext(_EXACT_DECIMAL):
-        top = balanced_product(map(decimal.Decimal, vals))
-    return str(top) if top else "0"   # a decimal zero can carry a sign
+        for bucket in reversed(by_bit):
+            out = out * out * _decimal_product(bucket)
+            if type(out) is int and out.bit_length() > _DECIMAL_PRODUCT_BITS:
+                out = decimal.Decimal(out)
+    return str(out)
 
 
-def factorial_quotient_factors(total: int, hooks: Iterable[int]) -> list[int]:
-    """The prime powers p**e whose product is total! / prod(hooks).
+def prime_exponents(total: int, hooks: Iterable[int]) \
+        -> tuple[list[int], list[int], list[int]]:
+    """The primes p <= total, with the exponent of each in prod(hooks)
+    and in total! / prod(hooks).
 
     Legendre's formula gives the exponent of a prime p in total! as the
     sum of total // q over the powers q = p**k <= total; every hook
@@ -239,7 +270,7 @@ def factorial_quotient_factors(total: int, hooks: Iterable[int]) -> list[int]:
     divisible by q are slices of a table of hook sizes, so no long
     division and no total! is ever formed.  A negative exponent means
     the product does not divide total! and raises InternalNonDivisible,
-    as does a hook outside 1..total.  A quotient of 1 gives [].
+    as does a hook outside 1..total.
     """
     sizes = [0] * (total + 1)
     for h in hooks:
@@ -250,20 +281,23 @@ def factorial_quotient_factors(total: int, hooks: Iterable[int]) -> list[int]:
     for p in range(2, math.isqrt(total) + 1):
         if sieve[p]:
             sieve[p * p::p] = bytes(len(range(p * p, total + 1, p)))
-    factors = []
-    for p in itertools.compress(range(2, total + 1), sieve[2:]):
-        exponent, q = 0, p
+    primes = list(itertools.compress(range(2, total + 1), sieve[2:]))
+    in_hooks, in_quotient = [], []
+    for p in primes:
+        taken = legendre = 0
+        q = p
         while q <= total:
-            exponent += total // q - sum(sizes[q::q])
+            taken += sum(sizes[q::q])
+            legendre += total // q
             q *= p
-        if exponent < 0:
+        if taken > legendre:
             raise InternalNonDivisible(
                 f"{total}! is not a multiple of the hook product "
-                f"(prime {p} short by {-exponent})"
+                f"(prime {p} short by {taken - legendre})"
             )
-        if exponent:
-            factors.append(p ** exponent)
-    return factors
+        in_hooks.append(taken)
+        in_quotient.append(legendre - taken)
+    return primes, in_hooks, in_quotient
 
 
 # --- packing and validation -------------------------------------------------
@@ -403,8 +437,8 @@ def growth_count(tree: RootedTree) -> int:
     Raises InternalNonDivisible if the weights do not divide L!, which
     would mean the weight table is wrong.
     """
-    factors = factorial_quotient_factors(tree.bond_count, tree.hooks)
-    return balanced_product(factors)
+    primes, _, exponents = prime_exponents(tree.bond_count, tree.hooks)
+    return balanced_product(p ** e for p, e in zip(primes, exponents) if e)
 
 
 # --- brute-force oracle -----------------------------------------------------

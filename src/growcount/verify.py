@@ -155,20 +155,21 @@ def tower_suite() -> list[Check]:
 def bethe_suite() -> list[Check]:
     """Sequence counts, subtree census and the pigeonhole chain."""
     checks = []
+    # one existence-bound run per size; the sequence total and the subtree
+    # census below are the ones it enumerated
+    reports = [bethe.bethe_existence_bound(length)
+               for length in range(1, BETHE_MAX_BONDS + 1)]
 
-    bad = []
-    for length in range(1, BETHE_MAX_BONDS + 1):
-        if bethe.bethe_growth_count(length) \
-                != math.factorial(length + 2) // 2:
-            bad.append(length)
+    bad = [
+        rep.bond_count for rep in reports
+        if rep.growth_count != math.factorial(rep.bond_count + 2) // 2
+    ]
     checks.append(_check(
         f"bethe: sequence totals match (L+2)!/2 up to L={BETHE_MAX_BONDS}",
         not bad, bad))
 
-    bad = [
-        length for length in range(1, BETHE_MAX_BONDS + 1)
-        if bethe.bethe_tree_count(length) > 9 ** length
-    ]
+    bad = [rep.bond_count for rep in reports
+           if rep.tree_count > 9 ** rep.bond_count]
     checks.append(_check("bethe: subtree census under 9^L", not bad, bad))
 
     bad = []
@@ -182,11 +183,8 @@ def bethe_suite() -> list[Check]:
         "bethe: hook counts equal enumerated counts per subtree",
         not bad, bad[:1]))
 
-    bad = []
-    for length in range(1, BETHE_MAX_BONDS + 1):
-        rep = bethe.bethe_existence_bound(length)
-        if rep.average <= rep.naive_floor:
-            bad.append(length)
+    bad = [rep.bond_count for rep in reports
+           if rep.average <= rep.naive_floor]
     checks.append(_check(
         "bethe: average growth count beats L!/9^L", not bad, bad))
 

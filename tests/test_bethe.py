@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import pytest
 
-from growcount import bethe
+from growcount import bethe, verify
 from growcount.bethe import (
     bethe_existence_bound,
     bethe_growth_count,
@@ -164,3 +164,29 @@ def test_guards():
         bethe_growth_count(9)
     with pytest.raises(TooLarge):
         bethe_trees(9)
+
+
+def test_bethe_suite_enumerates_each_size_once(monkeypatch):
+    # the suite's totals and census come from its one existence-bound
+    # run per size; only the per-subtree hook check lists trees again
+    calls = {"growth": [], "trees": []}
+
+    def counting(key, fn):
+        def wrapped(bonds):
+            calls[key].append(bonds)
+            return fn(bonds)
+        return wrapped
+
+    monkeypatch.setattr(bethe, "bethe_growth_count",
+                        counting("growth", bethe_growth_count))
+    monkeypatch.setattr(bethe, "bethe_trees", counting("trees", bethe_trees))
+    checks = verify.bethe_suite()
+    assert [c.name for c in checks] == [
+        "bethe: sequence totals match (L+2)!/2 up to L=7",
+        "bethe: subtree census under 9^L",
+        "bethe: hook counts equal enumerated counts per subtree",
+        "bethe: average growth count beats L!/9^L",
+    ]
+    assert all(c.ok for c in checks)
+    assert calls["growth"] == list(range(1, 8))
+    assert sorted(calls["trees"]) == sorted([*range(1, 8), *range(1, 6)])

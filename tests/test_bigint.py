@@ -1,10 +1,14 @@
 """Big-integer helpers: decimal output and L!/W from prime exponents."""
 
+import decimal
 import io
+import itertools
 import json
 import math
+import operator
 import random
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +17,9 @@ from hypothesis import strategies as st
 from growcount import cli, core
 from growcount.core import (
     balanced_product,
-    factorial_quotient_factors,
     growth_count,
-    product_to_decimal,
+    prime_exponents,
+    prime_power_digits,
     random_lattice_tree,
     tree_to_json,
     tree_weight,
@@ -38,35 +42,113 @@ def unlimited_int_digits():
         sys.set_int_max_str_digits(old)
 
 
-# --- product_to_decimal -----------------------------------------------------
+# --- prime_power_digits ----------------------------------------------------
+# (its tests keep the names they had while the printer multiplied a list
+# of factors as product_to_decimal)
 
-# factors from single digits to past the 4096-bit switch into decimal
-FACTORS = st.one_of(st.integers(0, 1000), st.integers(-(2 ** 64), 2 ** 64),
-                    st.integers(2 ** 3000, 2 ** 6000))
+SMALL_PRIMES = [p for p in range(2, 6000)
+                if all(p % d for d in range(2, math.isqrt(p) + 1))]
+# exponents from none to past the 4096-bit switch into decimal
+EXPONENTS = st.one_of(st.integers(0, 3), st.integers(0, 300),
+                      st.integers(0, 6000))
+
+
+def str_of_power_product(primes, exponents) -> str:
+    return str(math.prod(p ** e for p, e in zip(primes, exponents)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(FACTORS, max_size=200))
-def test_product_to_decimal_matches_str_of_balanced_product(values):
-    assert product_to_decimal(values) == str(balanced_product(values))
+@given(st.lists(st.tuples(st.sampled_from(SMALL_PRIMES), EXPONENTS),
+                max_size=60, unique_by=lambda pair: pair[0]))
+def test_product_to_decimal_matches_str_of_balanced_product(pairs):
+    primes = [p for p, _ in pairs]
+    exponents = [e for _, e in pairs]
+    assert prime_power_digits(primes, exponents) \
+        == str_of_power_product(primes, exponents)
 
 
 @pytest.mark.parametrize("bonds", [1, 2, 1000, 30_000])
 def test_product_to_decimal_prints_the_weight_of_a_path(bonds):
     # W of a path is L!; its hooks run L, L-1, ..., 1
-    hooks = path_tree(bonds).hooks
-    assert product_to_decimal(hooks) == str(math.factorial(bonds))
+    primes, in_hooks, _ = prime_exponents(bonds, path_tree(bonds).hooks)
+    assert prime_power_digits(primes, in_hooks) == str(math.factorial(bonds))
 
 
 @pytest.mark.parametrize("k", [1, 1233, 15051, 60206])
 def test_product_to_decimal_keeps_the_zeros_of_powers_of_ten(k):
-    # 10**k as the prime powers N is printed from; every digit but the
-    # first is an inner zero of some partial product in decimal
-    assert product_to_decimal([2 ** k, 5 ** k]) == "1" + "0" * k
-    assert product_to_decimal([2 ** k, 5 ** k, 3]) == "3" + "0" * k
+    # every digit of 10**k but the first is an inner zero of some
+    # partial product in decimal
+    assert prime_power_digits([2, 5], [k, k]) == "1" + "0" * k
+    assert prime_power_digits([2, 3, 5], [k, 1, k]) == "3" + "0" * k
 
 
-# --- factorial_quotient_factors against the divmod oracle -------------------
+@pytest.mark.parametrize("primes, exponents", [
+    ([], []), ([2], [0]), ([2, 3, 5, 7], [0, 0, 0, 0]),
+    ([2, 3, 5, 7], [0, 5, 0, 2]),
+], ids=["empty", "one-zero", "all-zero", "some-zero"])
+def test_prime_power_digits_skips_zero_exponents(primes, exponents):
+    assert prime_power_digits(primes, exponents) \
+        == str_of_power_product(primes, exponents)
+
+
+@pytest.mark.parametrize("bits", [-2, -1, 0, 1, 2, 4096])
+def test_prime_power_digits_on_both_sides_of_the_decimal_switch(bits):
+    # a power of two and a product of distinct primes, each ending
+    # within a few bits of the switch, plus one running in decimal
+    # for as many bits again
+    top = core._DECIMAL_PRODUCT_BITS + bits
+    assert prime_power_digits([2], [top]) == str(2 ** top)
+    products = itertools.accumulate(SMALL_PRIMES, operator.mul)
+    count = next(i for i, prod in enumerate(products, 1)
+                 if prod.bit_length() >= top)
+    primes = SMALL_PRIMES[:count]
+    assert prime_power_digits(primes, [1] * len(primes)) \
+        == str(math.prod(primes))
+    assert prime_power_digits(primes, [3] * len(primes)) \
+        == str(math.prod(primes) ** 3)
+
+
+def test_prime_power_digits_of_one_prime_to_a_huge_exponent():
+    # libmpdec's own integer power is the oracle; str(3 ** 2 ** 20) would
+    # take seconds on a Python whose int-to-str is quadratic
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                            traps=[decimal.Inexact])
+    with decimal.localcontext(exact):
+        want = str(decimal.Decimal(3) ** 2 ** 20)
+    assert len(want) == 500_298
+    assert prime_power_digits([3], [2 ** 20]) == want
+
+
+@pytest.mark.parametrize("primes, exponents", [
+    # all primes below 100,000, squarefree: a 143,000-bit product
+    (prime_exponents(100_000, [])[0], None),
+    ([3], [2 ** 16]),                       # the running product alone
+    (SMALL_PRIMES[:30], [1000] * 30),       # it and the per-bit products
+], ids=["squarefree", "one-prime", "both"])
+def test_prime_power_digits_converts_no_big_int(primes, exponents,
+                                                monkeypatch):
+    # no int of more than four times the switch size may reach str() or
+    # Decimal(), whose conversions are quadratic in the digits
+    exponents = exponents or [1] * len(primes)
+    want = str_of_power_product(primes, exponents)
+    widest = []
+
+    def watch(value):
+        if type(value) is int:
+            widest.append(value.bit_length())
+        return value
+
+    monkeypatch.setattr(core, "str", lambda v: str(watch(v)), raising=False)
+    monkeypatch.setattr(core, "decimal", types.SimpleNamespace(
+        Decimal=lambda v: decimal.Decimal(watch(v)),
+        localcontext=decimal.localcontext))
+    got = prime_power_digits(primes, exponents)
+    monkeypatch.undo()
+    assert got == want
+    assert widest and max(widest) <= 4 * core._DECIMAL_PRODUCT_BITS
+
+
+# --- prime_exponents against the divmod oracle ------------------------------
 
 def divmod_count(tree) -> int:
     """L!/W by long division, the route growth_count used to take."""
@@ -99,12 +181,6 @@ def smallest_prime_factor(n: int) -> int:
     return next(d for d in range(2, n + 1) if n % d == 0)
 
 
-def is_power_of(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 40).flatmap(
     lambda total: st.tuples(st.just(total),
@@ -114,34 +190,40 @@ def test_factorial_quotient_divides_exactly_or_raises(case):
     n, rem = divmod(math.factorial(total), math.prod(hooks))
     if rem:
         with pytest.raises(InternalNonDivisible):
-            factorial_quotient_factors(total, hooks)
+            prime_exponents(total, hooks)
     else:
-        factors = factorial_quotient_factors(total, hooks)
-        assert math.prod(factors) == n
-        # one power per prime, in increasing order of the prime
-        primes = [smallest_prime_factor(f) for f in factors]
-        assert all(map(is_power_of, factors, primes))
-        assert primes == sorted(set(primes))
+        primes, in_hooks, in_quotient = prime_exponents(total, hooks)
+        # every prime up to total, in increasing order, with both exponents
+        assert primes == [p for p in range(2, total + 1)
+                          if smallest_prime_factor(p) == p]
+        assert len(in_hooks) == len(in_quotient) == len(primes)
+        assert math.prod(map(pow, primes, in_hooks)) == math.prod(hooks)
+        assert math.prod(map(pow, primes, in_quotient)) == n
+        assert min(in_quotient, default=0) >= 0
 
 
 def test_factorial_quotient_rejects_a_non_divisor():
     # 2*2*2 = 8 does not divide 3! = 6
-    with pytest.raises(InternalNonDivisible):
-        factorial_quotient_factors(3, [2, 2, 2])
+    with pytest.raises(InternalNonDivisible,
+                       match=r"^3! is not a multiple of the hook product "
+                             r"\(prime 2 short by 2\)$"):
+        prime_exponents(3, [2, 2, 2])
 
 
 @pytest.mark.parametrize("hooks", [[4, 1, 1], [0, 1, 1], [-1, 1, 1]])
 def test_factorial_quotient_rejects_hooks_outside_one_to_total(hooks):
-    with pytest.raises(InternalNonDivisible):
-        factorial_quotient_factors(3, hooks)
+    with pytest.raises(InternalNonDivisible,
+                       match=rf"^hook {hooks[0]} outside 1\.\.3$"):
+        prime_exponents(3, hooks)
 
 
 def test_factorial_quotient_of_nothing_is_one():
-    # a quotient of 1 has no prime powers at all
-    assert factorial_quotient_factors(0, []) == []
-    assert factorial_quotient_factors(1, [1]) == []
-    assert factorial_quotient_factors(3, [3, 2, 1]) == []
-    assert balanced_product([]) == 1 and product_to_decimal([]) == "1"
+    # a quotient of 1 has every exponent zero, and prints as "1"
+    assert prime_exponents(0, []) == ([], [], [])
+    assert prime_exponents(1, [1]) == ([], [], [])
+    assert prime_exponents(3, [3, 2, 1]) == ([2, 3], [1, 1], [0, 0])
+    assert balanced_product([]) == 1 and prime_power_digits([], []) == "1"
+    assert prime_power_digits([2, 3], [0, 0]) == "1"
 
 
 # --- count prints N through the same route ----------------------------------
@@ -160,6 +242,12 @@ def count_payload(tree) -> dict:
     pytest.param(lambda: tower_tree(tower_params(3, 2)), id="tower3/2"),
     pytest.param(lambda: comb_tree(60_000), id="comb60000"),
     pytest.param(lambda: tower_tree(tower_params(1, 3)), id="tower1/3"),
+    pytest.param(lambda: tower_tree(tower_params(1, 2)), id="tower1/2"),
+    pytest.param(lambda: tower_tree(tower_params(1, 1)), id="tower1/1"),
+    pytest.param(lambda: path_tree(20_000), id="path20000"),
+    pytest.param(lambda: comb_tree(998), id="comb998"),
+    *(pytest.param(lambda seed=seed: random_lattice_tree(400, seed=seed),
+                   id=f"random400/{seed}") for seed in (1, 2, 3)),
 ])
 def test_count_prints_n_as_str_of_growth_count(tree):
     tree = tree()
@@ -178,7 +266,7 @@ def test_count_prints_n_as_str_of_growth_count_on_random_trees(bonds, seed):
 @pytest.mark.parametrize("bonds", [1, 2, 5000])
 def test_count_prints_one_for_a_path_from_no_factors(bonds):
     tree = path_tree(bonds)
-    assert factorial_quotient_factors(bonds, tree.hooks) == []
+    assert not any(prime_exponents(bonds, tree.hooks)[2])
     assert count_payload(tree) == {"L": bonds, "N": "1",
                                    "W": str(math.factorial(bonds))}
 
