@@ -14,7 +14,7 @@ growth count; this module verifies the whole chain by brute force.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import linear_extension_count
@@ -144,6 +144,8 @@ class BetheBoundReport:
     naive_floor: Fraction     # L!/9^L
     maximizer: tuple
     maximizer_count: int
+    # the enumerated subtrees, for per-subtree checks; not in to_dict
+    trees: list = field(default_factory=list, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -197,7 +199,7 @@ def bethe_existence_bound(bond_count: int) -> BetheBoundReport:
     return BetheBoundReport(
         bond_count=bond_count, growth_count=total, tree_count=count,
         average=average, average_floor=average_floor, naive_floor=naive_floor,
-        maximizer=tuple(sorted(best)), maximizer_count=best_n,
+        maximizer=tuple(sorted(best)), maximizer_count=best_n, trees=trees,
     )
 
 

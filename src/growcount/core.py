@@ -34,6 +34,11 @@ every hook size in one reverse pass, as a plain list in walk order.
 `Bond`s and sites exist only as views decoded on demand, for rendering,
 the oracle and tests; no hook or child list is keyed by `Bond`.
 
+Random growth packs a site as (x + off) * width + (y + off), with off
+one more than the bond count and width = 2 * off + 1, and a candidate
+bond as 4 * (outside site) + rank, rank 0..3 naming the tree site at
+outside - width, - 1, + 1 or + width: sites and ranks go in (x, y) order.
+
 Growth orders are exactly the linear extensions of the bond forest
 obtained by orienting every bond away from the root, so the counting
 helpers at the bottom of this module work on any forest given as
@@ -43,7 +48,6 @@ counts its subtrees' growth sequences with `linear_extension_count`;
 sizes are tested against.
 """
 
-import bisect
 import decimal
 import gc
 import itertools
@@ -51,6 +55,7 @@ import json
 import math
 import operator
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -532,40 +537,40 @@ def linear_extension_count(
 def random_lattice_tree(bond_count: int, seed: int) -> RootedTree:
     """Grow a random tree from the origin, one bond at a time.
 
-    Each step picks uniformly among lattice bonds with exactly one
-    endpoint on the current tree, so no site is ever reused and no cycle
-    can form.  Deterministic in `seed`.  A finite tree on the infinite
-    grid always has a free neighbour, so a legal extension always exists.
+    Each step picks uniformly among bonds with one endpoint on the tree,
+    so no site is reused and no cycle forms.  Deterministic in `seed`:
+    the packed candidates (see the module docstring) sort as a full
+    rescan's (site, Bond) pairs, so rng.choice picks the same bond.
     """
     if bond_count < 1:
         raise ValueError("bond_count must be >= 1")
     guard_tree_bonds(bond_count, MAX_TREE_BONDS)
-    rng = random.Random(seed)
-    root: Site = (0, 0)
-    sites = {root}
-    # The candidate bonds as (outside site, tree site), kept sorted.
-    # For one outside site, sorting by tree site sorts by Bond, so this
-    # is the list a full rescan sorted by (site, Bond) would build, and
-    # rng.choice picks the same bond from it.
-    perimeter: list[tuple[Site, Site]] = []
-    pairs: list[tuple[Site, Site]] = []
-    site = root
-    while True:
-        for dx, dy in NEIGHBOR_STEPS:
-            nxt = (site[0] + dx, site[1] + dy)
-            if nxt not in sites:
-                bisect.insort(perimeter, (nxt, site))
-        if len(pairs) == bond_count:
-            break
-        site, inner = rng.choice(perimeter)
+    choice = random.Random(seed).choice
+    off, width = bond_count + 1, 2 * bond_count + 3
+    site = off * width + off   # the root, (0, 0)
+    # per NEIGHBOR_STEPS: the neighbour's offset, and the new site's rank
+    # seen from it
+    around = ((-1, 2), (-width, 3), (width, 0), (1, 1))
+    # per rank: the bond's lower endpoint less the outside site, and its
+    # step (0 for +y, 1 for +x)
+    lower, axis = (-width, -1, 0, 0), (1, 0, 0, 1)
+    sites, perimeter, lows, steps = {site}, [], [], []
+    for _ in range(bond_count):
+        for delta, rank in around:
+            if site + delta not in sites:
+                insort(perimeter, 4 * (site + delta) + rank)
+        pick = choice(perimeter)
+        site, rank = pick >> 2, pick & 3
         sites.add(site)
-        pairs.append((inner, site))
+        lows.append(site + lower[rank])
+        steps.append(axis[rank])
         # every candidate ending at the new site is now inside the tree
-        lo = hi = bisect.bisect_left(perimeter, (site,))
-        while hi < len(perimeter) and perimeter[hi][0] == site:
-            hi += 1
-        del perimeter[lo:hi]
-    return validate_tree(root, pairs)
+        lo = bisect_left(perimeter, pick - rank)
+        del perimeter[lo:bisect_left(perimeter, pick - rank + 4, lo)]
+    del sites, perimeter   # before _packed_tree builds its keys and walk
+    # no Bond is built; _packed_tree's walk checks every tree axiom
+    return _packed_tree((0, 0), [low // width - off for low in lows],
+                        [low % width - off for low in lows], steps)
 
 
 # --- canonical JSON ---------------------------------------------------------

@@ -167,8 +167,8 @@ def test_guards():
 
 
 def test_bethe_suite_enumerates_each_size_once(monkeypatch):
-    # the suite's totals and census come from its one existence-bound
-    # run per size; only the per-subtree hook check lists trees again
+    # the suite's totals, census and per-subtree hook checks all come
+    # from its one existence-bound run per size
     calls = {"growth": [], "trees": []}
 
     def counting(key, fn):
@@ -189,4 +189,4 @@ def test_bethe_suite_enumerates_each_size_once(monkeypatch):
     ]
     assert all(c.ok for c in checks)
     assert calls["growth"] == list(range(1, 8))
-    assert sorted(calls["trees"]) == sorted([*range(1, 8), *range(1, 6)])
+    assert calls["trees"] == list(range(1, 8))

@@ -7,9 +7,12 @@ its bonds shuffled and endpoints swapped at random, through both
 `tree_from_json` and `validate_tree`.
 """
 
+import hashlib
 import io
 import json
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,7 @@ from growcount.errors import (
     HasCycle,
     NotConnected,
     RootDetached,
+    TooLarge,
 )
 from growcount.generators import (
     comb_tree,
@@ -256,6 +260,47 @@ def rescanning_random_tree(bond_count: int, seed: int):
 def test_random_tree_matches_the_rescanning_loop(bonds, seed):
     assert random_lattice_tree(bonds, seed) \
         == rescanning_random_tree(bonds, seed)
+
+
+# sha256 of `gen random` stdout for bonds {1, 2, 3, 7, 50, 400, 2000} x
+# seeds {0..9, 123456, 2**40}, recorded while the perimeter was a sorted
+# list of (outside site, tree site) tuples
+RANDOM_GOLDEN = [
+    json.loads(line) for line in
+    (Path(__file__).parent / "golden" / "random_trees.jsonl").read_text()
+    .splitlines()
+]
+
+
+@pytest.mark.parametrize("case", RANDOM_GOLDEN,
+                         ids=lambda case: "-".join(case["argv"][3::2]))
+def test_gen_random_matches_the_golden_digests(capsys, case):
+    assert cli.main(case["argv"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+
+def test_random_growth_builds_no_bond_and_skips_validate_tree(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("random growth left the packed route")
+
+    monkeypatch.setattr(core, "validate_tree", refuse)
+    monkeypatch.setattr(Bond, "between", refuse)
+    want = next(case["sha256"] for case in RANDOM_GOLDEN
+                if case["argv"][3::2] == ["400", "1"])
+    out = tree_to_json(random_lattice_tree(400, 1)) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+def test_random_growth_refuses_a_huge_tree_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            random_lattice_tree(core.MAX_TREE_BONDS + 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 # --- guards fire on the raw bond count --------------------------------------
