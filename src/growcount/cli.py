@@ -10,10 +10,11 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input, 3
 resource guard tripped.  A guard on a tree read from stdin, or on the
 oracle's enumeration, exits 3; a guard on requested parameters (gen,
 analyze, bethe) is invalid input and exits 2, and so is a negative
---cap.  The count and SVG size guards count the bonds as soon as the
-JSON is decoded.  Big integers in JSON output are decimal strings;
-everything printed is deterministic, byte for byte, for the same
-inputs.
+--cap.  The count and SVG size guards count the bonds before any is
+checked: in long canonical text before any number is converted, in
+other text once it is decoded.  Big integers in JSON output are
+decimal strings; everything printed is deterministic, byte for byte,
+for the same inputs.
 """
 
 import argparse
@@ -87,7 +88,8 @@ def cmd_gen(args) -> int:
         _need(args, "ells")
         bs = _csv_ints(args.bs) if args.bs is not None else ()
         tree = custom_hierarchical_tree(_csv_ints(args.ells), bs)
-    sys.stdout.write(tree_to_json(tree) + "\n")
+    tree_to_json(tree, sys.stdout)
+    sys.stdout.write("\n")
     return 0
 
 

@@ -26,13 +26,19 @@ bounding box, so that a row of unused values keeps every column apart:
 the neighbours of site s are s +- 1 and s +- stride, and none of them
 wraps into another column.  A bond packs to 2 * (its lower endpoint)
 + 0 for a +y step or + 1 for a +x step, so sorted keys come in the
-order of sorted `Bond`s.  JSON is parsed straight into keys and the
-generators emit keys by the run (`tree_from_runs`).  Validation is one
-breadth-first walk from the root that looks up the four bonds of each
-site in a set of keys; the walk's site order and parent indices give
-every hook size in one reverse pass, as a plain list in walk order.
-`Bond`s and sites exist only as views decoded on demand, for rendering,
-the oracle and tests; no hook or child list is keyed by `Bond`.
+order of sorted `Bond`s.  Canonical JSON longer than a chunk is read a
+chunk at a time: byte scans check each chunk's shape and count its
+bonds, so the size guards fire before any number is converted, and its
+numbers then go straight into coordinate columns; any other text goes
+through json.loads.  The generators emit keys by the run
+(`tree_from_runs`).  Validation is one breadth-first walk from the root
+that looks up the four bonds of each site in a set of keys.  It keeps
+no seen-set: in a tree every neighbour but the parent is new, so the
+distinct bonds form a tree exactly when the walk stops at L + 1 sites.
+Its site order and parent indices give every hook size in one reverse
+pass, as a plain list in walk order, and are then dropped.  `Bond`s and
+sites exist only as views decoded on demand, for rendering, the oracle
+and tests; no hook or child list is keyed by `Bond`.
 
 Random growth packs a site as (x + off) * width + (y + off), with off
 one more than the bond count and width = 2 * off + 1, and a candidate
@@ -55,6 +61,7 @@ import json
 import math
 import operator
 import random
+import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
@@ -160,7 +167,8 @@ class RootedTree:
     def _walk(self) -> tuple[list[int], list[int]]:
         # (order, parent): packed sites breadth-first from the root and
         # the index in order of each one's parent.  Validation fills
-        # this in; it is recomputed only for a tree built directly.
+        # this in; it is recomputed only for a tree built directly or
+        # after downstream_weights has dropped it.
         present = set(self.keys)
         return _breadth_first(self._pack(self.root), present, self.stride)[:2]
 
@@ -331,14 +339,34 @@ def _breadth_first(start: int, present: set, stride: int):
     return order, parent, ends // 2
 
 
-def _packed_tree(root: Site, xs: list, ys: list, steps: list) -> RootedTree:
+def _tree_walk(start: int, present: set, stride: int, sites: int):
+    """The breadth-first (order, parent) from `start` if the distinct
+    bonds in `present` form a tree of `sites` sites, else None."""
+    order, parent = [start], [-1]
+    steps = ((0, 1), (1, stride), (-2, -1), (1 - 2 * stride, -stride))
+    for i, s in enumerate(order):   # the list grows while it is read
+        back = order[parent[i]] if i else -1
+        k = 2 * s
+        for dk, ds in steps:
+            if k + dk in present and s + ds != back:
+                order.append(s + ds)
+                parent.append(i)
+        if len(order) > sites:
+            return None
+    return (order, parent) if len(order) == sites else None
+
+
+def _packed_tree(root: Site, columns: list) -> RootedTree:
     """Pack the bonds with lower endpoints (xs, ys) and steps (0 for +y,
     1 for +x), check the tree axioms and return the RootedTree.
+    `columns` = [xs, ys, steps] is emptied, so the keys replace them.
 
     Raises DuplicateBond, RootDetached, NotConnected or HasCycle, in
     that order of checking; a bond named in a message is decoded only
     then.
     """
+    xs, ys, steps = columns
+    columns.clear()
     if not xs:
         raise ValueError("a rooted tree needs at least one bond")
     ox, oy = min(xs), min(ys)
@@ -347,33 +375,34 @@ def _packed_tree(root: Site, xs: list, ys: list, steps: list) -> RootedTree:
     base = 2 * (ox * stride + oy)
     keys = [2 * (x * stride + y) + step - base
             for x, y, step in zip(xs, ys, steps)]
-    tree = RootedTree(root=root, keys=tuple(sorted(keys)), origin=(ox, oy),
-                      stride=stride)
+    del xs, ys, steps
     present = set(keys)
-    if len(present) != len(keys):
+    duplicate = None
+    if len(present) != len(keys):   # the first key listed twice
         seen = set()
-        for key in keys:
-            if key in seen:
-                raise DuplicateBond(f"bond {tree._bond(key)} listed twice")
-            seen.add(key)
-    order, parent, reached = [], [], 0
-    # a root outside the packed rows would alias a site of another column
-    if oy <= root[1] <= oy + stride - 2:
-        order, parent, reached = _breadth_first(tree._pack(root), present,
-                                                stride)
+        duplicate = next(k for k in keys if k in seen or seen.add(k))
+    keys.sort()
+    tree = RootedTree(root=root, keys=tuple(keys), origin=(ox, oy),
+                      stride=stride)
+    del keys
+    if duplicate is not None:
+        raise DuplicateBond(f"bond {tree._bond(duplicate)} listed twice")
+    bonds = tree.bond_count
+    # a root outside the packed rows would alias a site of another
+    # column; packed site -1 touches no bond
+    start = tree._pack(root) if oy <= root[1] <= oy + stride - 2 else -1
+    walk = _tree_walk(start, present, stride, bonds + 1)
+    if walk:
+        tree.__dict__["_walk"] = walk
+        return tree
+    # not a tree: a walk with a seen-set says why
+    order, _, reached = _breadth_first(start, present, stride)
     if not reached:
         raise RootDetached(f"root {root} touches no bond")
-    if reached != len(keys):
+    if reached != bonds:
         raise NotConnected(
-            f"{len(keys) - reached} bond(s) unreachable from the root"
-        )
-    if len(order) != len(keys) + 1:
-        # every site is reached, so order holds them all
-        raise HasCycle(
-            f"{len(keys)} bonds span {len(order)} sites; a tree needs L+1"
-        )
-    tree.__dict__["_walk"] = (order, parent)
-    return tree
+            f"{bonds - reached} bond(s) unreachable from the root")
+    raise HasCycle(f"{bonds} bonds span {len(order)} sites; a tree needs L+1")
 
 
 def validate_tree(root: Site, bonds: Iterable) -> RootedTree:
@@ -384,13 +413,14 @@ def validate_tree(root: Site, bonds: Iterable) -> RootedTree:
     endpoint pairs.
     """
     root = (int(root[0]), int(root[1]))
-    xs, ys, steps = [], [], []
+    xs, ys, steps = columns = [[], [], []]
     for b in bonds:
         u, v = Bond.between(*b)
         xs.append(u[0])
         ys.append(u[1])
         steps.append(v[0] - u[0])
-    return _packed_tree(root, xs, ys, steps)
+    del xs, ys, steps
+    return _packed_tree(root, columns)
 
 
 def tree_from_runs(root: Site, runs: Iterable) -> RootedTree:
@@ -399,7 +429,7 @@ def tree_from_runs(root: Site, runs: Iterable) -> RootedTree:
     A run (x, y, dx, dy, n) is the n bonds that step from site (x, y)
     by the unit vector (dx, dy).
     """
-    xs, ys, steps = [], [], []
+    xs, ys, steps = columns = [[], [], []]
     for x, y, dx, dy, n in runs:
         if dx * dx + dy * dy != 1:
             raise ValueError(f"a run steps by a unit vector, got {(dx, dy)}")
@@ -412,7 +442,8 @@ def tree_from_runs(root: Site, runs: Iterable) -> RootedTree:
             xs.extend([x] * n)
             ys.extend(range(low, low + n))
         steps.extend([dx * dx] * n)
-    return _packed_tree((int(root[0]), int(root[1])), xs, ys, steps)
+    del xs, ys, steps
+    return _packed_tree((int(root[0]), int(root[1])), columns)
 
 
 def downstream_weights(tree: RootedTree) -> list[int]:
@@ -421,11 +452,12 @@ def downstream_weights(tree: RootedTree) -> list[int]:
     One reverse pass over the breadth-first walk: each site's subtree
     size is added to its parent's, and the size of a non-root site is
     the hook of the bond into it.  Entry i belongs to the bond into the
-    (i+1)-th site breadth first from the root.
+    (i+1)-th site breadth first from the root.  The walk is then dropped.
     """
-    order, parent = tree._walk
-    size = [1] * len(order)
-    for i in range(len(order) - 1, 0, -1):
+    parent = tree._walk[1]
+    del tree.__dict__["_walk"]
+    size = [1] * len(parent)
+    for i in range(len(parent) - 1, 0, -1):
         size[parent[i]] += size[i]
     del size[0]
     return size
@@ -567,59 +599,149 @@ def random_lattice_tree(bond_count: int, seed: int) -> RootedTree:
         # every candidate ending at the new site is now inside the tree
         lo = bisect_left(perimeter, pick - rank)
         del perimeter[lo:bisect_left(perimeter, pick - rank + 4, lo)]
-    del sites, perimeter   # before _packed_tree builds its keys and walk
+    columns = [[low // width - off for low in lows],
+               [low % width - off for low in lows], steps]
+    del sites, perimeter, lows, steps   # before the keys and the walk
     # no Bond is built; _packed_tree's walk checks every tree axiom
-    return _packed_tree((0, 0), [low // width - off for low in lows],
-                        [low % width - off for low in lows], steps)
+    return _packed_tree((0, 0), columns)
 
 
 # --- canonical JSON ---------------------------------------------------------
 
-def tree_to_json(tree: RootedTree) -> str:
-    """Serialize to the canonical wire form, deterministic to the byte.
+# tree text longer than this is read a chunk at a time, each chunk ending
+# at the first bond boundary past this many characters; see tree_from_json
+_CHUNK = 1 << 18
+_CANONICAL_HEAD = re.compile(
+    r'[ \t\n\r]*\{"root":\[(-?(?:0|[1-9][0-9]{0,17})),'
+    r'(-?(?:0|[1-9][0-9]{0,17}))\],"bonds":\[')
+_BOND_SKELETON = b"[[,],[,]],"
+_NUMERALS = b"-0123456789"
+_ZEROS = bytes.maketrans(b"123456789", b"000000000")
+_ONES = bytes.maketrans(b"123456789", b"111111111")
+_LEADING_ZEROS = (b"[00", b"[01", b",00", b",01")
+_SPACES = bytes.maketrans(b"[],", b"   ")
 
-    {"root":[x,y],"bonds":[[[x1,y1],[x2,y2]],...]} with bonds sorted and
-    integer coordinates only, formatted straight from the sorted keys.
-    """
+
+def _bond_texts(tree: RootedTree):
     (ox, oy), stride = tree.origin, tree.stride
-    parts = []
     for key in tree.keys:
         x, y = divmod(key >> 1, stride)
         x += ox
         y += oy
-        if key & 1:
-            parts.append(f"[[{x},{y}],[{x + 1},{y}]]")
-        else:
-            parts.append(f"[[{x},{y}],[{x},{y + 1}]]")
+        dx = key & 1
+        yield f"[[{x},{y}],[{x + dx},{y + 1 - dx}]]"
+
+
+def tree_to_json(tree: RootedTree, out=None) -> str | None:
+    """Serialize to the canonical wire form, deterministic to the byte.
+
+    {"root":[x,y],"bonds":[[[x1,y1],[x2,y2]],...]} with bonds sorted and
+    integer coordinates only, formatted straight from the sorted keys.
+    Returned, or written to `out` a chunk of bonds at a time.
+    """
     rx, ry = tree.root
-    return f'{{"root":[{rx},{ry}],"bonds":[{",".join(parts)}]}}'
+    head = f'{{"root":[{rx},{ry}],"bonds":['
+    texts = _bond_texts(tree)
+    if out is None:
+        return head + ",".join(texts) + "]}"
+    for at in range(0, tree.bond_count, _CHUNK // 32):
+        out.write(("," if at else head)
+                  + ",".join(itertools.islice(texts, _CHUNK // 32)))
+    out.write("]}")
 
 
-def _as_int(value) -> int:
-    # bool is an int subclass; floats are rejected outright
-    if type(value) is not int:
-        raise ValueError(f"coordinates must be integers, got {value!r}")
-    return value
+def _chunk_bonds(chunk: bytes) -> int:
+    """The bonds in `chunk`, canonical bonds each followed by a comma,
+    or 0 unless each slot and nothing else holds an integer as JSON
+    writes it, of at most 19 digits."""
+    skeleton = chunk.translate(None, _NUMERALS)
+    bonds = len(skeleton) // len(_BOND_SKELETON)
+    if skeleton != _BOND_SKELETON * bonds or b"-" in chunk and (
+            chunk.count(b"-") != chunk.count(b"[-") + chunk.count(b",-")
+            or b"-[" in chunk):
+        return 0
+    # with the minus signs gone, a lone one leaves an empty slot
+    digits = chunk.translate(_ZEROS, b"-")
+    if any(bad in digits for bad in (b"[,", b",]", b"]0", b"0[", b"0" * 20)):
+        return 0
+    shape = chunk.translate(_ONES, b"-")   # a leading zero is 00 or 01
+    return 0 if any(bad in shape for bad in _LEADING_ZEROS) else bonds
+
+
+def _canonical_scan(text: str):
+    """(root, (start, end) of each chunk, bonds) of canonical text, or
+    None; raises UnicodeEncodeError on text that is not ASCII."""
+    head = _CANONICAL_HEAD.match(text)
+    stop = len(text)
+    while stop and text[stop - 1] in " \t\n\r":
+        stop -= 1
+    if not head or not text.startswith("]}", stop - 2):
+        return None
+    start, stop = head.end(), stop - 2
+    cuts, total = [], 0
+    while start < stop:
+        end = text.find("]],[[", start + _CHUNK, stop)
+        end = stop if end < 0 else end + 3   # just past "]],"
+        bonds = _chunk_bonds(text[start:end].encode("ascii")
+                             + (b"," if end == stop else b""))
+        if not bonds:
+            return None
+        cuts.append((start, end))
+        total += bonds
+        start = end
+    return (int(head[1]), int(head[2])), cuts, total
+
+
+def _unit_columns(quads: Iterable, columns: list) -> None:
+    """Append each bond (ax, ay, bx, by) to columns = [xs, ys, steps];
+    raise the ValueError of the first one not at unit distance."""
+    xs, ys, steps = columns
+    for ax, ay, bx, by in quads:
+        if ax == bx and (by == ay + 1 or ay == by + 1):
+            xs.append(ax)
+            ys.append(ay if ay < by else by)
+            steps.append(0)
+        elif ay == by and (bx == ax + 1 or ax == bx + 1):
+            xs.append(ax if ax < bx else bx)
+            ys.append(ay)
+            steps.append(1)
+        else:
+            Bond.between((ax, ay), (bx, by))   # raises
 
 
 def _as_site(value) -> Site:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValueError(f"a site is a pair [x,y], got {value!r}")
-    return (_as_int(value[0]), _as_int(value[1]))
+    for v in value:   # bool is an int subclass; floats are rejected outright
+        if type(v) is not int:
+            raise ValueError(f"coordinates must be integers, got {v!r}")
+    return (value[0], value[1])
 
 
-def _as_bond(entry) -> Bond:
-    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-        raise ValueError(f"a bond is a pair of sites, got {entry!r}")
-    return Bond.between(_as_site(entry[0]), _as_site(entry[1]))
+def _entry_quads(raw: list):
+    for entry in raw:
+        # the common case inline; anything else is checked in full, and
+        # the message names the first thing wrong with it
+        try:
+            (ax, ay), (bx, by) = entry
+            exact = (type(ax) is int and type(ay) is int
+                     and type(bx) is int and type(by) is int)
+        except (TypeError, ValueError):
+            exact = False
+        if not exact:
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise ValueError(f"a bond is a pair of sites, got {entry!r}")
+            (ax, ay), (bx, by) = _as_site(entry[0]), _as_site(entry[1])
+        yield ax, ay, bx, by
 
 
-def tree_from_json(text: str, max_bonds: int | None = None) -> RootedTree:
-    """Parse and validate the canonical wire form.  Liberal in bond order.
+def _guard_bonds(total: int, max_bonds: int | None) -> None:
+    if max_bonds is not None and total > max_bonds:
+        raise TooLarge(f"{total} bonds exceeds the guard {max_bonds}")
 
-    With `max_bonds` given, a longer bond list raises TooLarge as soon
-    as the JSON is decoded, before any bond is checked.
-    """
+
+def _decoded_columns(text: str, max_bonds: int | None):
+    """(root, columns) of any tree text, through json.loads."""
     # json.loads allocates a list per bond and per site, and collector
     # passes over them cost more than the decoding; they hold no cycle
     collecting = gc.isenabled()
@@ -640,29 +762,37 @@ def tree_from_json(text: str, max_bonds: int | None = None) -> RootedTree:
     raw = payload["bonds"]
     if not isinstance(raw, list):
         raise ValueError("\"bonds\" must be a list")
-    if max_bonds is not None and len(raw) > max_bonds:
-        raise TooLarge(f"{len(raw)} bonds exceeds the guard {max_bonds}")
-    xs, ys, steps = [], [], []
-    for entry in raw:
-        # the common case inline; _as_bond checks anything else in full
-        # and raises the message for the first thing wrong with it
+    _guard_bonds(len(raw), max_bonds)
+    columns = [[], [], []]
+    _unit_columns(_entry_quads(raw), columns)
+    return root, columns
+
+
+def tree_from_json(text: str, max_bonds: int | None = None) -> RootedTree:
+    """Parse and validate the canonical wire form.  Liberal in bond order.
+
+    With `max_bonds` given, a longer bond list raises TooLarge before
+    any bond is checked.  Canonical text longer than a chunk is read a
+    chunk at a time; any other text, and any that route turns down, by
+    json.loads, so every error is the one json.loads would give.
+    """
+    if type(text) is str and len(text) > _CHUNK:
         try:
-            (ax, ay), (bx, by) = entry
-            exact = (type(ax) is int and type(ay) is int
-                     and type(bx) is int and type(by) is int)
-        except (TypeError, ValueError):
-            exact = False
-        if not exact:
-            (ax, ay), (bx, by) = _as_bond(entry)
-        if ax == bx and (by == ay + 1 or ay == by + 1):
-            xs.append(ax)
-            ys.append(ay if ay < by else by)
-            steps.append(0)
-        elif ay == by and (bx == ax + 1 or ax == bx + 1):
-            xs.append(ax if ax < bx else bx)
-            ys.append(ay)
-            steps.append(1)
-        else:
-            _as_bond(entry)   # raises: not at unit distance
-    del payload, raw   # the decoded lists are the largest thing alive
-    return _packed_tree(root, xs, ys, steps)
+            scan = _canonical_scan(text)
+        except UnicodeEncodeError:
+            scan = None
+        if scan:
+            root, cuts, total = scan
+            _guard_bonds(total, max_bonds)
+            columns = [[], [], []]
+            try:
+                for start, end in cuts:
+                    numbers = map(int, text[start:end].encode("ascii")
+                                  .translate(_SPACES).split())
+                    _unit_columns(zip(*[numbers] * 4), columns)
+            except ValueError:   # json.loads names the bond at fault
+                columns.clear()
+            else:
+                return _packed_tree(root, columns)
+    root, columns = _decoded_columns(text, max_bonds)
+    return _packed_tree(root, columns)

@@ -10,6 +10,7 @@ many generations are asked for.  Everything the log-domain analytics
 needs survives past the horizon.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 # MAX_TREE_BONDS and the guard's text live in core, which guards `count`
@@ -60,8 +61,9 @@ def comb_tree(bond_count: int) -> RootedTree:
         raise OddLength(f"comb needs an even bond count, got {bond_count}")
     guard_tree_bonds(bond_count, MAX_TREE_BONDS)
     half = bond_count // 2
-    teeth = [(i, 0, 0, 1, 1) for i in range(1, half + 1)]
-    return tree_from_runs((0, 0), [(0, 0, 1, 0, half)] + teeth)
+    # the teeth as a generator: a list of them would outlive the columns
+    teeth = ((i, 0, 0, 1, 1) for i in range(1, half + 1))
+    return tree_from_runs((0, 0), itertools.chain([(0, 0, 1, 0, half)], teeth))
 
 
 # --- parameter sequences ----------------------------------------------------

@@ -11,10 +11,14 @@ import hashlib
 import io
 import json
 import random
+import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growcount import cli, core, generators, render
 from growcount.core import (
@@ -345,3 +349,198 @@ def test_svg_guard_passes_trees_at_the_limit(monkeypatch):
     code, out, _ = run_cli(monkeypatch, ["export", "--format", "svg"],
                            tree_to_json(comb_tree(4)))
     assert code == 0 and out.startswith("<svg")
+
+
+# --- canonical text is read a chunk at a time, as json.loads reads it -------
+
+def through_json_loads(text, max_bonds=None):
+    """tree_from_json by its json.loads route alone."""
+    root, columns = core._decoded_columns(text, max_bonds)
+    return core._packed_tree(root, columns)
+
+
+def outcome(read, text, max_bonds):
+    try:
+        tree = read(text, max_bonds)
+    except Exception as exc:   # the type and the message must agree
+        return type(exc), str(exc)
+    return tree, tree_to_json(tree), tree.hooks
+
+
+# chunk sizes in characters: 1 cuts at every bond boundary, the others
+# at every few bonds and at varying offsets
+CHUNK_SIZES = (1, 9, 40, 97)
+
+
+def assert_routes_agree(text, bonds):
+    want = {m: outcome(through_json_loads, text, m)
+            for m in (None, bonds - 1, bonds)}
+    for size in CHUNK_SIZES:
+        with mock.patch.object(core, "_CHUNK", size):
+            for max_bonds, expected in want.items():
+                assert outcome(tree_from_json, text, max_bonds) == expected, \
+                    (size, max_bonds)
+    return want[None]
+
+
+def chunked_only(text, max_bonds=None):
+    """tree_from_json with small chunks and the json.loads route shut."""
+    def refuse(*args):
+        raise AssertionError("canonical text left the chunked route")
+
+    with mock.patch.object(core, "_CHUNK", 9), \
+            mock.patch.object(core, "_decoded_columns", refuse):
+        return tree_from_json(text, max_bonds)
+
+
+@settings(max_examples=80, deadline=None)
+@given(bonds=st.integers(1, 40), seed=st.integers(0, 2**32),
+       dx=st.integers(-10**6, 10**6), dy=st.integers(-10**6, 10**6),
+       pick=st.integers(0, 10**6))
+def test_canonical_trees_read_alike_by_both_routes(bonds, seed, dx, dy, pick):
+    grown = random_lattice_tree(bonds, seed)
+    sites = sorted(grown.sites)
+    root = sites[pick % len(sites)]
+    tree = validate_tree((root[0] + dx, root[1] + dy),
+                         [((u[0] + dx, u[1] + dy), (v[0] + dx, v[1] + dy))
+                          for u, v in grown.bonds])
+    text = tree_to_json(tree)
+    assert chunked_only(text) == tree
+    with pytest.raises(TooLarge, match=rf"^{bonds} bonds exceeds the guard"):
+        chunked_only(text, bonds - 1)
+    got = assert_routes_agree(text, bonds)
+    assert got[0] == tree and got[1] == text
+
+
+# a 13-bond path from (1, 0): every x from 1 to 14 and y = 0
+PATH_TEXT = tree_to_json(validate_tree(
+    (1, 0), [((x, 0), (x + 1, 0)) for x in range(1, 14)]))
+PATH_BONDS = 13
+
+
+@pytest.mark.parametrize("old, new", [
+    ("[[5,0]", "[[05,0]"), ("[[5,0]", "[[-05,0]"), ("[[5,0]", "[[5,-0]"),
+    ("[[5,0]", "[[5,01]"), ("[[5,0]", "[[5,-01]"), ("[[5,0]", "[[--5,0]"),
+    ("[[5,0]", "[[5-,0]"), ("[[5,0]", "[[5,0-]"), ("[[5,0]", "[[-,0]"),
+    ("[[5,0]", "[[5,-]"), ("[[5,0]", "[[+5,0]"), ("[[5,0]", "[[,0]"),
+    ("[[5,0]", "[[5,]"), ("[[5,0]", "[[5e0,0]"), ("[[5,0]", "[[1e2,0]"),
+    ("[[5,0]", "[[5.0,0]"), ("[[5,0]", "[[5, 0]"), ("[[5,0]", "[[ 5,0]"),
+    ("[[5,0]", "[[\u0665,0]"), ("[[5,0]", "[[true,0]"),
+    ("[[5,0]", "[[5,0,0]"), ("[[5,0]", "[-[5,0]"), ("[[5,0]", "[[5,0]-"),
+    ("[[5,0]", "[5[5,0]"), ("[[5,0],[6,0]]", "[[5,0],[6,0]]5"),
+    ("],[[5,0]", "],5[[5,0]"), ("],[[5,0]", "],-[[5,0]"),
+    ("[[5,0],[6,0]]", "[[5,0],[6,0],[7,0]]"),
+    ("[[5,0],[6,0]]", "[[5,0],[7,0]]"),      # not at unit distance
+    ("[[5,0],[6,0]]", "[[5,0],[6,0]],[[6,0],[5,0]]"),   # listed twice
+    ("[[5,0],[6,0]]", "[[5,0],[6,0]],[[5,0],[5,1]],[[5,1],[6,1]],"
+                      "[[6,0],[6,1]]"),      # a cycle
+    ("[[5,0],[6,0]]", "[[5,0],[6,0]],[[40,40],[40,41]]"),   # disconnected
+    ('"root":[1,0]', '"root":[50,50]'),      # detached
+    ('"root":[1,0]', '"root":[1,-0]'),
+    ('"root":[1,0]', '"root":[01,0]'),
+    ('"root":[1,0]', '"root":[1.0,0]'),
+])
+def test_mutated_text_reads_alike_by_both_routes(old, new):
+    assert old in PATH_TEXT
+    assert_routes_agree(PATH_TEXT.replace(old, new, 1), PATH_BONDS)
+
+
+@pytest.mark.parametrize("text", [
+    "\t" + PATH_TEXT + "\r\n",
+    " \n" + PATH_TEXT + " \t \n",
+    "\ufeff" + PATH_TEXT,
+    "\x0b" + PATH_TEXT,
+    PATH_TEXT + "x",
+    PATH_TEXT + "]",
+    PATH_TEXT + "}",
+    PATH_TEXT[:-1],
+    PATH_TEXT[:-2] + "]]}",
+    PATH_TEXT[:-1] + ',"root":[2,0]}',
+    PATH_TEXT[:-1] + ',"bonds":[[[1,0],[2,0]]]}',
+    '{"root":[9,9],' + PATH_TEXT[1:],
+    json.dumps({"bonds": json.loads(PATH_TEXT)["bonds"], "root": [1, 0]},
+               separators=(",", ":")),
+    '{"root":[1,0],"bonds":[]}' + " " * 40,
+    '{"root":[1,0],"bonds":[[[1,0],[2,0]]]}',
+])
+def test_reshaped_text_reads_alike_by_both_routes(text):
+    assert_routes_agree(text, PATH_BONDS)
+
+
+def test_whitespace_around_canonical_text_stays_on_the_chunked_route():
+    tree = chunked_only("\t\r\n " + PATH_TEXT + "\r\n")
+    assert tree_to_json(tree) == PATH_TEXT
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no integer digit limit before Python 3.11")
+@pytest.mark.parametrize("limit", [0, 4300])
+def test_a_5000_digit_coordinate_reads_alike_by_both_routes(limit):
+    text = PATH_TEXT.replace("[[5,0]", "[[" + "7" * 5000 + ",0]", 1)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        _, message = assert_routes_agree(text, PATH_BONDS)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert ("limit" in message) == bool(limit)
+
+
+# --- what reading a large tree costs ----------------------------------------
+
+class FixedStdin:
+    """Stdin whose text was built before tracing started."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def read(self):
+        return self.text
+
+
+def test_svg_refusal_of_a_large_tree_decodes_no_bond(monkeypatch):
+    text = tree_to_json(path_tree(render.MAX_SVG_BONDS + 1))
+    monkeypatch.setattr("sys.stdin", FixedStdin(text))
+    monkeypatch.setattr("sys.stdout", io.StringIO())
+    monkeypatch.setattr("sys.stderr", io.StringIO())
+    tracemalloc.start()
+    try:
+        code = cli.main(["export", "--format", "svg"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "TooLarge: 100001 bonds exceeds the guard 100000" \
+        in sys.stderr.getvalue()
+    assert peak < 4 * 2**20
+
+
+def test_reading_a_large_path_peaks_under_200_bytes_per_bond():
+    bonds = 100_000
+    text = tree_to_json(path_tree(bonds))
+    tracemalloc.start()
+    try:
+        tree = tree_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree.bond_count == bonds
+    assert peak / bonds < 200
+
+
+def test_the_walk_is_dropped_once_the_hooks_exist():
+    tree = tree_from_json(tree_to_json(comb_tree(12)))
+    assert "_walk" in tree.__dict__
+    hooks = tree.hooks
+    assert "_walk" not in tree.__dict__
+    assert core.downstream_weights(tree) == hooks
+
+
+def test_gen_writes_the_same_text_in_chunks(monkeypatch, capsys):
+    monkeypatch.setattr(core, "_CHUNK", 64)   # two bonds a write
+    tree = comb_tree(12)
+    assert cli.main(["gen", "comb", "--bonds", "12"]) == 0
+    assert capsys.readouterr().out == tree_to_json(tree) + "\n"
+    out = io.StringIO()
+    assert tree_to_json(tree, out) is None
+    assert out.getvalue() == tree_to_json(tree)
