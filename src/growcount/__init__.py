@@ -12,7 +12,6 @@ memory.
 
 from .bethe import bethe_existence_bound, bethe_growth_count, bethe_trees
 from .core import (
-    Bond,
     RootedTree,
     downstream_weights,
     enumerate_growth_orders,
@@ -58,7 +57,6 @@ from .analytics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bond",
     "TowerParams",
     "BoundViolated",
     "CapExceeded",

@@ -172,8 +172,8 @@ def bond_count(params: TowerParams, generation: int | None = None) -> int:
 def _backbone_weight_product(length: int, count: int, sub_bonds: int) -> int:
     """Product of downstream weights along one backbone.
 
-    Bond i (1-based, root end first) has length-i backbone bonds ahead of
-    it plus every branch of sub_bonds bonds attached at position i or
+    The i-th bond (1-based, root end first) has length-i backbone bonds
+    ahead of it plus every branch of sub_bonds bonds attached at position i or
     later, so its weight is 1 + (length-i) + sub_bonds*(count - c + 1)
     where c = ceil(i*count/length).  Within a run of constant c the
     weights are consecutive integers and the run collapses to a falling
@@ -477,7 +477,7 @@ class StructureReport:
 
 
 def structure_fractions(params: TowerParams, generation: int) -> StructureReport:
-    """Bond-ratio, first-generation and backbone fractions at a generation.
+    """Fractions (bond ratio, first generation, backbone) at a generation.
 
     All three inequalities (ratio within [1, 1+epsilon0], backbone
     fraction under its bound) are verified, in rational arithmetic when

@@ -26,19 +26,19 @@ bounding box, so that a row of unused values keeps every column apart:
 the neighbours of site s are s +- 1 and s +- stride, and none of them
 wraps into another column.  A bond packs to 2 * (its lower endpoint)
 + 0 for a +y step or + 1 for a +x step, so sorted keys come in the
-order of sorted `Bond`s.  Canonical JSON longer than a chunk is read a
-chunk at a time: byte scans check each chunk's shape and count its
-bonds, so the size guards fire before any number is converted, and its
-numbers then go straight into coordinate columns; any other text goes
-through json.loads.  The generators emit keys by the run
-(`tree_from_runs`).  Validation is one breadth-first walk from the root
-that looks up the four bonds of each site in a set of keys.  It keeps
-no seen-set: in a tree every neighbour but the parent is new, so the
-distinct bonds form a tree exactly when the walk stops at L + 1 sites.
-Its site order and parent indices give every hook size in one reverse
-pass, as a plain list in walk order, and are then dropped.  `Bond`s and
-sites exist only as views decoded on demand, for rendering, the oracle
-and tests; no hook or child list is keyed by `Bond`.
+order of sorted (lower, upper) endpoint pairs.  Canonical JSON longer
+than a chunk is read a chunk at a time: byte scans check each chunk's
+shape and count its bonds, so the size guards fire before any number
+is converted, and its numbers then go straight into coordinate
+columns; any other text goes through json.loads.  The generators emit
+keys by the run (`tree_from_runs`).  Validation is one breadth-first
+walk from the root that looks up the four bonds of each site in a set
+of keys.  It keeps no seen-set: in a tree every neighbour but the
+parent is new, so the distinct bonds form a tree exactly when the walk
+stops at L + 1 sites.  Its site order and parent indices give every
+hook size in one reverse pass, as a plain list in walk order, and are
+then dropped.  Only `_ends` decodes keys, into (lower, upper) endpoint
+pairs for the JSON, renderings, oracle, messages and `bonds` view.
 
 Random growth packs a site as (x + off) * width + (y + off), with off
 one more than the bond count and width = 2 * off + 1, and a candidate
@@ -65,7 +65,7 @@ import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     CapExceeded,
@@ -111,21 +111,6 @@ def guard_tree_bonds(total: int | None, limit: int) -> None:
     raise TooLarge(f"tree would have {size} (guard {limit})")
 
 
-class Bond(NamedTuple):
-    """An unordered lattice bond, stored with endpoints in lexicographic order."""
-
-    u: Site
-    v: Site
-
-    @classmethod
-    def between(cls, a: Site, b: Site) -> "Bond":
-        a = (int(a[0]), int(a[1]))
-        b = (int(b[0]), int(b[1]))
-        if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
-            raise ValueError(f"bond endpoints must be at unit distance: {a} {b}")
-        return cls(a, b) if a < b else cls(b, a)
-
-
 @dataclass(frozen=True)
 class RootedTree:
     """A validated rooted lattice tree.  Build instances via `validate_tree`,
@@ -147,9 +132,9 @@ class RootedTree:
         return len(self.keys)
 
     @cached_property
-    def bonds(self) -> tuple[Bond, ...]:
-        """The bonds in canonical (sorted) order, decoded from the keys."""
-        return tuple(map(self._bond, self.keys))
+    def bonds(self) -> tuple[tuple[Site, Site], ...]:
+        """The (lower, upper) endpoint pairs in sorted order."""
+        return tuple(_ends(self))
 
     @cached_property
     def sites(self) -> frozenset[Site]:
@@ -176,12 +161,17 @@ class RootedTree:
         return (site[0] - self.origin[0]) * self.stride \
             + site[1] - self.origin[1]
 
-    def _bond(self, key: int) -> Bond:
-        x, y = divmod(key >> 1, self.stride)
-        x += self.origin[0]
-        y += self.origin[1]
+
+def _ends(tree: RootedTree, keys: Iterable[int] | None = None):
+    """The (lower, upper) endpoints of each of `keys`, the tree's own
+    by default, decoded in the order given."""
+    (ox, oy), stride = tree.origin, tree.stride
+    for key in tree.keys if keys is None else keys:
+        x, y = divmod(key >> 1, stride)
+        x += ox
+        y += oy
         step = key & 1
-        return Bond((x, y), (x + step, y + 1 - step))
+        yield (x, y), (x + step, y + 1 - step)
 
 
 def _pairwise(vals: list) -> list:
@@ -386,7 +376,8 @@ def _packed_tree(root: Site, columns: list) -> RootedTree:
                       stride=stride)
     del keys
     if duplicate is not None:
-        raise DuplicateBond(f"bond {tree._bond(duplicate)} listed twice")
+        (u, v), = _ends(tree, [duplicate])
+        raise DuplicateBond(f"bond Bond(u={u}, v={v}) listed twice")
     bonds = tree.bond_count
     # a root outside the packed rows would alias a site of another
     # column; packed site -1 touches no bond
@@ -408,18 +399,13 @@ def _packed_tree(root: Site, columns: list) -> RootedTree:
 def validate_tree(root: Site, bonds: Iterable) -> RootedTree:
     """Check the tree axioms and return the canonical RootedTree.
 
-    Raises DuplicateBond, RootDetached, NotConnected or HasCycle, in that
-    order of checking.  Bonds may be given as Bond instances or raw
-    endpoint pairs.
+    Bonds are pairs of integer sites, as in `tree_from_json`; anything
+    else is a ValueError.  Raises DuplicateBond, RootDetached,
+    NotConnected or HasCycle, in that order of checking.
     """
-    root = (int(root[0]), int(root[1]))
-    xs, ys, steps = columns = [[], [], []]
-    for b in bonds:
-        u, v = Bond.between(*b)
-        xs.append(u[0])
-        ys.append(u[1])
-        steps.append(v[0] - u[0])
-    del xs, ys, steps
+    root = _as_site(root)
+    columns = [[], [], []]
+    _unit_columns(_entry_quads(bonds), columns)
     return _packed_tree(root, columns)
 
 
@@ -501,7 +487,7 @@ def enumerate_growth_orders(tree: RootedTree, cap: int | None = None) -> int:
                        f"{MAX_ORACLE_BONDS}")
     bit: dict[Site, int] = {}
     masks = []
-    for bond in tree.bonds:
+    for bond in _ends(tree):
         mask = 0
         for site in bond:
             mask |= 1 << bit.setdefault(site, len(bit))
@@ -572,7 +558,7 @@ def random_lattice_tree(bond_count: int, seed: int) -> RootedTree:
     Each step picks uniformly among bonds with one endpoint on the tree,
     so no site is reused and no cycle forms.  Deterministic in `seed`:
     the packed candidates (see the module docstring) sort as a full
-    rescan's (site, Bond) pairs, so rng.choice picks the same bond.
+    rescan's (site, bond) pairs, so rng.choice picks the same bond.
     """
     if bond_count < 1:
         raise ValueError("bond_count must be >= 1")
@@ -602,7 +588,7 @@ def random_lattice_tree(bond_count: int, seed: int) -> RootedTree:
     columns = [[low // width - off for low in lows],
                [low % width - off for low in lows], steps]
     del sites, perimeter, lows, steps   # before the keys and the walk
-    # no Bond is built; _packed_tree's walk checks every tree axiom
+    # _packed_tree's walk checks every tree axiom
     return _packed_tree((0, 0), columns)
 
 
@@ -622,16 +608,6 @@ _LEADING_ZEROS = (b"[00", b"[01", b",00", b",01")
 _SPACES = bytes.maketrans(b"[],", b"   ")
 
 
-def _bond_texts(tree: RootedTree):
-    (ox, oy), stride = tree.origin, tree.stride
-    for key in tree.keys:
-        x, y = divmod(key >> 1, stride)
-        x += ox
-        y += oy
-        dx = key & 1
-        yield f"[[{x},{y}],[{x + dx},{y + 1 - dx}]]"
-
-
 def tree_to_json(tree: RootedTree, out=None) -> str | None:
     """Serialize to the canonical wire form, deterministic to the byte.
 
@@ -641,7 +617,8 @@ def tree_to_json(tree: RootedTree, out=None) -> str | None:
     """
     rx, ry = tree.root
     head = f'{{"root":[{rx},{ry}],"bonds":['
-    texts = _bond_texts(tree)
+    texts = (f"[[{ax},{ay}],[{bx},{by}]]"
+             for (ax, ay), (bx, by) in _ends(tree))
     if out is None:
         return head + ",".join(texts) + "]}"
     for at in range(0, tree.bond_count, _CHUNK // 32):
@@ -706,7 +683,8 @@ def _unit_columns(quads: Iterable, columns: list) -> None:
             ys.append(ay)
             steps.append(1)
         else:
-            Bond.between((ax, ay), (bx, by))   # raises
+            raise ValueError("bond endpoints must be at unit distance: "
+                             f"{(ax, ay)} {(bx, by)}")
 
 
 def _as_site(value) -> Site:
@@ -718,7 +696,7 @@ def _as_site(value) -> Site:
     return (value[0], value[1])
 
 
-def _entry_quads(raw: list):
+def _entry_quads(raw: Iterable):
     for entry in raw:
         # the common case inline; anything else is checked in full, and
         # the message names the first thing wrong with it

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 # and random trees with them; the guards here read this module's name
 from .core import (
     MAX_TREE_BONDS,
-    Bond,
     RootedTree,
+    Site,
     guard_tree_bonds,
     tree_from_runs,
 )
@@ -230,13 +230,13 @@ def _build(backbone, branches, levels: int, total, describe: str):
     return tree, leveled_runs
 
 
-def _labels(leveled_runs) -> dict[Bond, int]:
-    """Map each bond of the runs to the nesting level of its run."""
+def _labels(leveled_runs) -> dict[tuple[Site, Site], int]:
+    """Map each bond of the runs, as a (lower, upper) pair, to its level."""
     labels = {}
     for (x, y, dx, dy, length), level in leveled_runs:
         for i in range(length):
             a = (x + i * dx, y + i * dy)
-            labels[Bond.between(a, (a[0] + dx, a[1] + dy))] = level
+            labels[tuple(sorted((a, (a[0] + dx, a[1] + dy))))] = level
     return labels
 
 
@@ -315,6 +315,6 @@ def tower_tree(params: TowerParams, generations: int | None = None) -> RootedTre
 
 
 def tower_tree_generations(params: TowerParams, generations: int | None = None):
-    """Like `tower_tree` but also return the per-bond nesting level map."""
+    """Like `tower_tree`, plus each bond's nesting level by endpoint pair."""
     tree, leveled_runs = _tower(params, generations)
     return tree, _labels(leveled_runs)

@@ -25,10 +25,8 @@ def to_dot(tree: RootedTree) -> str:
             lines.append(f"  {name} [root=true];")
         else:
             lines.append(f"  {name};")
-    for b in tree.bonds:
-        lines.append(
-            f"  \"{b.u[0]}_{b.u[1]}\" -- \"{b.v[0]}_{b.v[1]}\";"
-        )
+    for (ax, ay), (bx, by) in tree.bonds:
+        lines.append(f"  \"{ax}_{ay}\" -- \"{bx}_{by}\";")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -61,8 +59,8 @@ def to_svg(tree: RootedTree) -> str:
         f"width=\"{width}\" height=\"{height}\" "
         f"viewBox=\"0 0 {width} {height}\">"
     ]
-    for b in tree.bonds:
-        (x1, y1), (x2, y2) = place(b.u), place(b.v)
+    for u, v in tree.bonds:
+        (x1, y1), (x2, y2) = place(u), place(v)
         lines.append(
             f"<line x1=\"{x1}\" y1=\"{y1}\" x2=\"{x2}\" y2=\"{y2}\" "
             f"stroke=\"black\" stroke-width=\"{STROKE}\"/>"

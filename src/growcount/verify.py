@@ -37,7 +37,7 @@ def core_suite() -> list[Check]:
     for k in (1, 2, 3, 4):
         steps = core.NEIGHBOR_STEPS[:k]
         fixtures.append(core.validate_tree(
-            (0, 0), [core.Bond.between((0, 0), step) for step in steps]
+            (0, 0), [((0, 0), step) for step in steps]
         ))
 
     bad = []

@@ -28,7 +28,6 @@ from growcount.bethe import (
     tree_growth_count,
 )
 from growcount.core import (
-    Bond,
     NEIGHBOR_STEPS,
     enumerate_growth_orders,
     growth_count,
@@ -67,7 +66,7 @@ def fixtures():
     for arms in (1, 2, 3, 4):
         trees.append(validate_tree(
             (0, 0),
-            [Bond.between((0, 0), s) for s in NEIGHBOR_STEPS[:arms]],
+            [((0, 0), s) for s in NEIGHBOR_STEPS[:arms]],
         ))
     return trees
 

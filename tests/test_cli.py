@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: goldens, determinism, exit codes, round trips."""
 
+import hashlib
 import io
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 from growcount import analytics, cli as cli_module, core, generators, verify
 from growcount.analytics import epsilon0
 from growcount.bethe import bethe_existence_bound
-from growcount.core import Bond, tree_from_json, tree_to_json
+from growcount.core import tree_from_json, tree_to_json
 from growcount.errors import GrowcountError, InternalMismatch
 from growcount.generators import (
     comb_tree,
@@ -76,6 +77,24 @@ def test_single_bond_svg(cli):
     gen = cli("gen", "path", "--bonds", "1")
     proc = cli("export", "--format", "svg", stdin=gen.stdout)
     assert proc.stdout == golden("single_bond.svg")
+
+
+# sha256 of `export` stdout for each format on four trees (the random one
+# has negative coordinates), recorded while each bond was decoded into a
+# named tuple of its endpoints
+EXPORT_DIGESTS = [json.loads(line)
+                  for line in golden("export_digests.jsonl").splitlines()]
+
+
+@pytest.mark.parametrize("case", EXPORT_DIGESTS,
+                         ids=lambda case: f"{case['gen'][1]}-{case['format']}")
+def test_export_matches_the_golden_digests(capsys, monkeypatch, case):
+    assert cli_module.main(case["gen"]) == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    assert cli_module.main(["export", "--format", case["format"]]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert hashlib.sha256(out.out.encode()).hexdigest() == case["sha256"]
 
 
 # --- determinism ------------------------------------------------------------
@@ -601,7 +620,7 @@ def test_dot_preserves_sites_and_edges(cli):
     )
     assert {(int(x), int(y)) for x, y in nodes} == tree.sites
     rebuilt = {
-        Bond.between((int(a), int(b)), (int(c), int(d)))
+        tuple(sorted(((int(a), int(b)), (int(c), int(d)))))
         for a, b, c, d in edges
     }
     assert rebuilt == set(tree.bonds)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from growcount.core import (
     MAX_ORACLE_BONDS,
-    Bond,
     NEIGHBOR_STEPS,
     RootedTree,
     balanced_product,
@@ -46,25 +45,26 @@ def double_factorial(n: int) -> int:
 
 
 def star_tree(arms: int):
-    bonds = [Bond.between((0, 0), step) for step in NEIGHBOR_STEPS[:arms]]
+    bonds = [((0, 0), step) for step in NEIGHBOR_STEPS[:arms]]
     return validate_tree((0, 0), bonds)
 
 
 # --- bonds ------------------------------------------------------------------
 
 def test_bond_endpoints_are_canonicalized():
-    assert Bond.between((1, 0), (0, 0)) == Bond.between((0, 0), (1, 0))
-    b = Bond.between((3, 2), (3, 1))
-    assert b.u == (3, 1) and b.v == (3, 2)
+    assert validate_tree((0, 0), [((1, 0), (0, 0))]).bonds \
+        == validate_tree((0, 0), [((0, 0), (1, 0))]).bonds
+    (u, v), = validate_tree((3, 1), [((3, 2), (3, 1))]).bonds
+    assert u == (3, 1) and v == (3, 2)
 
 
 def test_bond_rejects_non_unit_distance():
     with pytest.raises(ValueError):
-        Bond.between((0, 0), (1, 1))
+        validate_tree((0, 0), [((0, 0), (1, 1))])
     with pytest.raises(ValueError):
-        Bond.between((0, 0), (0, 0))
+        validate_tree((0, 0), [((0, 0), (0, 0))])
     with pytest.raises(ValueError):
-        Bond.between((0, 0), (2, 0))
+        validate_tree((0, 0), [((0, 0), (2, 0))])
 
 
 # --- validation -------------------------------------------------------------
@@ -191,13 +191,13 @@ def reference_growth_orders(tree, cap=None) -> int:
             if cap is not None and count > cap:
                 raise CapExceeded(f"more than {cap} growth orders")
             return
-        for i, b in enumerate(bonds):
+        for i, (u, v) in enumerate(bonds):
             if added >> i & 1:
                 continue
-            if b.u in sites:
-                rec(added | 1 << i, sites | {b.v})
-            elif b.v in sites:
-                rec(added | 1 << i, sites | {b.u})
+            if u in sites:
+                rec(added | 1 << i, sites | {v})
+            elif v in sites:
+                rec(added | 1 << i, sites | {u})
 
     rec(0, frozenset([tree.root]))
     return count
@@ -279,7 +279,7 @@ def test_linear_extension_matches_oracle_on_lattice_trees():
         t = random_lattice_tree(6, seed=seed)
         # bonds oriented away from the root by the coordinate-only reference
         _text, bonds, _sites, _weights, children = \
-            reference(t.root, [(b.u, b.v) for b in t.bonds])
+            reference(t.root, t.bonds)
         roots = [b for b in bonds if t.root in b]
         assert linear_extension_count(children, roots) \
             == enumerate_growth_orders(t)

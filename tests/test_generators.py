@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from growcount import cli, generators
-from growcount.core import Bond, validate_tree
+from growcount.core import validate_tree
 from growcount.errors import (
     ConstraintViolated,
     InternalMismatch,
@@ -268,7 +268,7 @@ def test_custom_small_family():
     t = custom_hierarchical_tree((2, 6, 24), (2, 2))
     assert t.bond_count == 24 + 2 * (6 + 2 * 2)
     # the level-3 backbone is the only run on the x axis
-    assert sum(1 for bond in t.bonds if bond.u[1] == bond.v[1] == 0) == 24
+    assert sum(1 for u, v in t.bonds if u[1] == v[1] == 0) == 24
 
 
 def test_custom_spacing_violation():
@@ -303,8 +303,8 @@ def test_level_labels_cover_every_bond():
 
 def test_branch_bonds_sit_off_axis():
     tree, labels = tower_tree_generations(tower_params(1, 2))
-    for bond, lvl in labels.items():
+    for (u, v), lvl in labels.items():
         if lvl == 1:
-            assert bond.u[1] >= 1 or bond.v[1] >= 1
+            assert u[1] >= 1 or v[1] >= 1
         else:
-            assert bond.u[1] == bond.v[1] == 0
+            assert u[1] == v[1] == 0

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from growcount import cli, core, generators, render
 from growcount.core import (
     NEIGHBOR_STEPS,
-    Bond,
     random_lattice_tree,
     tree_from_json,
     tree_to_json,
@@ -95,7 +94,7 @@ def scrambled(root, pairs, rng):
 
 def variants(tree, rng):
     """The tree as given, moved by an offset, and rooted at another site."""
-    pairs = [(b.u, b.v) for b in tree.bonds]
+    pairs = list(tree.bonds)
     yield tree.root, pairs
     dx, dy = rng.randint(-50, 50), rng.randint(-50, 50)
     yield ((tree.root[0] + dx, tree.root[1] + dy),
@@ -131,7 +130,7 @@ def test_core_agrees_with_the_reference(name):
         text, shuffled = scrambled(root, pairs, rng)
         for tree in (tree_from_json(text), validate_tree(root, shuffled)):
             assert tree_to_json(tree) == want_text
-            assert tree.bonds == tuple(Bond(u, v) for u, v in want_bonds)
+            assert tree.bonds == tuple(want_bonds)
             assert tree.sites == want_sites
             assert tree.root == root
             assert sorted(tree.hooks) == sorted(want_weights.values())
@@ -142,7 +141,7 @@ def test_equal_trees_hash_alike_and_different_roots_differ():
     a = tree_from_json(tree_to_json(comb_tree(6)))
     b = comb_tree(6)
     assert a == b and hash(a) == hash(b)
-    c = validate_tree((1, 0), [(x.u, x.v) for x in b.bonds])
+    c = validate_tree((1, 0), b.bonds)
     assert c != b and c.keys == b.keys
 
 
@@ -227,7 +226,23 @@ def test_malformed_entries_are_reported_in_entry_order():
 
 def test_validate_tree_checks_bond_objects_too():
     with pytest.raises(ValueError, match="unit distance"):
-        validate_tree((0, 0), [Bond((0, 0), (2, 0))])
+        validate_tree((0, 0), [((0, 0), (2, 0))])
+
+
+@pytest.mark.parametrize("root,bonds", [
+    ((0, 0), [((0, 0), (1.7, 0))]),
+    ((0, 0), [((0, 0), (True, 0))]),
+    ((0, 0), [((0, 0), ("0", 1))]),
+    ((0.0, 0), [((0, 0), (1, 0))]),
+], ids=["float", "bool", "str", "float root"])
+def test_validate_tree_refuses_non_integer_coordinates(root, bonds):
+    # int() would truncate 1.7 and accept True and "0"; both routes refuse
+    with pytest.raises(ValueError) as direct:
+        validate_tree(root, bonds)
+    with pytest.raises(ValueError) as parsed:
+        tree_from_json(json.dumps({"root": root, "bonds": bonds}))
+    assert str(direct.value) == str(parsed.value)
+    assert str(direct.value).startswith("coordinates must be integers, got ")
 
 
 def test_runs_must_step_by_unit_vectors():
@@ -251,7 +266,7 @@ def rescanning_random_tree(bond_count: int, seed: int):
             for dx, dy in NEIGHBOR_STEPS:
                 v = (u[0] + dx, u[1] + dy)
                 if v not in sites:
-                    candidates.append((v, Bond.between(u, v)))
+                    candidates.append((v, tuple(sorted((u, v)))))
         candidates.sort()
         site, bond = rng.choice(candidates)
         sites.add(site)
@@ -289,7 +304,6 @@ def test_random_growth_builds_no_bond_and_skips_validate_tree(monkeypatch):
         raise AssertionError("random growth left the packed route")
 
     monkeypatch.setattr(core, "validate_tree", refuse)
-    monkeypatch.setattr(Bond, "between", refuse)
     want = next(case["sha256"] for case in RANDOM_GOLDEN
                 if case["argv"][3::2] == ["400", "1"])
     out = tree_to_json(random_lattice_tree(400, 1)) + "\n"
@@ -526,6 +540,15 @@ def test_reading_a_large_path_peaks_under_200_bytes_per_bond():
         tracemalloc.stop()
     assert tree.bond_count == bonds
     assert peak / bonds < 200
+
+
+@pytest.mark.parametrize("build", [path_tree, comb_tree])
+def test_counting_and_writing_a_large_tree_decode_no_bond(build):
+    tree = build(10_000)
+    tree_to_json(tree, io.StringIO())
+    core.growth_count(tree)
+    core.prime_exponents(tree.bond_count, tree.hooks)
+    assert "bonds" not in vars(tree) and "sites" not in vars(tree)
 
 
 def test_the_walk_is_dropped_once_the_hooks_exist():
