@@ -11,6 +11,15 @@ additions, which makes the total number of growth sequences across all
 L-bond subtrees equal to 3*4*...*(L+2).  Dividing by the (much smaller)
 number of distinct subtrees shows some single subtree must have a huge
 growth count; this module verifies the whole chain by brute force.
+
+Brute force here means that every growth sequence's (L-1)-step prefix
+has its frontier built and every subtree is visited and counted; only
+the last step of a sequence is counted from its frontier's length.
+Addresses are strings at the API (`bethe_trees`, the report, the
+per-subtree routes) and ints inside the two enumerations: the ints
+number the addresses breadth first, children from
+`children_addresses`, and each enumeration changes one list in place
+and restores it, so no step builds a new frontier or address string.
 """
 
 import math
@@ -29,26 +38,62 @@ def children_addresses(address: str) -> tuple[str, str]:
     return (address + "0", address + "1")
 
 
+def _address_table(bond_count: int) -> tuple[list, list, list]:
+    """Number, breadth first, the addresses an L-bond subtree or growth
+    sequence can reach.
+
+    Address i is names[i].  Each address at most L-2 generations below
+    the root's neighbors (the deepest that a step before the last can
+    take) has the children first[i] and those in the tuple more[i],
+    numbered from `children_addresses`.
+    """
+    names = list(_ROOT_FRONTIER)
+    first, more = [], []
+    start = 0
+    for _ in range(bond_count - 1):
+        end = len(names)
+        for i in range(start, end):
+            kids = children_addresses(names[i])
+            first.append(len(names))
+            more.append(tuple(range(len(names) + 1, len(names) + len(kids))))
+            names.extend(kids)
+        start = end
+    return names, first, more
+
+
 def bethe_growth_count(bond_count: int) -> int:
     """Count all growth sequences of length `bond_count` by brute force.
 
-    Every prefix of length L-1 is enumerated; the last step is counted
-    from the enumerated frontier, each of whose addresses completes the
-    prefix in exactly one way.  Checked on the spot against the closed
-    form (L+2)!/2; a mismatch would be an enumeration bug.
+    Addresses are ints inside the count (see `_address_table`).  One
+    frontier list of n addresses is changed in place: a step puts the
+    taken address's first child in its slot and its other children in
+    frontier[n:], the search goes on, and the slot is restored.  The
+    next step overwrites frontier[n:], and it is cut off once every
+    address has been taken.  Every prefix of length L-1 is still built;
+    the last step is counted from that frontier's length, since each of
+    its addresses completes the prefix in exactly one way.  Checked on
+    the spot against the closed form (L+2)!/2; a mismatch would be an
+    enumeration bug.
     """
     _check_bonds(bond_count)
+    _, first, more = _address_table(bond_count)
+    frontier = list(range(len(_ROOT_FRONTIER)))
 
-    def rec(frontier: tuple, left: int) -> int:
-        if left == 1:
-            return len(frontier)
+    def rec(left: int) -> int:
         total = 0
-        for i, addr in enumerate(frontier):
-            nxt = frontier[:i] + frontier[i + 1:] + children_addresses(addr)
-            total += rec(nxt, left - 1)
+        n = len(frontier)
+        tail = slice(n, None)
+        for i in range(n):
+            addr = frontier[i]
+            frontier[i] = first[addr]
+            frontier[tail] = more[addr]
+            # a prefix of length L-1 is measured, a shorter one extended
+            total += len(frontier) if left == 2 else rec(left - 1)
+            frontier[i] = addr
+        del frontier[tail]
         return total
 
-    count = rec(_ROOT_FRONTIER, bond_count)
+    count = rec(bond_count) if bond_count > 1 else len(frontier)
     closed = math.factorial(bond_count + 2) // 2
     if count != closed:
         raise InternalMismatch(
@@ -58,28 +103,67 @@ def bethe_growth_count(bond_count: int) -> int:
     return count
 
 
-def bethe_trees(bond_count: int) -> list[frozenset]:
-    """All distinct rooted subtrees with `bond_count` bonds.
+def bethe_census(bond_count: int) -> tuple[list[frozenset], list[int]]:
+    """All distinct rooted subtrees with `bond_count` bonds, each with its
+    growth count.
 
     Each subtree is visited exactly once: the frontier is consumed as an
-    ordered queue and every address is either taken (opening its two
-    children) or skipped for good.
+    ordered queue of (address, position of its parent among the taken
+    addresses), and every address is either taken (opening its
+    children) or skipped for good.  A subtree's count is L!/W, with the
+    hook sizes of W summed in one reverse pass over the parent
+    positions, since every parent is taken before its children.
     """
     _check_bonds(bond_count)
-    out: list[frozenset] = []
+    names, first, more = _address_table(bond_count)
+    factorial = math.factorial(bond_count)
+    queue = [(addr, -1) for addr in range(len(_ROOT_FRONTIER))]
+    chosen, parent = [], []
+    trees, counts = [], []
+    backwards = range(bond_count - 1, -1, -1)
 
-    def rec(frontier: tuple, chosen: tuple, left: int):
-        if left == 0:
-            out.append(frozenset(chosen))
+    def rec(start: int, left: int):
+        end = len(queue)
+        if left == 1:   # take one more address and count the subtree
+            for r in range(start, end):
+                addr, up = queue[r]
+                chosen.append(names[addr])
+                parent.append(up)
+                # the slot past the last takes the root neighbors' -1
+                size = [1] * (bond_count + 1)
+                w = 1
+                for j in backwards:
+                    w *= size[j]
+                    size[parent[j]] += size[j]
+                n, rem = divmod(factorial, w)
+                if rem:
+                    raise InternalMismatch(
+                        f"L! not divisible by weights for {sorted(chosen)}")
+                trees.append(frozenset(chosen))
+                counts.append(n)
+                chosen.pop()
+                parent.pop()
             return
-        if not frontier:
-            return
-        head, rest = frontier[0], frontier[1:]
-        rec(rest + children_addresses(head), chosen + (head,), left - 1)
-        rec(rest, chosen, left)
+        at = len(chosen)
+        for r in range(start, end):
+            addr, up = queue[r]
+            chosen.append(names[addr])
+            parent.append(up)
+            queue.append((first[addr], at))
+            queue.extend((kid, at) for kid in more[addr])
+            rec(r + 1, left - 1)
+            del queue[end:]
+            chosen.pop()
+            parent.pop()
 
-    rec(_ROOT_FRONTIER, (), bond_count)
-    return out
+    rec(0, bond_count)
+    return trees, counts
+
+
+def bethe_trees(bond_count: int) -> list[frozenset]:
+    """All distinct rooted subtrees with `bond_count` bonds, in the
+    order `bethe_census` visits them."""
+    return bethe_census(bond_count)[0]
 
 
 def bethe_tree_count(bond_count: int) -> int:
@@ -144,8 +228,10 @@ class BetheBoundReport:
     naive_floor: Fraction     # L!/9^L
     maximizer: tuple
     maximizer_count: int
-    # the enumerated subtrees, for per-subtree checks; not in to_dict
+    # the enumerated subtrees and their counts, for per-subtree checks;
+    # not in to_dict
     trees: list = field(default_factory=list, repr=False, compare=False)
+    counts: list = field(default_factory=list, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -168,26 +254,20 @@ def bethe_existence_bound(bond_count: int) -> BetheBoundReport:
     """
     _check_bonds(bond_count)
     total = bethe_growth_count(bond_count)
-    trees = bethe_trees(bond_count)
+    trees, counts = bethe_census(bond_count)
     count = len(trees)
     if count > 9 ** bond_count:
         raise InternalMismatch(
             f"{count} subtrees at L={bond_count} exceeds 9^L"
         )
-
-    best = None
-    best_n = 0
-    partition = 0
-    for tree in trees:
-        n = tree_growth_count(tree)
-        partition += n
-        if n > best_n:
-            best_n = n
-            best = tree
+    partition = sum(counts)
     if partition != total:
         raise InternalMismatch(
             f"per-tree counts sum to {partition}, sequences total {total}"
         )
+    # the first subtree with the largest count
+    best_n = max(counts)
+    best = trees[counts.index(best_n)]
 
     average = Fraction(total, count)
     average_floor = Fraction(math.factorial(bond_count + 2), 2 * 9 ** bond_count)
@@ -200,6 +280,7 @@ def bethe_existence_bound(bond_count: int) -> BetheBoundReport:
         bond_count=bond_count, growth_count=total, tree_count=count,
         average=average, average_floor=average_floor, naive_floor=naive_floor,
         maximizer=tuple(sorted(best)), maximizer_count=best_n, trees=trees,
+        counts=counts,
     )
 
 

@@ -37,8 +37,10 @@ of keys.  It keeps no seen-set: in a tree every neighbour but the
 parent is new, so the distinct bonds form a tree exactly when the walk
 stops at L + 1 sites.  Its site order and parent indices give every
 hook size in one reverse pass, as a plain list in walk order, and are
-then dropped.  Only `_ends` decodes keys, into (lower, upper) endpoint
-pairs for the JSON, renderings, oracle, messages and `bonds` view.
+then dropped.  Only `_ends` decodes keys, into flat (x1, y1, x2, y2)
+tuples of the lower and upper endpoints: the JSON writer formats them
+as they are, and the oracle, messages and `bonds` view (through it the
+renderings) pair them up.
 
 Random growth packs a site as (x + off) * width + (y + off), with off
 one more than the bond count and width = 2 * off + 1, and a candidate
@@ -134,7 +136,7 @@ class RootedTree:
     @cached_property
     def bonds(self) -> tuple[tuple[Site, Site], ...]:
         """The (lower, upper) endpoint pairs in sorted order."""
-        return tuple(_ends(self))
+        return tuple(((ax, ay), (bx, by)) for ax, ay, bx, by in _ends(self))
 
     @cached_property
     def sites(self) -> frozenset[Site]:
@@ -163,15 +165,15 @@ class RootedTree:
 
 
 def _ends(tree: RootedTree, keys: Iterable[int] | None = None):
-    """The (lower, upper) endpoints of each of `keys`, the tree's own
-    by default, decoded in the order given."""
+    """The lower and upper endpoints of each of `keys`, the tree's own
+    by default, decoded in the order given as flat (x1, y1, x2, y2)."""
     (ox, oy), stride = tree.origin, tree.stride
     for key in tree.keys if keys is None else keys:
         x, y = divmod(key >> 1, stride)
         x += ox
         y += oy
         step = key & 1
-        yield (x, y), (x + step, y + 1 - step)
+        yield x, y, x + step, y + 1 - step
 
 
 def _pairwise(vals: list) -> list:
@@ -376,8 +378,9 @@ def _packed_tree(root: Site, columns: list) -> RootedTree:
                       stride=stride)
     del keys
     if duplicate is not None:
-        (u, v), = _ends(tree, [duplicate])
-        raise DuplicateBond(f"bond Bond(u={u}, v={v}) listed twice")
+        (ax, ay, bx, by), = _ends(tree, [duplicate])
+        raise DuplicateBond(
+            f"bond Bond(u={(ax, ay)}, v={(bx, by)}) listed twice")
     bonds = tree.bond_count
     # a root outside the packed rows would alias a site of another
     # column; packed site -1 touches no bond
@@ -471,12 +474,16 @@ def enumerate_growth_orders(tree: RootedTree, cap: int | None = None) -> int:
 
     Deliberately independent of the weight formula: the only structure
     used is bond-to-site incidence.  Each site gets a bit and each bond
-    the mask of its two endpoints; the search carries the masks of the
-    bonds not yet added and the mask of the sites reached, and a bond
-    can be added when its mask meets the reached sites.  No hook sizes
-    and no orientation are read, and connectivity is not assumed: the
-    last bond counts only if it touches a reached site.  Exponential in
-    general; practical for roughly L <= 12.  With `cap` given, raises
+    the mask of its two endpoints; a bond can be added when its mask
+    meets the mask of the sites reached.  The masks of the n bonds not
+    yet added are masks[:n] of one list: a picked mask is swapped to
+    masks[n-1], the search goes on over masks[:n-1], and the two are
+    swapped back, so no step copies the list.  With three bonds left,
+    the last two are tried in both orders inline; a tree of one or two
+    bonds tries each order in turn.  No hook sizes and no orientation
+    are read, and connectivity is not assumed: the last bond counts
+    only if it touches a reached site.  Exponential in general;
+    practical for roughly L <= 12.  With `cap` given, raises
     CapExceeded as soon as the running count passes it; a negative cap
     is a ValueError, and more than MAX_ORACLE_BONDS bonds TooLarge.
     """
@@ -486,27 +493,52 @@ def enumerate_growth_orders(tree: RootedTree, cap: int | None = None) -> int:
         raise TooLarge(f"{tree.bond_count} bonds exceeds the oracle guard "
                        f"{MAX_ORACLE_BONDS}")
     bit: dict[Site, int] = {}
-    masks = []
-    for bond in _ends(tree):
-        mask = 0
-        for site in bond:
-            mask |= 1 << bit.setdefault(site, len(bit))
-        masks.append(mask)
+    masks = [1 << bit.setdefault((ax, ay), len(bit))
+             | 1 << bit.setdefault((bx, by), len(bit))
+             for ax, ay, bx, by in _ends(tree)]
     count = 0
 
-    def rec(left: tuple, sites: int):
+    def tally(orders: int):
         nonlocal count
-        if len(left) == 1:
-            if left[0] & sites:
-                count += 1
-                if cap is not None and count > cap:
-                    raise CapExceeded(f"more than {cap} growth orders")
-            return
-        for i, mask in enumerate(left):
-            if mask & sites:
-                rec(left[:i] + left[i + 1:], sites | mask)
+        count += orders
+        if cap is not None and count > cap:
+            raise CapExceeded(f"more than {cap} growth orders")
 
-    rec(tuple(masks), 1 << bit[tree.root])
+    def rec(n: int, sites: int):
+        if n == 3:   # pick one; the last two go in either order inline
+            orders = 0
+            for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+                mask = masks[i]
+                if mask & sites:
+                    a, b = masks[j], masks[k]
+                    reached = sites | mask
+                    orders += (bool(a & reached and b & (reached | a))
+                               + bool(b & reached and a & (reached | b)))
+            if orders:
+                tally(orders)
+            return
+        last = n - 1
+        for i in range(n):
+            mask = masks[i]
+            if mask & sites:
+                masks[i] = masks[last]
+                masks[last] = mask
+                rec(last, sites | mask)
+                masks[last] = masks[i]
+                masks[i] = mask
+
+    root = 1 << bit[tree.root]
+    if len(masks) > 2:
+        rec(len(masks), root)
+        return count
+    for order in itertools.permutations(masks):   # one or two bonds
+        sites = root
+        for mask in order:
+            if not mask & sites:
+                break
+            sites |= mask
+        else:
+            tally(1)
     return count
 
 
@@ -617,8 +649,7 @@ def tree_to_json(tree: RootedTree, out=None) -> str | None:
     """
     rx, ry = tree.root
     head = f'{{"root":[{rx},{ry}],"bonds":['
-    texts = (f"[[{ax},{ay}],[{bx},{by}]]"
-             for (ax, ay), (bx, by) in _ends(tree))
+    texts = map("[[%d,%d],[%d,%d]]".__mod__, _ends(tree))
     if out is None:
         return head + ",".join(texts) + "]}"
     for at in range(0, tree.bond_count, _CHUNK // 32):

@@ -8,6 +8,7 @@ import pytest
 
 from growcount import bethe, verify
 from growcount.bethe import (
+    bethe_census,
     bethe_existence_bound,
     bethe_growth_count,
     bethe_tree_count,
@@ -128,6 +129,39 @@ def test_partition_identity(bonds):
     assert total == bethe_growth_count(bonds)
 
 
+def reference_trees(bond_count: int) -> list[frozenset]:
+    """The subtrees in the order of the census as it was written over
+    address tuples: the head of the frontier is taken (its children
+    join the end) or skipped for good."""
+    out = []
+
+    def rec(frontier: tuple, chosen: tuple, left: int):
+        if left == 0:
+            out.append(frozenset(chosen))
+            return
+        if not frontier:
+            return
+        head, rest = frontier[0], frontier[1:]
+        rec(rest + children_addresses(head), chosen + (head,), left - 1)
+        rec(rest, chosen, left)
+
+    rec(("0", "1", "2"), (), bond_count)
+    return out
+
+
+@pytest.mark.parametrize("bonds", range(1, 8))
+def test_census_counts_each_subtree_in_the_reference_order(bonds):
+    trees, counts = bethe_census(bonds)
+    assert trees == reference_trees(bonds)
+    assert counts == [tree_growth_count(tree) for tree in trees]
+    rep = bethe_existence_bound(bonds)
+    assert (rep.trees, rep.counts) == (trees, counts)
+    # the maximizer is the first subtree with the largest count
+    first = next(tree for tree, n in zip(trees, counts) if n == max(counts))
+    assert rep.maximizer == tuple(sorted(first))
+    assert rep.maximizer_count == max(counts)
+
+
 def test_children_map_roots():
     children, roots = tree_children_map(frozenset({"0", "1", "00"}))
     assert roots == ["0", "1"]
@@ -169,7 +203,7 @@ def test_guards():
 def test_bethe_suite_enumerates_each_size_once(monkeypatch):
     # the suite's totals, census and per-subtree hook checks all come
     # from its one existence-bound run per size
-    calls = {"growth": [], "trees": []}
+    calls = {"growth": [], "census": []}
 
     def counting(key, fn):
         def wrapped(bonds):
@@ -179,7 +213,8 @@ def test_bethe_suite_enumerates_each_size_once(monkeypatch):
 
     monkeypatch.setattr(bethe, "bethe_growth_count",
                         counting("growth", bethe_growth_count))
-    monkeypatch.setattr(bethe, "bethe_trees", counting("trees", bethe_trees))
+    monkeypatch.setattr(bethe, "bethe_census",
+                        counting("census", bethe_census))
     checks = verify.bethe_suite()
     assert [c.name for c in checks] == [
         "bethe: sequence totals match (L+2)!/2 up to L=7",
@@ -189,4 +224,4 @@ def test_bethe_suite_enumerates_each_size_once(monkeypatch):
     ]
     assert all(c.ok for c in checks)
     assert calls["growth"] == list(range(1, 8))
-    assert calls["trees"] == list(range(1, 8))
+    assert calls["census"] == list(range(1, 8))

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: goldens, determinism, exit codes, round trips."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import math
 import re
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -95,6 +97,45 @@ def test_export_matches_the_golden_digests(capsys, monkeypatch, case):
     out = capsys.readouterr()
     assert out.err == ""
     assert hashlib.sha256(out.out.encode()).hexdigest() == case["sha256"]
+
+
+# sha256 of stdout and of stderr and the exit code of `bethe`, `verify` and
+# `oracle` (stdin from the `gen` command listed, caps on either side of N),
+# recorded while the brute-force enumerators sliced new tuples every step
+CERTIFY_DIGESTS = [json.loads(line)
+                   for line in golden("certify_digests.jsonl").splitlines()]
+
+
+def certify_digests(case) -> dict:
+    """Run one golden case in process, as `certify_digests.jsonl` has it."""
+    stdin = ""
+    if case["stdin"]:
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            assert cli_module.main(case["stdin"]) == 0
+        stdin = text.getvalue()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch("sys.stdin", io.StringIO(stdin)):
+        code = cli_module.main(case["argv"])
+    return {"argv": case["argv"], "stdin": case["stdin"],
+            "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest(),
+            "exit": code}
+
+
+def test_certify_digests_cover_every_case():
+    verbs = [case["argv"][0] for case in CERTIFY_DIGESTS]
+    assert [verbs.count(v) for v in ("bethe", "verify", "oracle")] \
+        == [9, 4, 24]
+    assert [case["exit"] for case in CERTIFY_DIGESTS].count(3) == 8
+    assert [case["exit"] for case in CERTIFY_DIGESTS].count(2) == 1
+
+
+@pytest.mark.parametrize("case", CERTIFY_DIGESTS,
+                         ids=lambda case: " ".join(case["argv"]))
+def test_certify_verbs_match_the_golden_digests(case):
+    assert certify_digests(case) == case
 
 
 # --- determinism ------------------------------------------------------------

@@ -257,6 +257,54 @@ def test_oracle_depth_guard_fires_before_any_mask():
     assert "bonds" not in past.__dict__
 
 
+def tuple_growth_orders(tree, cap=None) -> int:
+    """The oracle as it was written over tuples of masks: every step
+    slices the picked mask out of a new tuple."""
+    bit = {}
+    masks = []
+    for bond in tree.bonds:
+        mask = 0
+        for site in bond:
+            mask |= 1 << bit.setdefault(site, len(bit))
+        masks.append(mask)
+    count = 0
+
+    def rec(left: tuple, sites: int):
+        nonlocal count
+        if len(left) == 1:
+            if left[0] & sites:
+                count += 1
+                if cap is not None and count > cap:
+                    raise CapExceeded(f"more than {cap} growth orders")
+            return
+        for i, mask in enumerate(left):
+            if mask & sites:
+                rec(left[:i] + left[i + 1:], sites | mask)
+
+    rec(tuple(masks), 1 << bit[tree.root])
+    return count
+
+
+def outcome(count, tree, cap):
+    try:
+        return count(tree, cap=cap)
+    except CapExceeded as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 10 ** 6), st.integers(0, 9))
+def test_in_place_oracle_matches_the_tuple_oracle(bonds, seed, root):
+    t = rerooted(random_lattice_tree(bonds, seed=seed), root)
+    n = tuple_growth_orders(t)
+    assert enumerate_growth_orders(t) == n
+    for cap in sorted({0, n // 2, max(n - 2, 0), max(n - 1, 0), n, n + 1}):
+        got = outcome(enumerate_growth_orders, t, cap)
+        assert got == outcome(tuple_growth_orders, t, cap)
+        # a count cut short leaves no swapped mask for the next call
+        assert enumerate_growth_orders(t) == n
+
+
 def test_oracle_does_not_assume_connectivity():
     # a three-bond path with its middle bond removed: the last bond
     # never touches a reached site, so no growth order exists
