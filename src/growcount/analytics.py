@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _bonds_phrase, balanced_product, range_product
+from .core import _bonds_phrase, balanced_product
 from .errors import BoundViolated, InternalMismatch, TooLarge
 from .generators import MAX_INT_BITS, TowerParams
 
@@ -184,8 +184,9 @@ def _backbone_weight_product(length: int, count: int, sub_bonds: int) -> int:
     for c in range(1, count + 1):
         base = 1 + length + sub_bonds * (count - c + 1)
         hi = base - ((c - 1) * spacing + 1)
-        lo = base - c * spacing
-        parts.append(range_product(lo, hi))
+        # the run's lowest weight, hi - spacing + 1, is at least 1
+        # because c * spacing <= length
+        parts.append(math.perm(hi, spacing))
     return balanced_product(parts)
 
 

@@ -1,10 +1,13 @@
 """Exhaustive growth-order counting on the coordination-3 Bethe lattice.
 
-Sites are addressed by strings: the root's three neighbors are "0", "1",
-"2", and every other site has two children reached by appending "0" or
-"1".  Since each non-root site has a unique parent, a bond is identified
-with its far endpoint, so a rooted subtree is simply a set of addresses
-closed under the parent operation.
+Sites are numbered like a binary heap: the root's three neighbors are
+4, 5 and 6 (binary 100, 101, 110), and the two children of site a are
+2a and 2a+1, so the parent of a is a >> 1 and every child is numbered
+above its parent.  Since each non-root site has a unique parent, a bond
+is identified with its far endpoint, so a rooted subtree is simply a
+set of sites closed under the parent operation.  `address_name` spells
+a site for a reader: the root neighbor's digit "0", "1" or "2", then
+one binary digit per step down; only the report and error texts use it.
 
 Growing any subtree one bond at a time always offers n+3 choices after n
 additions, which makes the total number of growth sequences across all
@@ -15,11 +18,8 @@ growth count; this module verifies the whole chain by brute force.
 Brute force here means that every growth sequence's (L-1)-step prefix
 has its frontier built and every subtree is visited and counted; only
 the last step of a sequence is counted from its frontier's length.
-Addresses are strings at the API (`bethe_trees`, the report, the
-per-subtree routes) and ints inside the two enumerations: the ints
-number the addresses breadth first, children from
-`children_addresses`, and each enumeration changes one list in place
-and restores it, so no step builds a new frontier or address string.
+Each enumeration changes one list in place and restores it, so no step
+builds a new frontier.
 """
 
 import math
@@ -31,66 +31,39 @@ from .errors import InternalMismatch, TooLarge
 
 MAX_BONDS = 8
 
-_ROOT_FRONTIER = ("0", "1", "2")
+ROOT_NEIGHBORS = (4, 5, 6)
 
 
-def children_addresses(address: str) -> tuple[str, str]:
-    return (address + "0", address + "1")
-
-
-def _address_table(bond_count: int) -> tuple[list, list, list]:
-    """Number, breadth first, the addresses an L-bond subtree or growth
-    sequence can reach.
-
-    Address i is names[i].  Each address at most L-2 generations below
-    the root's neighbors (the deepest that a step before the last can
-    take) has the children first[i] and those in the tuple more[i],
-    numbered from `children_addresses`.
-    """
-    names = list(_ROOT_FRONTIER)
-    first, more = [], []
-    start = 0
-    for _ in range(bond_count - 1):
-        end = len(names)
-        for i in range(start, end):
-            kids = children_addresses(names[i])
-            first.append(len(names))
-            more.append(tuple(range(len(names) + 1, len(names) + len(kids))))
-            names.extend(kids)
-        start = end
-    return names, first, more
+def address_name(site: int) -> str:
+    """The printed name of a site, e.g. 4 -> "0" and 13 -> "21"."""
+    depth = site.bit_length() - 3
+    return "012"[(site >> depth) - 4] + format(site, "b")[3:]
 
 
 def bethe_growth_count(bond_count: int) -> int:
     """Count all growth sequences of length `bond_count` by brute force.
 
-    Addresses are ints inside the count (see `_address_table`).  One
-    frontier list of n addresses is changed in place: a step puts the
-    taken address's first child in its slot and its other children in
-    frontier[n:], the search goes on, and the slot is restored.  The
-    next step overwrites frontier[n:], and it is cut off once every
-    address has been taken.  Every prefix of length L-1 is still built;
+    One frontier list of n sites is changed in place: a step puts the
+    taken site's child 2a in its slot and appends 2a+1, the search goes
+    on, and both are undone.  Every prefix of length L-1 is still built;
     the last step is counted from that frontier's length, since each of
-    its addresses completes the prefix in exactly one way.  Checked on
-    the spot against the closed form (L+2)!/2; a mismatch would be an
+    its sites completes the prefix in exactly one way.  Checked on the
+    spot against the closed form (L+2)!/2; a mismatch would be an
     enumeration bug.
     """
     _check_bonds(bond_count)
-    _, first, more = _address_table(bond_count)
-    frontier = list(range(len(_ROOT_FRONTIER)))
+    frontier = list(ROOT_NEIGHBORS)
 
     def rec(left: int) -> int:
         total = 0
-        n = len(frontier)
-        tail = slice(n, None)
-        for i in range(n):
-            addr = frontier[i]
-            frontier[i] = first[addr]
-            frontier[tail] = more[addr]
+        for i in range(len(frontier)):
+            site = frontier[i]
+            frontier[i] = site << 1
+            frontier.append(site << 1 | 1)
             # a prefix of length L-1 is measured, a shorter one extended
             total += len(frontier) if left == 2 else rec(left - 1)
-            frontier[i] = addr
-        del frontier[tail]
+            frontier.pop()
+            frontier[i] = site
         return total
 
     count = rec(bond_count) if bond_count > 1 else len(frontier)
@@ -108,26 +81,25 @@ def bethe_census(bond_count: int) -> tuple[list[frozenset], list[int]]:
     growth count.
 
     Each subtree is visited exactly once: the frontier is consumed as an
-    ordered queue of (address, position of its parent among the taken
-    addresses), and every address is either taken (opening its
-    children) or skipped for good.  A subtree's count is L!/W, with the
-    hook sizes of W summed in one reverse pass over the parent
-    positions, since every parent is taken before its children.
+    ordered queue of (site, position of its parent among the taken
+    sites), and every site is either taken (opening its children) or
+    skipped for good.  A subtree's count is L!/W, with the hook sizes
+    of W summed in one reverse pass over the parent positions, since
+    every parent is taken before its children.
     """
     _check_bonds(bond_count)
-    names, first, more = _address_table(bond_count)
     factorial = math.factorial(bond_count)
-    queue = [(addr, -1) for addr in range(len(_ROOT_FRONTIER))]
+    queue = [(site, -1) for site in ROOT_NEIGHBORS]
     chosen, parent = [], []
     trees, counts = [], []
     backwards = range(bond_count - 1, -1, -1)
 
     def rec(start: int, left: int):
         end = len(queue)
-        if left == 1:   # take one more address and count the subtree
+        if left == 1:   # take one more site and count the subtree
             for r in range(start, end):
-                addr, up = queue[r]
-                chosen.append(names[addr])
+                site, up = queue[r]
+                chosen.append(site)
                 parent.append(up)
                 # the slot past the last takes the root neighbors' -1
                 size = [1] * (bond_count + 1)
@@ -137,8 +109,8 @@ def bethe_census(bond_count: int) -> tuple[list[frozenset], list[int]]:
                     size[parent[j]] += size[j]
                 n, rem = divmod(factorial, w)
                 if rem:
-                    raise InternalMismatch(
-                        f"L! not divisible by weights for {sorted(chosen)}")
+                    raise InternalMismatch("L! not divisible by weights "
+                                           f"for {_names(chosen)}")
                 trees.append(frozenset(chosen))
                 counts.append(n)
                 chosen.pop()
@@ -146,11 +118,11 @@ def bethe_census(bond_count: int) -> tuple[list[frozenset], list[int]]:
             return
         at = len(chosen)
         for r in range(start, end):
-            addr, up = queue[r]
-            chosen.append(names[addr])
+            site, up = queue[r]
+            chosen.append(site)
             parent.append(up)
-            queue.append((first[addr], at))
-            queue.extend((kid, at) for kid in more[addr])
+            queue.append((site << 1, at))
+            queue.append((site << 1 | 1, at))
             rec(r + 1, left - 1)
             del queue[end:]
             chosen.pop()
@@ -166,18 +138,13 @@ def bethe_trees(bond_count: int) -> list[frozenset]:
     return bethe_census(bond_count)[0]
 
 
-def bethe_tree_count(bond_count: int) -> int:
-    """Number of distinct rooted subtrees, by exhaustive enumeration."""
-    return len(bethe_trees(bond_count))
-
-
 def tree_children_map(tree: frozenset) -> tuple[dict, list]:
     """Children lists and root bonds of one subtree, for the forest helpers."""
     children = {
-        addr: [c for c in children_addresses(addr) if c in tree]
-        for addr in tree
+        site: [c for c in (site << 1, site << 1 | 1) if c in tree]
+        for site in tree
     }
-    roots = sorted(a for a in tree if len(a) == 1)
+    roots = sorted(site for site in tree if site in ROOT_NEIGHBORS)
     return children, roots
 
 
@@ -185,24 +152,23 @@ def tree_growth_count(tree: frozenset) -> int:
     """Growth orders of one subtree via the hook product L!/W.
 
     The hook of a bond is the size of the subtree at its far endpoint.
-    Sizes are summed straight from the addresses: walking them longest
-    first, each size is final when it is reached, so it enters W and is
-    added to the entry of its parent, addr[:-1].  This is the
-    independent hook-product route: it uses neither the sequence
+    Sizes are summed straight from the sites: walking them from the
+    highest number down, each size is final when it is reached, so it
+    enters W and is added to the entry of its parent, site >> 1.  This
+    is the independent hook-product route: it uses neither the sequence
     enumeration it is checked against nor core's prime powers, and it
     divides L! by W with divmod on purpose.  At L <= 8 the prime route
-    measured 6.0 us against 0.3 us per call, and `bethe 8` makes 11,934
-    calls.
+    measured 6.0 us against 0.3 us per call.
     """
     size = dict.fromkeys(tree, 1)
     w = 1
-    for addr in sorted(tree, key=len, reverse=True):
-        w *= size[addr]
-        if len(addr) > 1:
-            size[addr[:-1]] += size[addr]
+    for site in sorted(tree, reverse=True):
+        w *= size[site]
+        if site not in ROOT_NEIGHBORS:
+            size[site >> 1] += size[site]
     n, rem = divmod(math.factorial(len(tree)), w)
     if rem:
-        raise InternalMismatch(f"L! not divisible by weights for {sorted(tree)}")
+        raise InternalMismatch(f"L! not divisible by weights for {_names(tree)}")
     return n
 
 
@@ -226,7 +192,7 @@ class BetheBoundReport:
     average: Fraction
     average_floor: Fraction   # (L+2)!/(2*9^L)
     naive_floor: Fraction     # L!/9^L
-    maximizer: tuple
+    maximizer: tuple          # names of the sites, sorted
     maximizer_count: int
     # the enumerated subtrees and their counts, for per-subtree checks;
     # not in to_dict
@@ -279,9 +245,13 @@ def bethe_existence_bound(bond_count: int) -> BetheBoundReport:
     return BetheBoundReport(
         bond_count=bond_count, growth_count=total, tree_count=count,
         average=average, average_floor=average_floor, naive_floor=naive_floor,
-        maximizer=tuple(sorted(best)), maximizer_count=best_n, trees=trees,
+        maximizer=tuple(_names(best)), maximizer_count=best_n, trees=trees,
         counts=counts,
     )
+
+
+def _names(sites) -> list[str]:
+    return sorted(map(address_name, sites))
 
 
 def _check_bonds(bond_count: int):

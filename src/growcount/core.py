@@ -52,7 +52,7 @@ obtained by orienting every bond away from the root, so the counting
 helpers at the bottom of this module work on any forest given as
 children lists, not just on lattice trees.  The Bethe-lattice module
 counts its subtrees' growth sequences with `linear_extension_count`;
-`forest_weights` is the children-list reference its address-based hook
+`forest_weights` is the children-list reference its site-based hook
 sizes are tested against.
 """
 
@@ -196,19 +196,6 @@ def balanced_product(values: Iterable) -> int:
     while len(vals) > 1:
         vals = _pairwise(vals)
     return vals[0]
-
-
-def range_product(lo: int, hi: int) -> int:
-    """Product of the integers lo..hi inclusive (1 when lo > hi)."""
-    if lo > hi:
-        return 1
-    if hi - lo < 8:
-        out = 1
-        for n in range(lo, hi + 1):
-            out *= n
-        return out
-    mid = (lo + hi) // 2
-    return range_product(lo, mid) * range_product(mid + 1, hi)
 
 
 # --- big integers -----------------------------------------------------------
@@ -418,6 +405,7 @@ def tree_from_runs(root: Site, runs: Iterable) -> RootedTree:
     A run (x, y, dx, dy, n) is the n bonds that step from site (x, y)
     by the unit vector (dx, dy).
     """
+    root = _as_site(root)
     xs, ys, steps = columns = [[], [], []]
     for x, y, dx, dy, n in runs:
         if dx * dx + dy * dy != 1:
@@ -432,7 +420,7 @@ def tree_from_runs(root: Site, runs: Iterable) -> RootedTree:
             ys.extend(range(low, low + n))
         steps.extend([dx * dx] * n)
     del xs, ys, steps
-    return _packed_tree((int(root[0]), int(root[1])), columns)
+    return _packed_tree(root, columns)
 
 
 def downstream_weights(tree: RootedTree) -> list[int]:
@@ -557,9 +545,7 @@ def forest_weights(children: Mapping, roots: Sequence) -> dict:
     return weights
 
 
-def linear_extension_count(
-    children: Mapping, roots: Sequence, cap: int | None = None
-) -> int:
+def linear_extension_count(children: Mapping, roots: Sequence) -> int:
     """Count linear extensions of a forest by brute-force frontier search.
 
     An extension picks remaining items whose parent is already placed;
@@ -572,8 +558,6 @@ def linear_extension_count(
         nonlocal count
         if not frontier:
             count += 1
-            if cap is not None and count > cap:
-                raise CapExceeded(f"more than {cap} linear extensions")
             return
         for i, item in enumerate(frontier):
             rec(frontier[:i] + frontier[i + 1:] + tuple(children.get(item, ())))

@@ -241,8 +241,10 @@ def _labels(leveled_runs) -> dict[tuple[Site, Site], int]:
 
 
 def _check_custom(ells, bs):
-    ells = tuple(int(v) for v in ells)
-    bs = tuple(int(v) for v in bs)
+    ells, bs = tuple(ells), tuple(bs)
+    for v in ells + bs:   # int() would truncate 2.9 and accept True and "2"
+        if type(v) is not int:
+            raise ConstraintViolated(f"parameters must be integers, got {v!r}")
     if not ells:
         raise ConstraintViolated("need at least one backbone length")
     if len(bs) != len(ells) - 1:

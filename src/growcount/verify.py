@@ -173,9 +173,9 @@ def bethe_suite() -> list[Check]:
            if rep.tree_count > 9 ** rep.bond_count]
     checks.append(_check("bethe: subtree census under 9^L", not bad, bad))
 
-    # each subtree of up to 5 bonds: the census count, the address
-    # route and the linear extensions
-    bad = [sorted(tree) for rep in reports[:5]
+    # each subtree of up to 5 bonds: the census count, the hook route
+    # over its sites and the linear extensions
+    bad = [sorted(map(bethe.address_name, tree)) for rep in reports[:5]
            for tree, n in zip(rep.trees, rep.counts)
            if not n == bethe.tree_growth_count(tree)
            == bethe.tree_growth_count_enumerated(tree)]

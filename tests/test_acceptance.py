@@ -23,7 +23,6 @@ from growcount.analytics import (
 from growcount.bethe import (
     bethe_existence_bound,
     bethe_growth_count,
-    bethe_tree_count,
     bethe_trees,
     tree_growth_count,
 )
@@ -162,7 +161,7 @@ def test_criterion_8_bethe_lattice():
         for bonds in range(1, 8):
             assert bethe_growth_count(bonds) \
                 == math.factorial(bonds + 2) // 2
-            assert bethe_tree_count(bonds) <= 9 ** bonds
+            assert len(bethe_trees(bonds)) <= 9 ** bonds
         for bonds in range(1, 7):
             total = sum(tree_growth_count(t) for t in bethe_trees(bonds))
             assert total == bethe_growth_count(bonds)

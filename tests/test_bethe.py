@@ -8,12 +8,12 @@ import pytest
 
 from growcount import bethe, verify
 from growcount.bethe import (
+    ROOT_NEIGHBORS,
+    address_name,
     bethe_census,
     bethe_existence_bound,
     bethe_growth_count,
-    bethe_tree_count,
     bethe_trees,
-    children_addresses,
     tree_children_map,
     tree_growth_count,
     tree_growth_count_enumerated,
@@ -37,9 +37,24 @@ def census_by_frontier(frontier: int, bonds: int) -> int:
         + census_by_frontier(frontier - 1, bonds)
 
 
-def test_addresses():
-    assert children_addresses("0") == ("00", "01")
-    assert children_addresses("21") == ("210", "211")
+def named(tree) -> frozenset:
+    return frozenset(map(address_name, tree))
+
+
+def string_children(address: str) -> tuple[str, str]:
+    """The children rule of the string routes below, kept apart from
+    the module's heap numbering."""
+    return (address + "0", address + "1")
+
+
+def test_address_names():
+    assert [address_name(site) for site in ROOT_NEIGHBORS] == ["0", "1", "2"]
+    sites = set().union(*bethe_trees(8))
+    names = {site: address_name(site) for site in sites}
+    assert len(set(names.values())) == len(sites)
+    for site, name in names.items():
+        assert address_name(2 * site) == name + "0"
+        assert address_name(2 * site + 1) == name + "1"
 
 
 @pytest.mark.parametrize("bonds", range(1, 8))
@@ -53,7 +68,7 @@ def full_recursion_count(frontier: tuple, left: int) -> int:
         return 1
     return sum(
         full_recursion_count(
-            frontier[:i] + frontier[i + 1:] + children_addresses(addr),
+            frontier[:i] + frontier[i + 1:] + string_children(addr),
             left - 1)
         for i, addr in enumerate(frontier))
 
@@ -64,20 +79,18 @@ def test_growth_count_matches_full_recursion(bonds):
         == full_recursion_count(("0", "1", "2"), bonds)
 
 
-@pytest.mark.parametrize("bonds", range(2, 8))
+@pytest.mark.parametrize("bonds", range(1, 8))
 def test_growth_count_catches_broken_enumeration(bonds, monkeypatch):
-    # three children per site: the frontier grows by two per step, so
-    # the count leaves the closed form (L+2)!/2 from L = 2 on (at L = 1
-    # both give 3)
-    monkeypatch.setattr(bethe, "children_addresses",
-                        lambda a: (a + "0", a + "1", a + "2"))
+    # a fourth root neighbor: the count becomes 4*5*...*(L+3), which
+    # leaves the closed form (L+2)!/2 at every L
+    monkeypatch.setattr(bethe, "ROOT_NEIGHBORS", (4, 5, 6, 7))
     with pytest.raises(InternalMismatch, match=f"L={bonds}"):
         bethe_growth_count(bonds)
 
 
 @pytest.mark.parametrize("bonds", range(1, 8))
 def test_tree_count_frozen_and_recounted(bonds):
-    count = bethe_tree_count(bonds)
+    count = len(bethe_trees(bonds))
     assert count == TREE_COUNTS[bonds - 1]
     assert count == census_by_frontier(3, bonds)
 
@@ -86,20 +99,20 @@ def test_tree_count_closed_form():
     # ternary-Catalan form of the census
     for bonds in range(1, 8):
         closed = 3 * math.comb(2 * bonds + 3, bonds) // (2 * bonds + 3)
-        assert bethe_tree_count(bonds) == closed
+        assert len(bethe_trees(bonds)) == closed
 
 
 @pytest.mark.parametrize("bonds", range(1, 8))
 def test_census_under_nine_power(bonds):
-    assert bethe_tree_count(bonds) <= 9 ** bonds
+    assert len(bethe_trees(bonds)) <= 9 ** bonds
 
 
 def test_trees_are_distinct_and_closed_under_parent():
     trees = bethe_trees(4)
     assert len(set(trees)) == len(trees)
     for tree in trees:
-        for addr in tree:
-            assert len(addr) == 1 or addr[:-1] in tree
+        for site in tree:
+            assert site in ROOT_NEIGHBORS or site >> 1 in tree
 
 
 @pytest.mark.parametrize("bonds", range(1, 6))
@@ -142,7 +155,7 @@ def reference_trees(bond_count: int) -> list[frozenset]:
         if not frontier:
             return
         head, rest = frontier[0], frontier[1:]
-        rec(rest + children_addresses(head), chosen + (head,), left - 1)
+        rec(rest + string_children(head), chosen + (head,), left - 1)
         rec(rest, chosen, left)
 
     rec(("0", "1", "2"), (), bond_count)
@@ -152,21 +165,21 @@ def reference_trees(bond_count: int) -> list[frozenset]:
 @pytest.mark.parametrize("bonds", range(1, 8))
 def test_census_counts_each_subtree_in_the_reference_order(bonds):
     trees, counts = bethe_census(bonds)
-    assert trees == reference_trees(bonds)
+    assert [named(tree) for tree in trees] == reference_trees(bonds)
     assert counts == [tree_growth_count(tree) for tree in trees]
     rep = bethe_existence_bound(bonds)
     assert (rep.trees, rep.counts) == (trees, counts)
     # the maximizer is the first subtree with the largest count
     first = next(tree for tree, n in zip(trees, counts) if n == max(counts))
-    assert rep.maximizer == tuple(sorted(first))
+    assert rep.maximizer == tuple(sorted(named(first)))
     assert rep.maximizer_count == max(counts)
 
 
 def test_children_map_roots():
-    children, roots = tree_children_map(frozenset({"0", "1", "00"}))
-    assert roots == ["0", "1"]
-    assert children["0"] == ["00"]
-    assert children["00"] == []
+    # the sites "0", "1" and "00"
+    children, roots = tree_children_map(frozenset({4, 5, 8}))
+    assert roots == [4, 5]
+    assert children == {4: [8], 5: [], 8: []}
 
 
 def test_existence_report_two_bonds():
@@ -198,6 +211,13 @@ def test_guards():
         bethe_growth_count(9)
     with pytest.raises(TooLarge):
         bethe_trees(9)
+
+
+def test_bethe_suite_names_a_failing_subtree(monkeypatch):
+    monkeypatch.setattr(bethe, "tree_growth_count_enumerated", lambda t: 0)
+    check = verify.bethe_suite()[2]
+    # the first subtree of the census, the single bond to site 4
+    assert (check.ok, check.detail) == (False, "[['0']]")
 
 
 def test_bethe_suite_enumerates_each_size_once(monkeypatch):

@@ -17,7 +17,6 @@ from growcount.core import (
     growth_count,
     linear_extension_count,
     random_lattice_tree,
-    range_product,
     tree_from_json,
     tree_to_json,
     tree_weight,
@@ -333,12 +332,6 @@ def test_linear_extension_matches_oracle_on_lattice_trees():
             == enumerate_growth_orders(t)
 
 
-def test_linear_extension_cap():
-    children = {i: [] for i in range(6)}
-    with pytest.raises(CapExceeded):
-        linear_extension_count(children, list(range(6)), cap=100)
-
-
 # --- products ---------------------------------------------------------------
 
 def test_balanced_product_agrees_with_math_prod():
@@ -346,12 +339,6 @@ def test_balanced_product_agrees_with_math_prod():
     assert balanced_product(values) == math.prod(values)
     assert balanced_product([]) == 1
     assert balanced_product([7]) == 7
-
-
-def test_range_product_is_a_factorial_quotient():
-    assert range_product(1, 10) == math.factorial(10)
-    assert range_product(5, 4) == 1
-    assert range_product(6, 9) == math.factorial(9) // math.factorial(5)
 
 
 # --- random trees -----------------------------------------------------------

@@ -290,6 +290,18 @@ def test_custom_rejects_bad_parameters(ells, bs):
         custom_hierarchical_tree(ells, bs)
 
 
+@pytest.mark.parametrize("ells,bs,bad", [
+    ((2.9, 6.5), (2.2,), "2.9"),   # int() would build the [2, 6], [2] tree
+    ((True,), (), "True"),         # a bool would build a 1-bond tree
+    (("2", "6"), ("2",), "'2'"),
+    ((2, 6), (2.0,), "2.0"),
+], ids=["float", "bool", "str", "float count"])
+def test_custom_refuses_non_integer_parameters(ells, bs, bad):
+    with pytest.raises(ConstraintViolated,
+                       match=f"^parameters must be integers, got {bad}$"):
+        custom_hierarchical_tree(ells, bs)
+
+
 def test_custom_size_guard():
     with pytest.raises(TooLarge):
         custom_hierarchical_tree((2, MAX_TREE_BONDS + 2), (1,))

@@ -245,6 +245,15 @@ def test_validate_tree_refuses_non_integer_coordinates(root, bonds):
     assert str(direct.value).startswith("coordinates must be integers, got ")
 
 
+@pytest.mark.parametrize("root", [(0.7, "0"), (True, 0), (0, 0, 0), "00"],
+                         ids=["float and str", "bool", "triple", "str"])
+def test_runs_refuse_a_non_integer_root(root):
+    # int() would root the first tree at (0, 0) and the second at (1, 0)
+    with pytest.raises(ValueError, match="^(coordinates must be integers"
+                       "|a site is a pair)"):
+        core.tree_from_runs(root, [(0, 0, 1, 0, 2)])
+
+
 def test_runs_must_step_by_unit_vectors():
     with pytest.raises(ValueError, match="unit vector"):
         core.tree_from_runs((0, 0), [(0, 0, 1, 1, 3)])
