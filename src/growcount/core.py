@@ -13,8 +13,8 @@ counted from the hooks, and in N, Legendre's formula for L! minus that;
 every exponent of N >= 0 is its certificate.  `growth_count` multiplies
 N's prime powers.  `count` prints W and N from their exponents with
 `prime_power_digits`, which squares once per exponent bit (Borwein's
-method) and multiplies in `decimal` past a few thousand bits, so no
-big int is ever converted to digits.  A brute-force enumerator
+method) and multiplies in `decimal` from the first product, so no big
+int is ever converted to digits.  A brute-force enumerator
 (`enumerate_growth_orders`) is the independent oracle for the identity.
 It reads only which sites each bond joins, as one bit per site and one
 two-bit mask per bond, and never a hook or an orientation.
@@ -176,54 +176,28 @@ def _ends(tree: RootedTree, keys: Iterable[int] | None = None):
         yield x, y, x + step, y + 1 - step
 
 
-def _pairwise(vals: list) -> list:
-    """One level of pairwise products; an odd last value passes through."""
-    nxt = [vals[i] * vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-    if len(vals) % 2:
-        nxt.append(vals[-1])
-    return nxt
-
-
 def balanced_product(values: Iterable) -> int:
     """Product of arbitrary-size integers by pairwise halving.
 
     Sequential accumulation is quadratic in total digit count; pairing
     keeps the factors balanced, which matters for trees with 10^5+ bonds.
+    Decimals multiply alike under an exact context.
     """
     vals = list(values)
     if not vals:
         return 1
     while len(vals) > 1:
-        vals = _pairwise(vals)
+        # an odd last value passes through
+        vals = [a * b for a, b in zip(vals[::2], vals[1::2])] \
+            + vals[len(vals) & ~1:]
     return vals[0]
 
 
 # --- big integers -----------------------------------------------------------
 
-# a product past this size is carried on in decimal, where unbounded
-# precision and a trapped Inexact keep every step exact
-_DECIMAL_PRODUCT_BITS = 4096
+# unbounded precision and a trapped Inexact keep every decimal step exact
 _EXACT_DECIMAL = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                                  Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
-
-
-def _decimal_product(values: list[int]) -> int | decimal.Decimal:
-    """The product of small factors; call it under _EXACT_DECIMAL.
-
-    They are paired up as ints until some product passes
-    _DECIMAL_PRODUCT_BITS; the remaining levels multiply in decimal
-    (libmpdec beats CPython's Karatsuba at millions of bits), where an
-    inexact step would raise.  The result is an int if the pairing
-    finished below that size and a Decimal otherwise, so no big int is
-    ever converted.
-    """
-    vals = values or [1]
-    while len(vals) > 1 \
-            and max(map(int.bit_length, vals)) <= _DECIMAL_PRODUCT_BITS:
-        vals = _pairwise(vals)
-    if len(vals) == 1:
-        return vals[0]
-    return balanced_product(map(decimal.Decimal, vals))
 
 
 def prime_power_digits(primes: Sequence[int], exponents: Sequence[int]) -> str:
@@ -232,9 +206,10 @@ def prime_power_digits(primes: Sequence[int], exponents: Sequence[int]) -> str:
     Borwein's order: from the top exponent bit down, square the running
     product, then multiply in the primes whose exponent has that bit
     set, so the last squaring does most of the work; a product tree
-    repeats a full-size multiplication at every level.  The running
-    product turns from int into Decimal past _DECIMAL_PRODUCT_BITS, so
-    no big int meets CPython's quadratic int-to-str or Decimal(int).
+    repeats a full-size multiplication at every level.  Every product
+    is a Decimal under _EXACT_DECIMAL, where an inexact step would
+    raise (libmpdec beats CPython's Karatsuba at millions of bits), so
+    only the primes themselves are ever converted from int.
     """
     by_bit = [[] for _ in range(max(exponents, default=0).bit_length())]
     for p, e in zip(primes, exponents):
@@ -242,12 +217,10 @@ def prime_power_digits(primes: Sequence[int], exponents: Sequence[int]) -> str:
             low = e & -e
             by_bit[low.bit_length() - 1].append(p)
             e ^= low
-    out = 1
+    out = decimal.Decimal(1)
     with decimal.localcontext(_EXACT_DECIMAL):
         for bucket in reversed(by_bit):
-            out = out * out * _decimal_product(bucket)
-            if type(out) is int and out.bit_length() > _DECIMAL_PRODUCT_BITS:
-                out = decimal.Decimal(out)
+            out = out * out * balanced_product(map(decimal.Decimal, bucket))
     return str(out)
 
 
@@ -403,11 +376,14 @@ def tree_from_runs(root: Site, runs: Iterable) -> RootedTree:
     """Check and return the tree made of straight runs of bonds.
 
     A run (x, y, dx, dy, n) is the n bonds that step from site (x, y)
-    by the unit vector (dx, dy).
+    by the unit vector (dx, dy); each field is an int.
     """
     root = _as_site(root)
     xs, ys, steps = columns = [[], [], []]
     for x, y, dx, dy, n in runs:
+        for v in (x, y, dx, dy, n):   # bool is an int subclass
+            if type(v) is not int:
+                raise ValueError(f"run fields must be integers, got {v!r}")
         if dx * dx + dy * dy != 1:
             raise ValueError(f"a run steps by a unit vector, got {(dx, dy)}")
         if dx:
@@ -614,8 +590,8 @@ def random_lattice_tree(bond_count: int, seed: int) -> RootedTree:
 # at the first bond boundary past this many characters; see tree_from_json
 _CHUNK = 1 << 18
 _CANONICAL_HEAD = re.compile(
-    r'[ \t\n\r]*\{"root":\[(-?(?:0|[1-9][0-9]{0,17})),'
-    r'(-?(?:0|[1-9][0-9]{0,17}))\],"bonds":\[')
+    r'[ \t\n\r]*\{"root":\[(-?(?:0|[1-9][0-9]{0,18})),'
+    r'(-?(?:0|[1-9][0-9]{0,18}))\],"bonds":\[')
 _BOND_SKELETON = b"[[,],[,]],"
 _NUMERALS = b"-0123456789"
 _ZEROS = bytes.maketrans(b"123456789", b"000000000")

@@ -48,7 +48,7 @@ def unlimited_int_digits():
 
 SMALL_PRIMES = [p for p in range(2, 6000)
                 if all(p % d for d in range(2, math.isqrt(p) + 1))]
-# exponents from none to past the 4096-bit switch into decimal
+# exponents from none to products of tens of thousands of bits
 EXPONENTS = st.one_of(st.integers(0, 3), st.integers(0, 300),
                       st.integers(0, 6000))
 
@@ -91,12 +91,11 @@ def test_prime_power_digits_skips_zero_exponents(primes, exponents):
         == str_of_power_product(primes, exponents)
 
 
-@pytest.mark.parametrize("bits", [-2, -1, 0, 1, 2, 4096])
-def test_prime_power_digits_on_both_sides_of_the_decimal_switch(bits):
+@pytest.mark.parametrize("top", [4094, 4095, 4096, 4097, 4098, 8192])
+def test_prime_power_digits_on_both_sides_of_4096_bits(top):
     # a power of two and a product of distinct primes, each ending
-    # within a few bits of the switch, plus one running in decimal
-    # for as many bits again
-    top = core._DECIMAL_PRODUCT_BITS + bits
+    # within a few bits of 4096 (where the printer once turned from int
+    # into decimal), plus one running for as many bits again
     assert prime_power_digits([2], [top]) == str(2 ** top)
     products = itertools.accumulate(SMALL_PRIMES, operator.mul)
     count = next(i for i, prod in enumerate(products, 1)
@@ -127,8 +126,8 @@ def test_prime_power_digits_of_one_prime_to_a_huge_exponent():
 ], ids=["squarefree", "one-prime", "both"])
 def test_prime_power_digits_converts_no_big_int(primes, exponents,
                                                 monkeypatch):
-    # no int of more than four times the switch size may reach str() or
-    # Decimal(), whose conversions are quadratic in the digits
+    # no int wider than the widest prime may reach str() or Decimal(),
+    # whose conversions are quadratic in the digits
     exponents = exponents or [1] * len(primes)
     want = str_of_power_product(primes, exponents)
     widest = []
@@ -145,7 +144,7 @@ def test_prime_power_digits_converts_no_big_int(primes, exponents,
     got = prime_power_digits(primes, exponents)
     monkeypatch.undo()
     assert got == want
-    assert widest and max(widest) <= 4 * core._DECIMAL_PRODUCT_BITS
+    assert widest and max(widest) <= max(primes).bit_length()
 
 
 # --- prime_exponents against the divmod oracle ------------------------------
@@ -254,6 +253,52 @@ def test_count_prints_n_as_str_of_growth_count(tree):
     payload = count_payload(tree)
     assert payload["N"] == str(growth_count(tree))
     assert payload["W"] == str(tree_weight(tree))
+
+
+P61 = 2 ** 61 - 1
+
+
+def residue(digits: str) -> int:
+    """A decimal string modulo 2^61-1, by Horner's rule over 18 digits
+    at a time, so no big int is formed."""
+    head = len(digits) % 18 or 18
+    r = int(digits[:head]) % P61
+    for i in range(head, len(digits), 18):
+        r = (r * 10 ** 18 + int(digits[i:i + 18])) % P61
+    return r
+
+
+def product_residue(numbers) -> int:
+    r = 1
+    for k in numbers:
+        r = r * k % P61
+    return r
+
+
+def test_residue_reads_every_digit():
+    digits = str(math.factorial(3000))
+    assert residue(digits) == product_residue(range(2, 3001)) \
+        == int(digits) % P61
+    for at in (0, 17, len(digits) // 2, len(digits) - 1):
+        changed = digits[:at] + str(9 - int(digits[at])) + digits[at + 1:]
+        assert residue(changed) == int(changed) % P61 != residue(digits)
+
+
+@pytest.mark.parametrize("tree", [
+    pytest.param(lambda: path_tree(100_001), id="path100001"),
+    pytest.param(lambda: tower_tree(tower_params(3, 2)), id="tower3/2"),
+])
+def test_count_of_the_benchmark_trees_modulo_a_prime(tree):
+    # the trees of the path and tower benchmark workloads, with W and N
+    # checked against the hooks and L! by a route free of
+    # prime_power_digits and of big ints
+    tree = tree()
+    payload = count_payload(tree)
+    w = residue(payload["W"])
+    assert payload["L"] == tree.bond_count
+    assert w == product_residue(tree.hooks)
+    assert residue(payload["N"]) * w % P61 \
+        == product_residue(range(2, tree.bond_count + 1))
 
 
 @settings(max_examples=20, deadline=None)

@@ -254,6 +254,17 @@ def test_runs_refuse_a_non_integer_root(root):
         core.tree_from_runs(root, [(0, 0, 1, 0, 2)])
 
 
+@pytest.mark.parametrize("bad", [1.0, True, "1"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("at", range(5), ids=["x", "y", "dx", "dy", "n"])
+def test_runs_refuse_a_non_integer_field(at, bad):
+    # a float would build float keys, and True would pass as a step of 1
+    run = [0, 0, 1, 0, 2]
+    run[at] = bad
+    with pytest.raises(ValueError, match=r"^run fields must be integers, "
+                       rf"got {bad!r}$"):
+        core.tree_from_runs((0, 0), [tuple(run)])
+
+
 def test_runs_must_step_by_unit_vectors():
     with pytest.raises(ValueError, match="unit vector"):
         core.tree_from_runs((0, 0), [(0, 0, 1, 1, 3)])
@@ -462,6 +473,7 @@ PATH_BONDS = 13
     ('"root":[1,0]', '"root":[1,-0]'),
     ('"root":[1,0]', '"root":[01,0]'),
     ('"root":[1,0]', '"root":[1.0,0]'),
+    ('"root":[1,0]', '"root":[1,' + "9" * 20 + "]"),
 ])
 def test_mutated_text_reads_alike_by_both_routes(old, new):
     assert old in PATH_TEXT
@@ -488,6 +500,18 @@ def test_mutated_text_reads_alike_by_both_routes(old, new):
 ])
 def test_reshaped_text_reads_alike_by_both_routes(text):
     assert_routes_agree(text, PATH_BONDS)
+
+
+@pytest.mark.parametrize("root", [(10 ** 19 - 1, -(10 ** 19 - 3)),
+                                  (-(10 ** 18), 10 ** 18)])
+def test_a_19_digit_root_stays_on_the_chunked_route(root):
+    # the root takes as many digits as a bond coordinate
+    x, y = root
+    tree = validate_tree(root, [((x, y), (x, y - 1)), ((x, y - 1), (x, y - 2)),
+                                ((x, y), (x - 1, y))])
+    text = tree_to_json(tree)
+    assert chunked_only(text) == tree
+    assert assert_routes_agree(text, 3)[0] == tree
 
 
 def test_whitespace_around_canonical_text_stays_on_the_chunked_route():
