@@ -137,14 +137,33 @@ def epsilon_partial_exact(a0: int, upto_k: int) -> Fraction:
 
 # --- exact bond counts and weights ------------------------------------------
 
+def _shift_reduced(num: int, den: int) -> Fraction:
+    """Fraction(num, den), with the factors of two that num and den share
+    shifted out first.
+
+    Past the seed every tower value is a power of two, so the family's
+    ratios are a small number times a power of two over another one;
+    after the shifts Fraction's gcd, which is quadratic, runs on small
+    integers instead of megabit ones.
+    """
+    shift = min((num & -num).bit_length(), (den & -den).bit_length()) - 1
+    if shift > 0:
+        num >>= shift
+        den >>= shift
+    return Fraction(num, den)
+
+
 def bond_count(params: TowerParams, generation: int | None = None) -> int:
     """Exact number of bonds, computed two independent ways.
 
     Route one telescopes branch-count products against backbone lengths;
     route two evaluates first_gen[j] * (1 + 4*sum of the ratios
-    first_gen[k-2]/first_gen[k-1]) in rational arithmetic.  Disagreement
-    (or a non-integral rational) raises InternalMismatch; a generation
-    past the integer horizon raises TooLarge.
+    first_gen[k-2]/first_gen[k-1]) in rational arithmetic, each ratio
+    built by `_shift_reduced`.  With num/den the bracket in lowest
+    terms, the product is the integer total exactly when total * den ==
+    first_gen[j] * num, so no gcd runs on the megabit first_gen[j].
+    Disagreement (or a non-integral rational) raises InternalMismatch;
+    a generation past the integer horizon raises TooLarge.
     """
     j = params.generations if generation is None else generation
     if not 1 <= j <= params.generations:
@@ -160,9 +179,11 @@ def bond_count(params: TowerParams, generation: int | None = None) -> int:
 
     ratio_sum = Fraction(0)
     for k in range(2, j + 1):
-        ratio_sum += Fraction(params.first_gen[k - 2], params.first_gen[k - 1])
-    alt = params.first_gen[j] * (1 + 4 * ratio_sum)
-    if alt.denominator != 1 or alt != total or total != params.bond_counts[j]:
+        ratio_sum += _shift_reduced(params.first_gen[k - 2],
+                                    params.first_gen[k - 1])
+    num, den = (1 + 4 * ratio_sum).as_integer_ratio()
+    if total * den != params.first_gen[j] * num \
+            or total != params.bond_counts[j]:
         raise InternalMismatch(
             f"bond-count formulas disagree at a0={params.a0}, generation {j}"
         )
@@ -482,7 +503,10 @@ def structure_fractions(params: TowerParams, generation: int) -> StructureReport
 
     All three inequalities (ratio within [1, 1+epsilon0], backbone
     fraction under its bound) are verified, in rational arithmetic when
-    possible; violations raise InternalMismatch.
+    possible; violations raise InternalMismatch.  The exact ratio and
+    backbone fraction are built by `_shift_reduced`, so no gcd runs on
+    the megabit bond count, and the first-generation fraction is the
+    ratio inverted.
     """
     if not 2 <= generation <= params.generations:
         raise ValueError(
@@ -494,9 +518,9 @@ def structure_fractions(params: TowerParams, generation: int) -> StructureReport
     if params.bonds(j) is not None:
         total = bond_count(params, j)
         firstgen = params.first_gen[j]
-        ratio = Fraction(total, firstgen)
-        first = Fraction(firstgen, total)
-        backbone_frac = Fraction(params.backbone[j], total)
+        ratio = _shift_reduced(total, firstgen)
+        first = 1 / ratio
+        backbone_frac = _shift_reduced(params.backbone[j], total)
         a = params.tower[j - 2]
         bound = 4 * Fraction(a * a, params.tower[j - 1] ** 2)
         if ratio < 1 or backbone_frac > bound:

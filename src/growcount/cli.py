@@ -25,6 +25,7 @@ import sys
 
 from . import analytics, bethe, core, render, verify
 from .core import (
+    dyadic_digits,
     enumerate_growth_orders,
     prime_exponents,
     prime_power_digits,
@@ -48,9 +49,10 @@ from .generators import (
 # the verbs whose guards (TooLarge, CapExceeded) exit 3, not 2
 _STDIN_VERBS = ("count", "oracle", "export")
 ORACLE_FREE_LIMIT = 12   # beyond this, `oracle` insists on --cap
-# analyze reports a larger L by its bit length only.  str() of an int
-# this size takes about 20 ms once main lifts the digit cap; the limit
-# keeps analyze's output small and unchanged.
+# analyze reports a larger L by its bit length only; the limit keeps
+# analyze's output small and unchanged.  An L this size prints through
+# core.dyadic_digits in about 2 ms, where str() takes about 25 ms once
+# main lifts the digit cap (CPython 3.11).
 PRINT_INT_BITS = 2 ** 17
 
 
@@ -139,7 +141,7 @@ def cmd_analyze(args) -> int:
     payload = report.to_dict()
     payload["mode"] = args.mode
     printable = total is not None and total.bit_length() <= PRINT_INT_BITS
-    payload["L"] = str(total) if printable else None
+    payload["L"] = dyadic_digits(total) if printable else None
     payload["Lbits"] = total.bit_length() if total is not None else None
     payload["logW"] = log_w
     payload["structure"] = structure.to_dict() if structure else None

@@ -224,6 +224,21 @@ def prime_power_digits(primes: Sequence[int], exponents: Sequence[int]) -> str:
     return str(out)
 
 
+def dyadic_digits(n: int) -> str:
+    """str(n), computed as str(Decimal(odd) * Decimal(2)**e) where
+    n = odd * 2**e.
+
+    libmpdec raises 2 to the e-th power and prints the product in
+    subquadratic time, where int's str() is quadratic before CPython
+    3.12.  Only the odd part is converted from int, so an n whose odd
+    part is small, like a tower bond count, costs little more than
+    its digits.
+    """
+    e = max((n & -n).bit_length() - 1, 0)
+    with decimal.localcontext(_EXACT_DECIMAL):
+        return str(decimal.Decimal(n >> e) * decimal.Decimal(2) ** e)
+
+
 def prime_exponents(total: int, hooks: Iterable[int]) \
         -> tuple[list[int], list[int], list[int]]:
     """The primes p <= total, with the exponent of each in prod(hooks)
@@ -376,7 +391,7 @@ def tree_from_runs(root: Site, runs: Iterable) -> RootedTree:
     """Check and return the tree made of straight runs of bonds.
 
     A run (x, y, dx, dy, n) is the n bonds that step from site (x, y)
-    by the unit vector (dx, dy); each field is an int.
+    by the unit vector (dx, dy); each field is an int, and n >= 1.
     """
     root = _as_site(root)
     xs, ys, steps = columns = [[], [], []]
@@ -384,6 +399,8 @@ def tree_from_runs(root: Site, runs: Iterable) -> RootedTree:
         for v in (x, y, dx, dy, n):   # bool is an int subclass
             if type(v) is not int:
                 raise ValueError(f"run fields must be integers, got {v!r}")
+        if n < 1:
+            raise ValueError(f"a run needs at least one bond, got {n}")
         if dx * dx + dy * dy != 1:
             raise ValueError(f"a run steps by a unit vector, got {(dx, dy)}")
         if dx:

@@ -131,7 +131,7 @@ def _derived_levels(a0: int, first_gen: list) -> tuple:
     bond_counts: list = [None, first_gen[1]]
     for k in levels:
         backbone.append(_exact_quotient(
-            4 * first_gen[k] * first_gen[k - 2], first_gen[k - 1], a0, k,
+            first_gen[k] * (4 * first_gen[k - 2]), first_gen[k - 1], a0, k,
             "first_gen[k-1] | 4*first_gen[k]*first_gen[k-2]"))
         branches.append(_exact_quotient(
             first_gen[k], first_gen[k - 1], a0, k,

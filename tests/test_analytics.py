@@ -5,6 +5,7 @@ the tests recompute the same quantities with mpmath at 50 digits and in
 exact rational arithmetic, so the two sides are independent.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from growcount.analytics import (
     weight_upper_bound,
 )
 from growcount.core import tree_weight
-from growcount.errors import TooLarge
+from growcount.errors import InternalMismatch, TooLarge
 from growcount.generators import tower_params, tower_tree
 
 
@@ -79,6 +80,43 @@ def test_bond_count_past_horizon_is_refused():
     assert bond_count(p, 3) == p.bond_counts[3]
     with pytest.raises(TooLarge):
         bond_count(p, 4)
+
+
+@pytest.mark.parametrize("num, den", [
+    (0, 1), (0, 2 ** 64), (3, 5), (15, 9), (1, 1), (2 ** 70, 2 ** 3),
+    (2 ** 3, 2 ** 70), (-12, 2 ** 10), (441 << 4_000_000, 1 << 4_194_304),
+    ((2 ** 40 + 441) << 4_194_264, 1 << 4_194_304),
+], ids=["zero", "zero-over-2^64", "odd-odd", "odd-odd-shared-3", "one",
+        "2^70/2^3", "2^3/2^70", "negative", "4M-bit", "4M-bit-ratio"])
+def test_shift_reduced_equals_fraction(num, den):
+    got = analytics._shift_reduced(num, den)
+    want = Fraction(num, den)
+    assert (got.numerator, got.denominator) \
+        == (want.numerator, want.denominator)
+
+
+def test_bond_count_catches_a_patched_count():
+    p = tower_params(3, 3)
+    for j in (2, 3):
+        bumped = list(p.bond_counts)
+        bumped[j] += 1
+        with pytest.raises(InternalMismatch, match=rf"^bond-count formulas "
+                           rf"disagree at a0=3, generation {j}$"):
+            bond_count(dataclasses.replace(p, bond_counts=tuple(bumped)), j)
+
+
+def test_bond_count_catches_a_patched_backbone_by_route_two():
+    # the backbone and the bond count agree with each other, so only
+    # first_gen[j] * (1 + 4 * ratio sum) tells them apart
+    p = tower_params(20, 2)
+    backbone, bumped = list(p.backbone), list(p.bond_counts)
+    backbone[2] += 1
+    bumped[2] += 1
+    q = dataclasses.replace(p, backbone=tuple(backbone),
+                            bond_counts=tuple(bumped))
+    with pytest.raises(InternalMismatch, match=r"^bond-count formulas "
+                       r"disagree at a0=20, generation 2$"):
+        bond_count(q, 2)
 
 
 # --- exact weights ----------------------------------------------------------
@@ -305,6 +343,25 @@ def test_structure_seed_twenty():
     assert rep.exact
     assert rep.bond_ratio_exact == 1 + Fraction(1600, 2 ** 40)
     assert rep.backbone_fraction <= rep.backbone_bound
+
+
+@pytest.mark.parametrize("a0", [17, 18, 19, 20, 21])
+def test_structure_exact_fields_at_megabit_bond_counts(a0):
+    # the Fractions as built from the full integers, gcd and all
+    p = tower_params(a0, 2)
+    total, firstgen = p.bond_counts[2], p.first_gen[2]
+    rep = structure_fractions(p, 2)
+    assert rep.exact
+    for got, want in [
+        (rep.bond_ratio_exact, Fraction(total, firstgen)),
+        (rep.first_gen_fraction_exact, Fraction(firstgen, total)),
+        (rep.backbone_fraction_exact, Fraction(p.backbone[2], total)),
+    ]:
+        assert (got.numerator, got.denominator) \
+            == (want.numerator, want.denominator)
+    assert rep.bond_ratio == float(Fraction(total, firstgen))
+    assert rep.first_gen_fraction == float(Fraction(firstgen, total))
+    assert rep.backbone_fraction == float(Fraction(p.backbone[2], total))
 
 
 def test_structure_past_horizon_uses_floats():

@@ -147,6 +147,30 @@ def test_prime_power_digits_converts_no_big_int(primes, exponents,
     assert widest and max(widest) <= max(primes).bit_length()
 
 
+# --- dyadic_digits ----------------------------------------------------------
+
+@pytest.mark.parametrize("n", [0, 1, 3, -7, 10 ** 40 + 1, 3 ** 5000,
+                               -(7 ** 900) << 13],
+                         ids=["0", "1", "3", "-7", "1e40+1", "3^5000",
+                              "-7^900*2^13"])
+def test_dyadic_digits_of_odd_and_mixed_numbers(n):
+    assert core.dyadic_digits(n) == str(n)
+
+
+@pytest.mark.parametrize("k", [0, 1, 64, 4096, 65537, 2 ** 17])
+def test_dyadic_digits_of_powers_of_two(k):
+    assert core.dyadic_digits(1 << k) == str(1 << k)
+
+
+@pytest.mark.parametrize("a0", [12, 13, 14, 15])
+def test_dyadic_digits_of_the_bond_counts_analyze_prints(a0):
+    # generation 2 from a0 12 to 15 gives the L that analyze prints at
+    # 8K to 65K bits
+    total = tower_params(a0, 2).bond_counts[2]
+    assert total.bit_length() == 2 ** (a0 + 1) + 1
+    assert core.dyadic_digits(total) == str(total)
+
+
 # --- prime_exponents against the divmod oracle ------------------------------
 
 def divmod_count(tree) -> int:

@@ -530,6 +530,45 @@ def test_analyze_matches_the_golden_grid(capsys, case):
     assert capsys.readouterr().out == case["stdout"]
 
 
+# analyze over the benchmark's grid (a0 1..64, gen 1..8), over a0 9..21 at
+# gen 2 and 3 in both modes, where L prints at up to 65,537 bits and the
+# exact structure fractions hold megabit integers, and over a0 1..4 at gen
+# 1..4 in exact mode.  Each call adds [argv, exit code, stdout] as one JSON
+# line to a sha256, recorded while Fraction reduced the full integers by
+# gcd and analyze printed L with str().
+ANALYZE_SWEEP_SHA256 = \
+    "b2b6ffbeec3f18af9eb3ce4c9a43ba98108a6cf52315573a1a689fffea935005"
+
+
+def analyze_sweep():
+    for a0 in range(1, 65):
+        for gen in range(1, 9):
+            yield ["analyze", "--a0", str(a0), "--gen", str(gen)]
+    for a0 in range(9, 22):
+        for gen in (2, 3):
+            for mode in ("exact", "log"):
+                yield ["analyze", "--a0", str(a0), "--gen", str(gen),
+                       "--mode", mode]
+    for a0 in range(1, 5):
+        for gen in range(1, 5):
+            yield ["analyze", "--a0", str(a0), "--gen", str(gen),
+                   "--mode", "exact"]
+
+
+def test_analyze_sweep_matches_its_recorded_digest():
+    digest, calls = hashlib.sha256(), 0
+    for argv in analyze_sweep():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli_module.main(argv)
+        digest.update(json.dumps([argv, code, out.getvalue()]).encode()
+                      + b"\n")
+        calls += 1
+    assert calls == 580
+    assert digest.hexdigest() == ANALYZE_SWEEP_SHA256
+
+
 # argparse rejections that exit 2 before any verb runs
 PARSER_ERRORS = [
     ["analyze", "--gen", "two"], ["analyze", "--mode", "fancy"],

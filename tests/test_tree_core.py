@@ -265,6 +265,14 @@ def test_runs_refuse_a_non_integer_field(at, bad):
         core.tree_from_runs((0, 0), [tuple(run)])
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_runs_refuse_fewer_than_one_bond(n):
+    # range() and [y] * n are empty for n < 1, so the run would vanish
+    with pytest.raises(ValueError, match=rf"^a run needs at least one bond, "
+                       rf"got {n}$"):
+        core.tree_from_runs((0, 0), [(0, 0, 1, 0, 2), (9, 9, 0, 1, n)])
+
+
 def test_runs_must_step_by_unit_vectors():
     with pytest.raises(ValueError, match="unit vector"):
         core.tree_from_runs((0, 0), [(0, 0, 1, 1, 3)])
