@@ -1,10 +1,10 @@
 """Exact and log-domain analytics for the tower tree family.
 
-Two regimes coexist.  Small generations are handled with exact
-arbitrary-precision integers and rationals: bond counts computed by two
-independent formulas that must agree, the full weight product, and an
-explicit upper bound on it.  Large generations live purely in the log
-domain, where everything is normalized per first-generation bond: the
+Two regimes coexist.  Small generations are handled exactly: bond
+counts computed by two independent formulas that must agree, on the
+(odd, exponent) pairs of TowerParams and small rationals, and the full
+weight product and an explicit upper bound on it, as integers.  Large
+generations live purely in the log domain, where everything is normalized per first-generation bond: the
 log-weight divided by the first-generation count stays order one for
 every generation even though both quantities leave the representable
 range after a handful of levels.
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _bonds_phrase, balanced_product
+from .core import Dyadic, _bonds_phrase, balanced_product
 from .errors import BoundViolated, InternalMismatch, TooLarge
 from .generators import MAX_INT_BITS, TowerParams
 
@@ -46,13 +46,13 @@ def log_factorial(n: int) -> float:
     return math.lgamma(float(n) + 1.0)
 
 
-def _per_bond_log_factorial(n: int) -> float:
+def _per_bond_log_factorial(n: Dyadic) -> float:
     """log(n!)/n, usable even when n itself cannot become a float."""
     if n.bit_length() <= LGAMMA_MAX_BITS:
-        return log_factorial(n) / n
+        return log_factorial(int(n)) / int(n)
     # Stirling; the 0.5*log(2*pi*n)/n correction is already below double
     # resolution once n needs a few hundred bits
-    return math.log(n) - 1.0
+    return n.log() - 1.0
 
 
 def _series_rows(a0: int) -> list[tuple[int, float, float, float, float]]:
@@ -137,53 +137,59 @@ def epsilon_partial_exact(a0: int, upto_k: int) -> Fraction:
 
 # --- exact bond counts and weights ------------------------------------------
 
-def _shift_reduced(num: int, den: int) -> Fraction:
-    """Fraction(num, den), with the factors of two that num and den share
-    shifted out first.
+def _exact_level(params: TowerParams, generation: int | None) -> tuple:
+    """The checked generation and its stored bond count; TooLarge past
+    the integer horizon."""
+    j = params.checked_generation(generation)
+    total = params.bond_pair(j)
+    if total is None:
+        raise TooLarge(f"generation {j} bond count exceeds the integer budget")
+    return j, total
+
+
+def _shift_reduced(num: Dyadic, den: Dyadic) -> Fraction:
+    """Fraction(int(num), int(den)), with the factors of two that num and
+    den share shifted out first.
 
     Past the seed every tower value is a power of two, so the family's
     ratios are a small number times a power of two over another one;
-    after the shifts Fraction's gcd, which is quadratic, runs on small
-    integers instead of megabit ones.
+    only the difference of the exponents is applied, so Fraction's gcd,
+    which is quadratic, runs on small integers instead of megabit ones.
     """
-    shift = min((num & -num).bit_length(), (den & -den).bit_length()) - 1
-    if shift > 0:
-        num >>= shift
-        den >>= shift
-    return Fraction(num, den)
+    shift = num.exp - den.exp
+    if shift >= 0:
+        return Fraction(num.odd << shift, den.odd)
+    return Fraction(num.odd, den.odd << -shift)
 
 
-def bond_count(params: TowerParams, generation: int | None = None) -> int:
-    """Exact number of bonds, computed two independent ways.
+def bond_count(params: TowerParams, generation: int | None = None) -> Dyadic:
+    """Exact number of bonds, computed two independent ways, as a Dyadic.
 
     Route one telescopes branch-count products against backbone lengths;
     route two evaluates first_gen[j] * (1 + 4*sum of the ratios
     first_gen[k-2]/first_gen[k-1]) in rational arithmetic, each ratio
     built by `_shift_reduced`.  With num/den the bracket in lowest
     terms, the product is the integer total exactly when total * den ==
-    first_gen[j] * num, so no gcd runs on the megabit first_gen[j].
-    Disagreement (or a non-integral rational) raises InternalMismatch;
-    a generation past the integer horizon raises TooLarge.
+    first_gen[j] * num.  Both routes run on the pairs, so no megabit
+    integer is formed.  Disagreement (or a non-integral rational)
+    raises InternalMismatch; a generation past the integer horizon
+    raises TooLarge.
     """
-    j = params.generations if generation is None else generation
-    if not 1 <= j <= params.generations:
-        raise ValueError(f"generation must be in 1..{params.generations}")
-    if params.bonds(j) is None:
-        raise TooLarge(f"generation {j} bond count exceeds the integer budget")
+    j, stored = _exact_level(params, generation)
+    first_gen, backbone = params.first_gen_pairs, params.backbone_pairs
 
-    total = params.backbone[j]
-    prod = 1
+    total = backbone[j]
+    prod = Dyadic((1, 0))
     for k in range(j - 1, 0, -1):
-        prod *= params.branches[k + 1]
-        total += prod * params.backbone[k]
+        prod = prod * params.branches_pairs[k + 1]
+        total = total + prod * backbone[k]
 
     ratio_sum = Fraction(0)
     for k in range(2, j + 1):
-        ratio_sum += _shift_reduced(params.first_gen[k - 2],
-                                    params.first_gen[k - 1])
+        ratio_sum += _shift_reduced(first_gen[k - 2], first_gen[k - 1])
     num, den = (1 + 4 * ratio_sum).as_integer_ratio()
-    if total * den != params.first_gen[j] * num \
-            or total != params.bond_counts[j]:
+    if total * Dyadic.of(den) != first_gen[j] * Dyadic.of(num) \
+            or total != stored:
         raise InternalMismatch(
             f"bond-count formulas disagree at a0={params.a0}, generation {j}"
         )
@@ -211,14 +217,16 @@ def _backbone_weight_product(length: int, count: int, sub_bonds: int) -> int:
     return balanced_product(parts)
 
 
-def _exact_weight_guard(params: TowerParams, j: int) -> None:
-    """Refuse an exact weight integer past MAX_EXACT_WEIGHT_BONDS bonds."""
-    total = bond_count(params, j)
-    if total > MAX_EXACT_WEIGHT_BONDS:
+def _exact_weight_guard(params: TowerParams, generation: int | None) -> int:
+    """The checked generation, once its exact weight integer is known to
+    stay within MAX_EXACT_WEIGHT_BONDS bonds; TooLarge otherwise."""
+    j, total = _exact_level(params, generation)
+    if total > Dyadic.of(MAX_EXACT_WEIGHT_BONDS):
         raise TooLarge(
             f"{_bonds_phrase(total)} exceeds the exact-weight guard "
             f"{MAX_EXACT_WEIGHT_BONDS}"
         )
+    return j
 
 
 def exact_weight(params: TowerParams, generation: int | None = None) -> int:
@@ -230,12 +238,13 @@ def exact_weight(params: TowerParams, generation: int | None = None) -> int:
     in the tests against the per-bond weight table of the materialized
     tree.
     """
-    j = params.generations if generation is None else generation
-    _exact_weight_guard(params, j)
-    w = math.factorial(params.backbone[1])
+    j = _exact_weight_guard(params, generation)
+    backbone, branches = params.backbone, params.branches
+    bond_counts = params.bond_counts
+    w = math.factorial(backbone[1])
     for k in range(2, j + 1):
-        w = w ** params.branches[k] * _backbone_weight_product(
-            params.backbone[k], params.branches[k], params.bond_counts[k - 1]
+        w = w ** branches[k] * _backbone_weight_product(
+            backbone[k], branches[k], bond_counts[k - 1]
         )
     return w
 
@@ -275,29 +284,29 @@ def weight_upper_bound(
     works for any generation; the log bond count uses the exact value
     while it is materializable and the series form past that.
     """
-    j = params.generations if generation is None else generation
-    if not 1 <= j <= params.generations:
-        raise ValueError(f"generation must be in 1..{params.generations}")
+    j = params.checked_generation(generation)
 
     if mode == "exact":
         _exact_weight_guard(params, j)
-        bound = math.factorial(params.backbone[1])
+        backbone, branches = params.backbone, params.branches
+        bond_counts = params.bond_counts
+        bound = math.factorial(backbone[1])
         for k in range(2, j + 1):
-            bound = bound ** params.branches[k] * (
-                params.bond_counts[k] ** params.backbone[k]
-            )
+            bound = bound ** branches[k] * bond_counts[k] ** backbone[k]
         return bound
 
     if mode != "log":
         raise ValueError(f"mode must be 'exact' or 'log', got {mode!r}")
 
-    x = _per_bond_log_factorial(params.first_gen[1])
+    first_gen = params.first_gen_pairs
+    x = _per_bond_log_factorial(first_gen[1])
     terms = [(1, x)]
     partial = 0.0
     # the rows end where every later term is zero and partial stays put
     for k, e1, e2, r, partial in _series_rows(params.a0)[:j - 1]:
-        if params.bonds(k) is not None:
-            term = r * math.log(params.bonds(k))
+        count = params.bond_pair(k)
+        if count is not None:
+            term = r * count.log()
         else:
             # series form of r*log(bond count), valid because each
             # tower value is 2 to the previous one
@@ -306,8 +315,8 @@ def weight_upper_bound(
         terms.append((k, term))
 
     ln = None
-    if params.bonds(j) is not None and params.first_gen[j].bit_length() <= 1020:
-        total_ln = x * float(params.first_gen[j])
+    if params.bond_pair(j) is not None and first_gen[j].bit_length() <= 1020:
+        total_ln = x * float(first_gen[j])
         if math.isfinite(total_ln):
             ln = total_ln
     return LogWeightBound(
@@ -366,7 +375,7 @@ def constants(a0: int) -> ConstantsReport:
             break
         c1 += t
         terms.append((k, t))
-    x1 = _per_bond_log_factorial(1 << (2 * a0))
+    x1 = _per_bond_log_factorial(Dyadic((1, 2 * a0)))
     c2 = c1 + x1
     c = math.exp(c2) if c2 < 709.0 else math.inf
     if not c > 1.0:
@@ -444,10 +453,11 @@ def verify_main_bound(params: TowerParams, generation: int) -> MainBoundReport:
         )
 
     log_fact = lower = required = None
-    total = params.bonds(generation)
-    if total is not None and total.bit_length() <= LGAMMA_MAX_BITS:
+    count = params.bond_pair(generation)
+    if count is not None and count.bit_length() <= LGAMMA_MAX_BITS:
+        total = int(count)
         log_fact = log_factorial(total)
-        log_w = wb.per_firstgen * float(params.first_gen[generation])
+        log_w = wb.per_firstgen * float(params.first_gen_pairs[generation])
         lower = log_fact - log_w
         required = log_fact - float(total) * rep.c2
         if lower < required - 1e-9 * max(1.0, abs(required)):
@@ -498,15 +508,18 @@ class StructureReport:
         }
 
 
-def structure_fractions(params: TowerParams, generation: int) -> StructureReport:
+def structure_fractions(params: TowerParams, generation: int,
+                        total: Dyadic | None = None) -> StructureReport:
     """Fractions (bond ratio, first generation, backbone) at a generation.
 
     All three inequalities (ratio within [1, 1+epsilon0], backbone
     fraction under its bound) are verified, in rational arithmetic when
-    possible; violations raise InternalMismatch.  The exact ratio and
-    backbone fraction are built by `_shift_reduced`, so no gcd runs on
-    the megabit bond count, and the first-generation fraction is the
-    ratio inverted.
+    possible; violations raise InternalMismatch.  total is the
+    generation's `bond_count` when the caller already has it; without
+    it, it is computed here.  The exact ratio and backbone fraction
+    are built from the pairs by `_shift_reduced`, so no gcd runs on the
+    megabit bond count, and the first-generation fraction is the ratio
+    inverted.
     """
     if not 2 <= generation <= params.generations:
         raise ValueError(
@@ -515,14 +528,15 @@ def structure_fractions(params: TowerParams, generation: int) -> StructureReport
     eps = epsilon0(a0)
     j = generation
 
-    if params.bonds(j) is not None:
-        total = bond_count(params, j)
-        firstgen = params.first_gen[j]
-        ratio = _shift_reduced(total, firstgen)
+    if params.bond_pair(j) is not None:
+        if total is None:
+            total = bond_count(params, j)
+        first_gen = params.first_gen_pairs
+        ratio = _shift_reduced(total, first_gen[j])
         first = 1 / ratio
-        backbone_frac = _shift_reduced(params.backbone[j], total)
-        a = params.tower[j - 2]
-        bound = 4 * Fraction(a * a, params.tower[j - 1] ** 2)
+        backbone_frac = _shift_reduced(params.backbone_pairs[j], total)
+        # 4*(a/2^a)^2 with a the tower value two levels down
+        bound = 4 * _shift_reduced(first_gen[j - 2], first_gen[j - 1])
         if ratio < 1 or backbone_frac > bound:
             raise InternalMismatch(
                 f"structure bound failed at a0={a0}, generation {j}"

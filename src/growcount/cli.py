@@ -126,17 +126,20 @@ def cmd_analyze(args) -> int:
         raise ValueError("generation must be >= 1")
     params = tower_params(args.a0, args.gen)
     report = analytics.verify_main_bound(params, args.gen)
+    exact = args.mode == "exact"
+    # exact mode checks the bond count by both routes once and passes it
+    # on; in log mode structure_fractions checks it itself
+    total = analytics.bond_count(params, args.gen) if exact else None
     structure = (
-        analytics.structure_fractions(params, args.gen)
+        analytics.structure_fractions(params, args.gen, total)
         if args.gen >= 2 else None
     )
-    if args.mode == "exact":
-        total = analytics.bond_count(params, args.gen)
+    if exact:
         log_w = math.log(
             analytics.weight_upper_bound(params, args.gen, mode="exact")
         )
     else:
-        total = params.bonds(args.gen)
+        total = params.bond_pair(args.gen)
         log_w = report.log_weight
     payload = report.to_dict()
     payload["mode"] = args.mode

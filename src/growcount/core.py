@@ -91,12 +91,12 @@ MAX_TREE_BONDS = 10**7
 MAX_ORACLE_BONDS = 900
 
 
-def _bonds_phrase(total: int) -> str:
-    """`total` bonds as a guard message names them: in decimal up to 64
-    bits, and past that as a power of two, so no huge count is ever
-    expanded to decimal."""
+def _bonds_phrase(total) -> str:
+    """`total` bonds, an int or a Dyadic, as a guard message names them:
+    in decimal up to 64 bits, and past that as a power of two, so no
+    huge count is ever expanded to decimal."""
     if total.bit_length() <= 64:
-        return f"{total} bonds"
+        return f"{int(total)} bonds"
     return f"about 2^{total.bit_length() - 1} bonds"
 
 
@@ -224,19 +224,106 @@ def prime_power_digits(primes: Sequence[int], exponents: Sequence[int]) -> str:
     return str(out)
 
 
-def dyadic_digits(n: int) -> str:
-    """str(n), computed as str(Decimal(odd) * Decimal(2)**e) where
-    n = odd * 2**e.
+class Dyadic(tuple):
+    """The integer odd * 2**exp as the pair (odd, exp), odd odd (zero is
+    (0, 0)); built as Dyadic((odd, exp)), a plain tuple's constructor.
 
-    libmpdec raises 2 to the e-th power and prints the product in
+    The tower family's counts are small numbers times huge powers of
+    two, so as pairs they take a few words where the ints take
+    megabits.  Products, sums and comparisons (of positive values) stay
+    on the pairs and are exact; each result is again in lowest form, so
+    == on pairs is == on the integers they stand for.  int() forms the
+    integer, and float(), log() and bit_length() give what they give on
+    it without forming it.
+    """
+
+    __slots__ = ()
+    odd = property(operator.itemgetter(0), doc="The odd part.")
+    exp = property(operator.itemgetter(1), doc="The exponent of two.")
+
+    @classmethod
+    def of(cls, n: int) -> "Dyadic":
+        exp = (n & -n).bit_length() - 1 if n else 0
+        return cls((n >> exp, exp))
+
+    def __repr__(self) -> str:
+        return f"Dyadic({tuple(self)})"
+
+    def __int__(self) -> int:
+        odd, exp = self
+        return odd << exp
+
+    def __float__(self) -> float:
+        odd, exp = self
+        return math.ldexp(odd, exp)
+
+    def bit_length(self) -> int:
+        odd, exp = self
+        return odd.bit_length() + exp
+
+    def log(self) -> float:
+        """math.log(int(self)), bit for bit.
+
+        math.log of an int takes the log of its float, or, past the
+        double range, log(m) + log(2) * e with m, e its frexp; those of
+        odd * 2**exp are odd's with exp added to e.
+        """
+        odd, exp = self
+        m, e = math.frexp(odd)
+        try:
+            return math.log(math.ldexp(m, e + exp))
+        except OverflowError:
+            return math.log(m) + math.log(2.0) * (e + exp)
+
+    def __mul__(self, other: "Dyadic") -> "Dyadic":
+        odd, exp = self
+        other_odd, other_exp = other
+        return Dyadic((odd * other_odd, exp + other_exp))
+
+    def __add__(self, other: "Dyadic") -> "Dyadic":
+        odd, exp = self
+        other_odd, other_exp = other
+        low = min(exp, other_exp)
+        total = (odd << exp - low) + (other_odd << other_exp - low)
+        shift = (total & -total).bit_length() - 1
+        return Dyadic((total >> shift, low + shift))
+
+    def _sign(self, other: "Dyadic") -> int:
+        """The sign of self - other, both positive: by bit length, and
+        by aligned odd parts only at equal length, where the alignment
+        shift is below the longer odd part's length."""
+        diff = self.bit_length() - other.bit_length()
+        if diff:
+            return diff
+        odd, exp = self
+        other_odd, other_exp = other
+        low = min(exp, other_exp)
+        return (odd << exp - low) - (other_odd << other_exp - low)
+
+    def __lt__(self, other: "Dyadic") -> bool:
+        return self._sign(other) < 0
+
+    def __le__(self, other: "Dyadic") -> bool:
+        return self._sign(other) <= 0
+
+    def __gt__(self, other: "Dyadic") -> bool:
+        return self._sign(other) > 0
+
+    def __ge__(self, other: "Dyadic") -> bool:
+        return self._sign(other) >= 0
+
+
+def dyadic_digits(n: Dyadic) -> str:
+    """str(int(n)), computed as str(Decimal(odd) * Decimal(2)**exp).
+
+    libmpdec raises 2 to the exp-th power and prints the product in
     subquadratic time, where int's str() is quadratic before CPython
     3.12.  Only the odd part is converted from int, so an n whose odd
     part is small, like a tower bond count, costs little more than
     its digits.
     """
-    e = max((n & -n).bit_length() - 1, 0)
     with decimal.localcontext(_EXACT_DECIMAL):
-        return str(decimal.Decimal(n >> e) * decimal.Decimal(2) ** e)
+        return str(decimal.Decimal(n.odd) * decimal.Decimal(2) ** n.exp)
 
 
 def prime_exponents(total: int, hooks: Iterable[int]) \

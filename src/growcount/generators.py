@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 # and random trees with them; the guards here read this module's name
 from .core import (
     MAX_TREE_BONDS,
+    Dyadic,
     RootedTree,
     Site,
     guard_tree_bonds,
@@ -35,6 +36,9 @@ from .errors import (
 
 # refuse to materialize integers past this many bits (~500 kB)
 MAX_INT_BITS = 4_000_000
+# the largest a with 2^a <= MAX_INT_BITS
+_MAX_EXPONENT = MAX_INT_BITS.bit_length() - 1
+_FOUR = Dyadic((1, 2))
 
 # +90 degrees counterclockwise, applied once per nesting level
 _ROTATE = {(1, 0): (0, 1), (0, 1): (-1, 0), (-1, 0): (0, -1), (0, -1): (1, 0)}
@@ -68,6 +72,12 @@ def comb_tree(bond_count: int) -> RootedTree:
 
 # --- parameter sequences ----------------------------------------------------
 
+def _int_view(pairs: str) -> property:
+    """A sequence of TowerParams as ints, formed from its pairs when read."""
+    return property(lambda self: tuple(
+        None if v is None else int(v) for v in getattr(self, pairs)))
+
+
 @dataclass(frozen=True)
 class TowerParams:
     """Derived sequences for the doubly exponential tree family.
@@ -80,35 +90,61 @@ class TowerParams:
     tower[k-1] <= MAX_INT_BITS, so that 2^tower[k-1] can be
     materialized; every sequence ends at the last such level or at
     `generations`, whichever comes first.
+
+    The fields hold each value as a Dyadic pair (odd part, exponent),
+    whose odd part has at most 41 bits for every seed.  The sequences
+    above are views that form their ints when read, as `gen tower` and
+    the exact weights do; `analyze` reads only the pairs and builds no
+    megabit integer, in log mode or in exact mode.
     """
 
     a0: int
     generations: int
-    tower: tuple = field(repr=False)
-    first_gen: tuple = field(repr=False)
-    backbone: tuple = field(repr=False)
-    branches: tuple = field(repr=False)
-    bond_counts: tuple = field(repr=False)
+    tower_pairs: tuple = field(repr=False)
+    first_gen_pairs: tuple = field(repr=False)
+    backbone_pairs: tuple = field(repr=False)
+    branches_pairs: tuple = field(repr=False)
+    bond_counts_pairs: tuple = field(repr=False)
+
+    tower = _int_view("tower_pairs")
+    first_gen = _int_view("first_gen_pairs")
+    backbone = _int_view("backbone_pairs")
+    branches = _int_view("branches_pairs")
+    bond_counts = _int_view("bond_counts_pairs")
+
+    def checked_generation(self, generation: int | None) -> int:
+        """generation, or `generations` for None; a generation outside
+        1..generations raises ValueError."""
+        j = self.generations if generation is None else generation
+        if not 1 <= j <= self.generations:
+            raise ValueError(f"generation must be in 1..{self.generations}")
+        return j
+
+    def bond_pair(self, k: int) -> Dyadic | None:
+        """bond_counts_pairs[k], or None past the integer horizon."""
+        pairs = self.bond_counts_pairs
+        return pairs[k] if k < len(pairs) else None
 
     def bonds(self, k: int) -> int | None:
         """bond_counts[k], or None past the integer horizon."""
-        return self.bond_counts[k] if k < len(self.bond_counts) else None
+        pair = self.bond_pair(k)
+        return None if pair is None else int(pair)
 
 
-def _exact_quotient(num: int, den: int, a0: int, k: int, identity: str) -> int:
-    """num // den where the family's identity says den divides num.
+def _exact_quotient(num: Dyadic, den: Dyadic, a0: int, k: int,
+                    identity: str) -> Dyadic:
+    """num / den where the family's identity says den divides num.
 
     Every divisor the family produces is a power of two, so the division
-    is a shift whose low bits must be zero.  A divisor that is not a
-    power of two, or nonzero low bits, raises InternalMismatch naming
+    subtracts exponents.  A divisor that is not a power of two, or a
+    larger power of two than num holds, raises InternalMismatch naming
     a0, k and the identity.
     """
-    if den.bit_count() != 1:
+    num_odd, num_exp = num
+    den_odd, den_exp = den
+    if den_odd != 1 or den_exp > num_exp:
         raise _broken(a0, k, identity)
-    shift = den.bit_length() - 1
-    if num & ((1 << shift) - 1):
-        raise _broken(a0, k, identity)
-    return num >> shift
+    return Dyadic((num_odd, num_exp - den_exp))
 
 
 def _broken(a0: int, k: int, identity: str) -> InternalMismatch:
@@ -117,33 +153,32 @@ def _broken(a0: int, k: int, identity: str) -> InternalMismatch:
 
 
 def _derived_levels(a0: int, first_gen: list) -> tuple:
-    """Backbone lengths, branch counts and bond counts from first_gen.
+    """Backbone lengths, branch counts and bond counts from first_gen,
+    all as Dyadic pairs.
 
     Divisibility of backbone lengths by branch counts, the spacing
     backbone[k]/branches[k] == 4*first_gen[k-2] between attachment
     points, and its clearing backbone[k-2] are identities for this
-    family; they are checked on every materializable level and raise
-    InternalMismatch when one fails.
+    family; they are checked exactly on every materializable level, as
+    it is built, and raise InternalMismatch when one fails.
     """
-    levels = range(2, len(first_gen))
     backbone: list = [None, first_gen[1]]
     branches: list = [None, None]
     bond_counts: list = [None, first_gen[1]]
-    for k in levels:
+    for k in range(2, len(first_gen)):
+        gap = _FOUR * first_gen[k - 2]
         backbone.append(_exact_quotient(
-            first_gen[k] * (4 * first_gen[k - 2]), first_gen[k - 1], a0, k,
+            first_gen[k] * gap, first_gen[k - 1], a0, k,
             "first_gen[k-1] | 4*first_gen[k]*first_gen[k-2]"))
         branches.append(_exact_quotient(
             first_gen[k], first_gen[k - 1], a0, k,
             "first_gen[k-1] | first_gen[k]"))
         bond_counts.append(backbone[k] + branches[k] * bond_counts[k - 1])
-
-    for k in levels:
         if backbone[k] <= backbone[k - 1]:
             raise _broken(a0, k, "backbone[k] > backbone[k-1]")
         spacing = _exact_quotient(backbone[k], branches[k], a0, k,
                                   "branches[k] | backbone[k]")
-        if spacing != 4 * first_gen[k - 2]:
+        if spacing != gap:
             raise _broken(a0, k, "spacing(k) == 4*first_gen[k-2]")
         if k >= 3:
             if spacing <= backbone[k - 2]:
@@ -157,11 +192,14 @@ def tower_params(a0: int, generations: int) -> TowerParams:
     """Compute all derived sequences for seed a0 up to the given generation.
 
     Every tower value past the seed is a power of two, and so is every
-    first-generation count past index 0: those are formed by shifts, and
-    the exact divisions by them are shifts too.  The identities of the
-    family are checked by _derived_levels, which raises InternalMismatch
-    when one fails.  A seed past MAX_INT_BITS, whose first level cannot
-    be materialized, raises TooLarge.
+    first-generation count past index 0: as Dyadic pairs they are
+    (1, exponent), and every derived level is a pair too.  No level is
+    formed as an int here, so log-mode analyze never builds a megabit
+    integer; TowerParams forms one when a caller reads it, as
+    `--mode exact` does for an exact weight and `gen tower` for a tree.
+    The identities of the family are checked by _derived_levels, which
+    raises InternalMismatch when one fails.  A seed past MAX_INT_BITS,
+    whose first level cannot be materialized, raises TooLarge.
     """
     if a0 < 1:
         raise ValueError("a0 must be >= 1")
@@ -169,24 +207,20 @@ def tower_params(a0: int, generations: int) -> TowerParams:
         raise ValueError("generations must be >= 1")
     if a0 > MAX_INT_BITS:
         raise TooLarge(f"a0={a0}: 2^a0 exceeds the {MAX_INT_BITS}-bit budget")
-    tower: list = [a0]
-    first_gen: list = [a0 * a0]
-    # stop at the horizon: 2 to a power past MAX_INT_BITS is never formed
-    while len(tower) <= generations and tower[-1] <= MAX_INT_BITS:
-        prev = tower[-1]
-        tower.append(1 << prev)
-        first_gen.append(1 << 2 * prev)
+    tower: list = [Dyadic.of(a0)]
+    first_gen: list = [tower[0] * tower[0]]
+    # a is the last tower value while it is at most MAX_INT_BITS; a larger
+    # one is kept only as a pair and is the exponent of no further level
+    a = a0
+    while len(tower) <= generations and a is not None:
+        tower.append(Dyadic((1, a)))
+        first_gen.append(Dyadic((1, 2 * a)))
+        a = 1 << a if a <= _MAX_EXPONENT else None
     backbone, branches, bond_counts = _derived_levels(a0, first_gen)
 
-    return TowerParams(
-        a0=a0,
-        generations=generations,
-        tower=tuple(tower),
-        first_gen=tuple(first_gen),
-        backbone=tuple(backbone),
-        branches=tuple(branches),
-        bond_counts=tuple(bond_counts),
-    )
+    # positional: keywords double the cost of a call this frequent
+    return TowerParams(a0, generations, tuple(tower), tuple(first_gen),
+                       tuple(backbone), tuple(branches), tuple(bond_counts))
 
 
 # --- hierarchical embedding -------------------------------------------------
@@ -300,9 +334,7 @@ def custom_hierarchical_tree(ells, bs) -> RootedTree:
 
 
 def _tower(params: TowerParams, generations: int | None):
-    j = params.generations if generations is None else generations
-    if not 1 <= j <= params.generations:
-        raise ValueError(f"generation must be in 1..{params.generations}")
+    j = params.checked_generation(generations)
     return _build(params.backbone, params.branches, j, params.bonds(j),
                   f"for a0={params.a0}, generation {j}; bond_counts[{j}] gives")
 

@@ -83,7 +83,7 @@ def tower_suite() -> list[Check]:
 
     expected = {1: (4, 32, 768)}
     ok = all(
-        analytics.bond_count(by_seed[1], j) == want
+        int(analytics.bond_count(by_seed[1], j)) == want
         for j, want in zip((1, 2, 3), expected[1])
     )
     checks.append(_check("tower: bond counts at a0=1 are 4, 32, 768", ok))

@@ -95,7 +95,8 @@ def test_criterion_3_tower_small_instances():
     with criterion(3, "tower family exact at seed 1 through generation 3",
                    30.0):
         params = tower_params(1, 3)
-        assert [bond_count(params, j) for j in (1, 2, 3)] == [4, 32, 768]
+        assert [int(bond_count(params, j)) for j in (1, 2, 3)] \
+            == [4, 32, 768]
         for j in (1, 2, 3):
             tree = tower_tree(params, j)   # construction validates embedding
             assert tree.bond_count == params.bond_counts[j]

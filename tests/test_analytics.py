@@ -25,7 +25,7 @@ from growcount.analytics import (
     verify_main_bound,
     weight_upper_bound,
 )
-from growcount.core import tree_weight
+from growcount.core import Dyadic, tree_weight
 from growcount.errors import InternalMismatch, TooLarge
 from growcount.generators import tower_params, tower_tree
 
@@ -63,7 +63,7 @@ def mp_c2(a0, levels=6):
 
 def test_bond_counts_seed_one():
     p = tower_params(1, 4)
-    assert [bond_count(p, j) for j in (1, 2, 3, 4)] \
+    assert [int(bond_count(p, j)) for j in (1, 2, 3, 4)] \
         == [4, 32, 768, 13958643712]
 
 
@@ -77,7 +77,8 @@ def test_bond_count_argument_checks():
 
 def test_bond_count_past_horizon_is_refused():
     p = tower_params(3, 4)
-    assert bond_count(p, 3) == p.bond_counts[3]
+    assert bond_count(p, 3) == p.bond_pair(3)
+    assert int(bond_count(p, 3)) == p.bond_counts[3]
     with pytest.raises(TooLarge):
         bond_count(p, 4)
 
@@ -89,7 +90,7 @@ def test_bond_count_past_horizon_is_refused():
 ], ids=["zero", "zero-over-2^64", "odd-odd", "odd-odd-shared-3", "one",
         "2^70/2^3", "2^3/2^70", "negative", "4M-bit", "4M-bit-ratio"])
 def test_shift_reduced_equals_fraction(num, den):
-    got = analytics._shift_reduced(num, den)
+    got = analytics._shift_reduced(Dyadic.of(num), Dyadic.of(den))
     want = Fraction(num, den)
     assert (got.numerator, got.denominator) \
         == (want.numerator, want.denominator)
@@ -98,22 +99,23 @@ def test_shift_reduced_equals_fraction(num, den):
 def test_bond_count_catches_a_patched_count():
     p = tower_params(3, 3)
     for j in (2, 3):
-        bumped = list(p.bond_counts)
-        bumped[j] += 1
+        bumped = list(p.bond_counts_pairs)
+        bumped[j] += Dyadic((1, 0))
         with pytest.raises(InternalMismatch, match=rf"^bond-count formulas "
                            rf"disagree at a0=3, generation {j}$"):
-            bond_count(dataclasses.replace(p, bond_counts=tuple(bumped)), j)
+            bond_count(dataclasses.replace(p, bond_counts_pairs=tuple(bumped)),
+                       j)
 
 
 def test_bond_count_catches_a_patched_backbone_by_route_two():
     # the backbone and the bond count agree with each other, so only
     # first_gen[j] * (1 + 4 * ratio sum) tells them apart
     p = tower_params(20, 2)
-    backbone, bumped = list(p.backbone), list(p.bond_counts)
-    backbone[2] += 1
-    bumped[2] += 1
-    q = dataclasses.replace(p, backbone=tuple(backbone),
-                            bond_counts=tuple(bumped))
+    backbone, bumped = list(p.backbone_pairs), list(p.bond_counts_pairs)
+    backbone[2] += Dyadic((1, 0))
+    bumped[2] += Dyadic((1, 0))
+    q = dataclasses.replace(p, backbone_pairs=tuple(backbone),
+                            bond_counts_pairs=tuple(bumped))
     with pytest.raises(InternalMismatch, match=r"^bond-count formulas "
                        r"disagree at a0=20, generation 2$"):
         bond_count(q, 2)
@@ -145,7 +147,8 @@ def test_exact_weight_matches_materialized_tree(j):
 def test_exact_weight_divides_factorial():
     p = tower_params(1, 3)
     for j in (1, 2, 3):
-        assert math.factorial(bond_count(p, j)) % exact_weight(p, j) == 0
+        assert math.factorial(int(bond_count(p, j))) % exact_weight(p, j) \
+            == 0
 
 
 def test_exact_weight_guard():
@@ -399,5 +402,5 @@ def test_per_bond_log_factorial_routes_agree_at_the_boundary():
     lo = 2 ** 899           # lgamma route
     hi = 2 ** 901           # Stirling route
     f = analytics._per_bond_log_factorial
-    assert f(lo) == pytest.approx(math.log(lo) - 1, rel=1e-12)
-    assert f(hi) == math.log(hi) - 1
+    assert f(Dyadic((1, 899))) == pytest.approx(math.log(lo) - 1, rel=1e-12)
+    assert f(Dyadic((1, 901))) == math.log(hi) - 1

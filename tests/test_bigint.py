@@ -154,21 +154,37 @@ def test_prime_power_digits_converts_no_big_int(primes, exponents,
                          ids=["0", "1", "3", "-7", "1e40+1", "3^5000",
                               "-7^900*2^13"])
 def test_dyadic_digits_of_odd_and_mixed_numbers(n):
-    assert core.dyadic_digits(n) == str(n)
+    assert core.dyadic_digits(core.Dyadic.of(n)) == str(n)
 
 
 @pytest.mark.parametrize("k", [0, 1, 64, 4096, 65537, 2 ** 17])
 def test_dyadic_digits_of_powers_of_two(k):
-    assert core.dyadic_digits(1 << k) == str(1 << k)
+    assert core.dyadic_digits(core.Dyadic((1, k))) == str(1 << k)
 
 
 @pytest.mark.parametrize("a0", [12, 13, 14, 15])
 def test_dyadic_digits_of_the_bond_counts_analyze_prints(a0):
     # generation 2 from a0 12 to 15 gives the L that analyze prints at
     # 8K to 65K bits
-    total = tower_params(a0, 2).bond_counts[2]
+    p = tower_params(a0, 2)
+    total = p.bond_counts[2]
     assert total.bit_length() == 2 ** (a0 + 1) + 1
-    assert core.dyadic_digits(total) == str(total)
+    assert core.dyadic_digits(p.bond_pair(2)) == str(total)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2 ** 70), st.integers(0, 2000),
+       st.integers(1, 2 ** 70), st.integers(0, 2000))
+def test_dyadic_arithmetic_matches_ints(m, e, n, f):
+    x, y = m << e, n << f
+    a, b = core.Dyadic.of(x), core.Dyadic.of(y)
+    assert a.odd % 2 == 1 and int(a) == x
+    # results in lowest form, so == on pairs is == on the ints
+    assert a * b == core.Dyadic.of(x * y)
+    assert a + b == core.Dyadic.of(x + y)
+    assert (a < b, a <= b, a > b, a >= b) == (x < y, x <= y, x > y, x >= y)
+    assert a.bit_length() == x.bit_length()
+    assert a.log() == math.log(x)
 
 
 # --- prime_exponents against the divmod oracle ------------------------------

@@ -371,10 +371,10 @@ def analyze_by_public_route(a0, gen, mode):
             raise ValueError("generation must be >= 1")
         params = tower_params(a0, gen)
         report = analytics.verify_main_bound(params, gen)
-        structure = (analytics.structure_fractions(params, gen)
+        total = analytics.bond_count(params, gen) if mode == "exact" else None
+        structure = (analytics.structure_fractions(params, gen, total)
                      if gen >= 2 else None)
         if mode == "exact":
-            total = analytics.bond_count(params, gen)
             log_w = math.log(
                 analytics.weight_upper_bound(params, gen, mode="exact"))
         else:
@@ -386,7 +386,7 @@ def analyze_by_public_route(a0, gen, mode):
     payload["mode"] = mode
     printable = total is not None \
         and total.bit_length() <= cli_module.PRINT_INT_BITS
-    payload["L"] = str(total) if printable else None
+    payload["L"] = str(int(total)) if printable else None
     payload["Lbits"] = total.bit_length() if total is not None else None
     payload["logW"] = log_w
     payload["structure"] = structure.to_dict() if structure else None
@@ -455,9 +455,9 @@ def test_analyze_certifies_once_with_one_tower_params(
     def counted(name):
         original = getattr(analytics, name)
 
-        def wrapper(params, generation):
+        def wrapper(params, generation, *rest):
             calls.append((name, params, generation))
-            return original(params, generation)
+            return original(params, generation, *rest)
         return wrapper
     for name in ("verify_main_bound", "structure_fractions"):
         monkeypatch.setattr(analytics, name, counted(name))
@@ -640,6 +640,43 @@ def test_analyze_past_the_horizon_costs_what_generation_eight_costs(
         assert near.out == far.out == ""
         assert far.err.replace("1000000", "8") == near.err
     assert far_peak < 2 * near_peak
+
+
+@pytest.mark.parametrize("a0", range(16, 22))
+def test_log_analyze_forms_no_megabit_integer(capsys, a0):
+    # generation 2 of these seeds has a 0.13-4.2 Mbit bond count, 16 to
+    # 512 KB as an int; log mode reads every level as an (odd, exponent)
+    # pair, so each call peaks far below what one such int takes
+    cli_module.main(["analyze", "--a0", str(a0), "--gen", "2"])   # warm-up
+    for gen in range(2, 9):
+        argv = ["analyze", "--a0", str(a0), "--gen", str(gen)]
+        peak, code = _analyze_peak(argv)
+        assert code == 0
+        assert peak < 64 * 1024, (gen, peak)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("a0,gen,code", [(21, 2, 2), (1, 3, 0), (2, 2, 0)])
+def test_exact_analyze_checks_the_bond_count_once(monkeypatch, capsys,
+                                                  a0, gen, code):
+    # exact mode checks the bond count by both routes once and passes the
+    # total on to structure_fractions and to the exact-weight guard
+    argv = ["analyze", "--a0", str(a0), "--gen", str(gen), "--mode", "exact"]
+    assert cli_module.main(argv) == code
+    want = capsys.readouterr()
+    calls = []
+    original = analytics.bond_count
+
+    def counted(params, generation=None):
+        calls.append(generation)
+        return original(params, generation)
+    monkeypatch.setattr(analytics, "bond_count", counted)
+    assert cli_module.main(argv) == code
+    assert capsys.readouterr() == want
+    assert calls == [gen]
+    if code:
+        assert want == ("", "error: TooLarge: about 2^4194304 bonds exceeds "
+                        "the exact-weight guard 1000000\n")
 
 
 def test_bethe_report_matches_library(cli):

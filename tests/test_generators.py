@@ -1,11 +1,12 @@
 """Tree families: paths, combs, the tower construction and custom variants."""
 
 import dataclasses
+import math
 
 import pytest
 
 from growcount import cli, generators
-from growcount.core import validate_tree
+from growcount.core import Dyadic, validate_tree
 from growcount.errors import (
     ConstraintViolated,
     InternalMismatch,
@@ -115,9 +116,10 @@ def test_seed_past_the_integer_budget_is_refused():
         tower_params(MAX_INT_BITS + 1, 1)
 
 
-def reference_tower_params(a0: int, generations: int) -> TowerParams:
-    """The sequences with plain squares and divmod, no shifts, through
-    the last generation k whose 2 ** tower[k-1] fits the bit budget."""
+def reference_tower_params(a0: int, generations: int) -> dict:
+    """The sequences by name, as ints from plain squares and divmod, no
+    shifts, through the last generation k whose 2 ** tower[k-1] fits the
+    bit budget."""
     tower = [a0]
     while len(tower) <= generations and tower[-1] <= MAX_INT_BITS:
         tower.append(2 ** tower[-1])
@@ -134,38 +136,69 @@ def reference_tower_params(a0: int, generations: int) -> TowerParams:
         backbone.append(length)
         branches.append(count)
         bond_counts.append(length + count * bond_counts[k - 1])
-    return TowerParams(a0, generations, tuple(tower), tuple(first_gen),
-                       tuple(backbone), tuple(branches), tuple(bond_counts))
+    return dict(zip(FIELDS, map(tuple, (tower, first_gen, backbone,
+                                        branches, bond_counts))))
+
+
+def as_pairs(values: tuple) -> tuple:
+    return tuple(None if v is None else Dyadic.of(v) for v in values)
 
 
 # a0 21 is the last seed with an exact second generation (4.2M-bit
 # first_gen[2]); from 22 on every sequence ends at generation 1
 @pytest.mark.parametrize("a0", list(range(1, 25)) + [31, 32, 33, 64])
 def test_tower_params_match_plain_arithmetic(a0):
+    # every dataclass field: the seed, the generations and the pairs,
+    # and the int views of the pairs
+    assert [f.name for f in dataclasses.fields(TowerParams)] \
+        == ["a0", "generations"] + [f"{name}_pairs" for name in FIELDS]
     for gen in range(1, 9):
         got = tower_params(a0, gen)
-        want = reference_tower_params(a0, gen)
-        for f in dataclasses.fields(TowerParams):
-            assert getattr(got, f.name) == getattr(want, f.name), \
-                (a0, gen, f.name)
+        assert (got.a0, got.generations) == (a0, gen)
+        for name, want in reference_tower_params(a0, gen).items():
+            assert getattr(got, name) == want, (a0, gen, name)
+            assert getattr(got, f"{name}_pairs") == as_pairs(want), \
+                (a0, gen, name)
+
+
+def test_tower_pairs_give_what_their_ints_give():
+    # every stored value of seeds 1..64: a small odd part, and the bit
+    # length, float and log of the int it stands for, the log bit for bit
+    stored = 0
+    for a0 in range(1, 65):
+        p = tower_params(a0, 8)
+        for name in FIELDS:
+            for pair in getattr(p, f"{name}_pairs"):
+                if pair is None:
+                    continue
+                n = int(pair)
+                assert pair.odd % 2 == 1 and pair.odd.bit_length() <= 41
+                assert pair.bit_length() == n.bit_length(), (a0, name)
+                assert pair.log() == math.log(n), (a0, name)
+                if n.bit_length() <= 1000:
+                    assert float(pair) == float(n), (a0, name)
+                stored += 1
+    assert stored == 524
 
 
 def test_exact_quotient_is_a_checked_shift():
-    big = 1 << 4_000_000
-    assert generators._exact_quotient(7 * big, big, 1, 2, "id") == 7
+    quotient = generators._exact_quotient
+    big = Dyadic((1, 4_000_000))
+    assert quotient(Dyadic((7, 4_000_000)), big, 1, 2, "id") == Dyadic((7, 0))
     with pytest.raises(InternalMismatch, match="a0=5, k=3"):
-        generators._exact_quotient(7 * big + 1, big, 5, 3, "id")
+        quotient(Dyadic.of((7 << 4_000_000) + 1), big, 5, 3, "id")
     with pytest.raises(InternalMismatch, match="identity id fails at a0=1, k=2"):
-        generators._exact_quotient(12, 8, 1, 2, "id")
+        quotient(Dyadic.of(12), Dyadic.of(8), 1, 2, "id")
     # a divisor that is not a power of two breaks the family's identity
     with pytest.raises(InternalMismatch):
-        generators._exact_quotient(92, 7, 1, 2, "id")
+        quotient(Dyadic.of(92), Dyadic.of(7), 1, 2, "id")
 
 
 def _squares_plus_one(derived):
     """_derived_levels fed squares one too large: first_gen[1] = 5 no
     longer divides 4 * first_gen[2] * first_gen[0] = 4 * 17 * 2."""
-    return lambda a0, first_gen: derived(a0, [g + 1 for g in first_gen])
+    return lambda a0, first_gen: derived(
+        a0, [Dyadic.of(int(g) + 1) for g in first_gen])
 
 
 def test_broken_tower_identity_raises(monkeypatch):
@@ -187,7 +220,8 @@ def test_broken_tower_identity_is_a_cli_error(monkeypatch, capsys):
 @pytest.mark.parametrize("build", ["tower_tree", "tower_tree_generations"])
 def test_tower_tree_checks_its_bond_count(build):
     p = tower_params(1, 2)
-    wrong = dataclasses.replace(p, bond_counts=(None, 4, 33))
+    wrong = dataclasses.replace(
+        p, bond_counts_pairs=(None, Dyadic.of(4), Dyadic.of(33)))
     with pytest.raises(InternalMismatch, match=r"^built 32 bonds for a0=1, "
                        r"generation 2; bond_counts\[2\] gives 33$"):
         getattr(generators, build)(wrong)
