@@ -100,13 +100,13 @@ def _bonds_phrase(total) -> str:
     return f"about 2^{total.bit_length() - 1} bonds"
 
 
-def guard_tree_bonds(total: int | None, limit: int) -> None:
-    """Raise TooLarge before a tree of `total` bonds past `limit` (the
-    caller's MAX_TREE_BONDS) is built; None stands for a count beyond
-    the integer horizon."""
+def guard_tree_bonds(total, limit: int) -> None:
+    """Raise TooLarge before a tree of `total` bonds, an int or a Dyadic,
+    past `limit` (the caller's MAX_TREE_BONDS) is built; None stands for
+    a count beyond the integer horizon."""
     if total is None:
         size = "a bond count beyond the integer horizon"
-    elif total <= limit:
+    elif total.bit_length() <= limit.bit_length() and int(total) <= limit:
         return
     else:
         size = _bonds_phrase(total)

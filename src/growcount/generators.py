@@ -93,9 +93,10 @@ class TowerParams:
 
     The fields hold each value as a Dyadic pair (odd part, exponent),
     whose odd part has at most 41 bits for every seed.  The sequences
-    above are views that form their ints when read, as `gen tower` and
-    the exact weights do; `analyze` reads only the pairs and builds no
-    megabit integer, in log mode or in exact mode.
+    above are views that form their ints when read, as the exact
+    weights and `gen tower` do, the latter only for a tree its size
+    guard allows; `analyze` reads only the pairs and builds no megabit
+    integer, in log mode or in exact mode.
     """
 
     a0: int
@@ -194,9 +195,10 @@ def tower_params(a0: int, generations: int) -> TowerParams:
     Every tower value past the seed is a power of two, and so is every
     first-generation count past index 0: as Dyadic pairs they are
     (1, exponent), and every derived level is a pair too.  No level is
-    formed as an int here, so log-mode analyze never builds a megabit
-    integer; TowerParams forms one when a caller reads it, as
-    `--mode exact` does for an exact weight and `gen tower` for a tree.
+    formed as an int here, so analyze never builds a megabit integer,
+    in log mode or in exact mode; TowerParams forms one when a caller
+    reads it, as an exact weight does and `gen tower` for a tree it
+    lays out.
     The identities of the family are checked by _derived_levels, which
     raises InternalMismatch when one fails.  A seed past MAX_INT_BITS,
     whose first level cannot be materialized, raises TooLarge.
@@ -244,12 +246,10 @@ def _build(backbone, branches, levels: int, total, describe: str):
     """The tree and its runs of bonds, each as (run, nesting level).
 
     backbone and branches are indexed by generation; total is the bond
-    count the recurrence gives (None past the integer horizon).  A total
-    past MAX_TREE_BONDS raises TooLarge before any bond is laid, and a
-    built tree of another size raises InternalMismatch, reading
-    "built N bonds {describe} {total}".
+    count the recurrence gives, which the caller has already held to
+    MAX_TREE_BONDS.  A built tree of another size raises
+    InternalMismatch, reading "built N bonds {describe} {total}".
     """
-    guard_tree_bonds(total, MAX_TREE_BONDS)
     leveled_runs: list = []
     _emit_level(levels, (0, 0), (1, 0), backbone, branches, leveled_runs)
     try:
@@ -329,12 +329,15 @@ def custom_hierarchical_tree(ells, bs) -> RootedTree:
     constraint; trees past MAX_TREE_BONDS raise TooLarge.
     """
     ell, b, m, total = _check_custom(ells, bs)
+    guard_tree_bonds(total, MAX_TREE_BONDS)
     return _build(ell, b, m, total, f"from lengths {list(ell[1:])} and "
                   f"counts {list(b[2:])}; the recurrence gives")[0]
 
 
 def _tower(params: TowerParams, generations: int | None):
     j = params.checked_generation(generations)
+    # guarded on the pair, so a refused tree forms none of its level ints
+    guard_tree_bonds(params.bond_pair(j), MAX_TREE_BONDS)
     return _build(params.backbone, params.branches, j, params.bonds(j),
                   f"for a0={params.a0}, generation {j}; bond_counts[{j}] gives")
 

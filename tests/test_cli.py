@@ -656,6 +656,16 @@ def test_log_analyze_forms_no_megabit_integer(capsys, a0):
     capsys.readouterr()
 
 
+def test_refused_tower_forms_no_level_integer(capsys):
+    # the size guard reads the bond count's pair, before the 2M-bit
+    # backbone, branch and bond count ints of generation 2 are formed
+    argv = ["gen", "tower", "--a0", "20", "--gen", "2"]
+    peak, code = _analyze_peak(argv)
+    assert code == 2 and peak < 64 * 1024, peak
+    assert capsys.readouterr() == ("", "error: TooLarge: tree would have "
+                                   "about 2^2097152 bonds (guard 10000000)\n")
+
+
 @pytest.mark.parametrize("a0,gen,code", [(21, 2, 2), (1, 3, 0), (2, 2, 0)])
 def test_exact_analyze_checks_the_bond_count_once(monkeypatch, capsys,
                                                   a0, gen, code):
