@@ -27,20 +27,23 @@ the neighbours of site s are s +- 1 and s +- stride, and none of them
 wraps into another column.  A bond packs to 2 * (its lower endpoint)
 + 0 for a +y step or + 1 for a +x step, so sorted keys come in the
 order of sorted (lower, upper) endpoint pairs.  Canonical JSON longer
-than a chunk is read a chunk at a time: byte scans check each chunk's
-shape and count its bonds, so the size guards fire before any number
-is converted, and its numbers then go straight into coordinate
-columns; any other text goes through json.loads.  The generators emit
-keys by the run (`tree_from_runs`).  Validation is one breadth-first
-walk from the root that looks up the four bonds of each site in a set
-of keys.  It keeps no seen-set: in a tree every neighbour but the
-parent is new, so the distinct bonds form a tree exactly when the walk
-stops at L + 1 sites.  Its site order and parent indices give every
+than a chunk is read a chunk at a time.  A byte scan of each chunk's
+skeleton counts its bonds; over a size guard, more byte scans check its
+numbers, so the guard fires before any number is converted, and under
+it json's scanner decodes each chunk's numbers as one flat list,
+straight into coordinate columns.  Any other text goes through
+json.loads.  The generators pack each straight run of bonds as
+a range of keys (`tree_from_runs`).  Validation is one breadth-first
+walk from the root over a set of keys.  It keeps no seen-set: in a
+tree every neighbour but the parent is new, so the distinct bonds form
+a tree exactly when the walk stops at L + 1 sites, and the bond back to
+the parent, the step each site was entered by, is never looked up:
+three lookups per site.  Its site order and parent entries give every
 hook size in one reverse pass, as a plain list in walk order, and are
-then dropped.  Only `_ends` decodes keys, into flat (x1, y1, x2, y2)
-tuples of the lower and upper endpoints: the JSON writer formats them
-as they are, and the oracle, messages and `bonds` view (through it the
-renderings) pair them up.
+then dropped.  The JSON writer formats each bond straight from its key;
+`_ends` decodes keys into flat (x1, y1, x2, y2) tuples of the lower and
+upper endpoints for the oracle, messages and `bonds` view (through it
+the renderings).
 
 Random growth packs a site as (x + off) * width + (y + off), with off
 one more than the bond count and width = 2 * off + 1, and a candidate
@@ -152,12 +155,11 @@ class RootedTree:
 
     @cached_property
     def _walk(self) -> tuple[list[int], list[int]]:
-        # (order, parent): packed sites breadth-first from the root and
-        # the index in order of each one's parent.  Validation fills
-        # this in; it is recomputed only for a tree built directly or
-        # after downstream_weights has dropped it.
-        present = set(self.keys)
-        return _breadth_first(self._pack(self.root), present, self.stride)[:2]
+        # (order, parent) of `_tree_walk`.  Validation fills this in; it
+        # is recomputed only for a tree built directly or after
+        # downstream_weights has dropped it.
+        return _tree_walk(self._pack(self.root), set(self.keys), self.stride,
+                          self.bond_count + 1)
 
     def _pack(self, site: Site) -> int:
         return (site[0] - self.origin[0]) * self.stride \
@@ -394,17 +396,35 @@ def _breadth_first(start: int, present: set, stride: int):
 
 
 def _tree_walk(start: int, present: set, stride: int, sites: int):
-    """The breadth-first (order, parent) from `start` if the distinct
-    bonds in `present` form a tree of `sites` sites, else None."""
-    order, parent = [start], [-1]
-    steps = ((0, 1), (1, stride), (-2, -1), (1 - 2 * stride, -stride))
-    for i, s in enumerate(order):   # the list grows while it is read
-        back = order[parent[i]] if i else -1
-        k = 2 * s
-        for dk, ds in steps:
-            if k + dk in present and s + ds != back:
-                order.append(s + ds)
-                parent.append(i)
+    """The breadth-first walk from `start` if the distinct bonds in
+    `present` form a tree of `sites` sites, else None.
+
+    Returns (order, parent) as `_breadth_first` does, except that each
+    entry of order is 8 * site + the step back to the site's parent,
+    0..3 for +y, +x, -y, -x, or 4 for `start`.  That bond is the one
+    the site was entered by, so it is not looked up: three lookups per
+    site.  The step rides in the site's own int, so the walk holds no
+    more objects than the sites it lists."""
+    order, parent = [8 * start + 4], [-1]
+    # per step, a neighbour's entry less 8 * site (+y: 10, -y: -8)
+    plus_x, minus_x = 8 * stride + 3, 1 - 8 * stride
+    minus_x_key = 1 - 2 * stride   # the -x bond's key less 2 * site
+    for i, entry in enumerate(order):   # the lists grow while read
+        back = entry & 7
+        site8 = entry - back
+        k = site8 >> 2
+        if back != 0 and k in present:
+            order.append(site8 + 10)
+            parent.append(i)
+        if back != 1 and k + 1 in present:
+            order.append(site8 + plus_x)
+            parent.append(i)
+        if back != 2 and k - 2 in present:
+            order.append(site8 - 8)
+            parent.append(i)
+        if back != 3 and k + minus_x_key in present:
+            order.append(site8 + minus_x)
+            parent.append(i)
         if len(order) > sites:
             return None
     return (order, parent) if len(order) == sites else None
@@ -414,10 +434,7 @@ def _packed_tree(root: Site, columns: list) -> RootedTree:
     """Pack the bonds with lower endpoints (xs, ys) and steps (0 for +y,
     1 for +x), check the tree axioms and return the RootedTree.
     `columns` = [xs, ys, steps] is emptied, so the keys replace them.
-
-    Raises DuplicateBond, RootDetached, NotConnected or HasCycle, in
-    that order of checking; a bond named in a message is decoded only
-    then.
+    Raises as `_keyed_tree` does.
     """
     xs, ys, steps = columns
     columns.clear()
@@ -430,15 +447,27 @@ def _packed_tree(root: Site, columns: list) -> RootedTree:
     keys = [2 * (x * stride + y) + step - base
             for x, y, step in zip(xs, ys, steps)]
     del xs, ys, steps
+    return _keyed_tree(root, keys, (ox, oy), stride)
+
+
+def _keyed_tree(root: Site, keys: list, origin: Site, stride: int) \
+        -> RootedTree:
+    """Check the tree axioms on the packed `keys`, in the order the
+    bonds were given, and return the RootedTree; `keys` is sorted.
+
+    Raises DuplicateBond, RootDetached, NotConnected or HasCycle, in
+    that order of checking; a bond named in a message is decoded only
+    then.
+    """
     present = set(keys)
     duplicate = None
     if len(present) != len(keys):   # the first key listed twice
         seen = set()
         duplicate = next(k for k in keys if k in seen or seen.add(k))
     keys.sort()
-    tree = RootedTree(root=root, keys=tuple(keys), origin=(ox, oy),
+    tree = RootedTree(root=root, keys=tuple(keys), origin=origin,
                       stride=stride)
-    del keys
+    keys.clear()   # the caller's reference holds no list through the walk
     if duplicate is not None:
         (ax, ay, bx, by), = _ends(tree, [duplicate])
         raise DuplicateBond(
@@ -446,6 +475,7 @@ def _packed_tree(root: Site, columns: list) -> RootedTree:
     bonds = tree.bond_count
     # a root outside the packed rows would alias a site of another
     # column; packed site -1 touches no bond
+    oy = origin[1]
     start = tree._pack(root) if oy <= root[1] <= oy + stride - 2 else -1
     walk = _tree_walk(start, present, stride, bonds + 1)
     if walk:
@@ -478,10 +508,12 @@ def tree_from_runs(root: Site, runs: Iterable) -> RootedTree:
     """Check and return the tree made of straight runs of bonds.
 
     A run (x, y, dx, dy, n) is the n bonds that step from site (x, y)
-    by the unit vector (dx, dy); each field is an int, and n >= 1.
+    by the unit vector (dx, dy); each field is an int, and n >= 1.  A
+    run's packed keys are a range, so no bond is handled one by one
+    before the walk.
     """
     root = _as_site(root)
-    xs, ys, steps = columns = [[], [], []]
+    lows = []   # per run: its lowest lower endpoint, its step and n
     for x, y, dx, dy, n in runs:
         for v in (x, y, dx, dy, n):   # bool is an int subclass
             if type(v) is not int:
@@ -491,16 +523,23 @@ def tree_from_runs(root: Site, runs: Iterable) -> RootedTree:
         if dx * dx + dy * dy != 1:
             raise ValueError(f"a run steps by a unit vector, got {(dx, dy)}")
         if dx:
-            low = x if dx > 0 else x - n   # the lowest lower endpoint
-            xs.extend(range(low, low + n))
-            ys.extend([y] * n)
+            lows.append((x if dx > 0 else x - n, y, 1, n))
         else:
-            low = y if dy > 0 else y - n
-            xs.extend([x] * n)
-            ys.extend(range(low, low + n))
-        steps.extend([dx * dx] * n)
-    del xs, ys, steps
-    return _packed_tree(root, columns)
+            lows.append((x, y if dy > 0 else y - n, 0, n))
+    if not lows:
+        raise ValueError("a rooted tree needs at least one bond")
+    ox = min(x for x, _, _, _ in lows)
+    oy = min(y for _, y, _, _ in lows)
+    # as in _packed_tree: a +y run's top lower endpoint is y + n - 1
+    stride = max(y - 1 if step else y + n - 1
+                 for _, y, step, n in lows) + 3 - oy
+    keys = []
+    for x, y, step, n in lows:
+        key = 2 * ((x - ox) * stride + y - oy) + step
+        gap = 2 * stride if step else 2
+        keys.extend(range(key, key + gap * n, gap))
+    del lows   # before the set and the walk
+    return _keyed_tree(root, keys, (ox, oy), stride)
 
 
 def downstream_weights(tree: RootedTree) -> list[int]:
@@ -699,9 +738,24 @@ _CANONICAL_HEAD = re.compile(
 _BOND_SKELETON = b"[[,],[,]],"
 _NUMERALS = b"-0123456789"
 _ZEROS = bytes.maketrans(b"123456789", b"000000000")
-_ONES = bytes.maketrans(b"123456789", b"111111111")
-_LEADING_ZEROS = (b"[00", b"[01", b",00", b",01")
-_SPACES = bytes.maketrans(b"[],", b"   ")
+# a slot opens after "[" or ","; a leading zero is then ",00" or ",01"
+_LEADS = bytes.maketrans(b"[123456789", b",111111111")
+_SPACES = bytes.maketrans(b"[]", b"  ")
+
+
+def _bond_texts(tree: RootedTree):
+    """Each bond as canonical JSON, formatted straight from the keys."""
+    (ox, oy), stride = tree.origin, tree.stride
+    for key in tree.keys:
+        x, y = divmod(key >> 1, stride)
+        x += ox
+        y += oy
+        if key & 1:   # +x: the shared y is formatted once
+            y = str(y)
+            yield f"[[{x},{y}],[{x + 1},{y}]]"
+        else:
+            x = str(x)
+            yield f"[[{x},{y}],[{x},{y + 1}]]"
 
 
 def tree_to_json(tree: RootedTree, out=None) -> str | None:
@@ -713,7 +767,7 @@ def tree_to_json(tree: RootedTree, out=None) -> str | None:
     """
     rx, ry = tree.root
     head = f'{{"root":[{rx},{ry}],"bonds":['
-    texts = map("[[%d,%d],[%d,%d]]".__mod__, _ends(tree))
+    texts = _bond_texts(tree)
     if out is None:
         return head + ",".join(texts) + "]}"
     for at in range(0, tree.bond_count, _CHUNK // 32):
@@ -723,45 +777,74 @@ def tree_to_json(tree: RootedTree, out=None) -> str | None:
 
 
 def _chunk_bonds(chunk: bytes) -> int:
-    """The bonds in `chunk`, canonical bonds each followed by a comma,
-    or 0 unless each slot and nothing else holds an integer as JSON
-    writes it, of at most 19 digits."""
+    """The bonds in `chunk`, counted from its skeleton (its numerals
+    deleted), or 0 unless that is `[[,],[,]],` once per bond."""
     skeleton = chunk.translate(None, _NUMERALS)
     bonds = len(skeleton) // len(_BOND_SKELETON)
-    if skeleton != _BOND_SKELETON * bonds or b"-" in chunk and (
-            chunk.count(b"-") != chunk.count(b"[-") + chunk.count(b",-")
-            or b"-[" in chunk):
-        return 0
-    # with the minus signs gone, a lone one leaves an empty slot
+    return bonds if skeleton == _BOND_SKELETON * bonds else 0
+
+
+def _json_integers(chunk: bytes) -> bool:
+    """Whether each slot of a chunk whose skeleton passed holds an
+    integer as JSON writes it, of at most 19 digits, and nothing else
+    holds a numeral; found by byte scans, no number converted."""
     digits = chunk.translate(_ZEROS, b"-")
+    # an empty slot or a lone minus, a numeral outside a slot, 20 digits
     if any(bad in digits for bad in (b"[,", b",]", b"]0", b"0[", b"0" * 20)):
-        return 0
-    shape = chunk.translate(_ONES, b"-")   # a leading zero is 00 or 01
-    return 0 if any(bad in shape for bad in _LEADING_ZEROS) else bonds
+        return False
+    minus = len(chunk) - len(digits)
+    if minus and (chunk.count(b"[-") + chunk.count(b",-") != minus
+                  or b"-[" in chunk):   # a minus sign not opening a slot
+        return False
+    leads = chunk.translate(_LEADS, b"-")
+    return b",00" not in leads and b",01" not in leads
+
+
+def _chunk_numbers(chunk: bytes) -> list[int]:
+    """The numbers of a chunk whose skeleton passed, in order, by one
+    json.loads with its brackets turned to spaces: a numeral outside a
+    slot then stands next to a slot's number with no comma between,
+    which json.loads refuses, and an empty slot is refused here.  So
+    the chunk raises ValueError unless its slots, and only they, hold
+    JSON integers, which json.loads reads as the whole text's route
+    would."""
+    if b"[," in chunk or b",]" in chunk:
+        raise ValueError("an empty slot")
+    return json.loads(b"[" + chunk.translate(_SPACES).rstrip(b",") + b"]")
 
 
 def _canonical_scan(text: str):
-    """(root, (start, end) of each chunk, bonds) of canonical text, or
-    None; raises UnicodeEncodeError on text that is not ASCII."""
+    """(head, (start, end) of each chunk, bonds) of text with a
+    canonical skeleton, or None; raises UnicodeEncodeError on text that
+    is not ASCII.  head matches _CANONICAL_HEAD, whose groups are the
+    root's numbers.  Each chunk ends just past a bond's comma, or at the
+    end of the list."""
     head = _CANONICAL_HEAD.match(text)
     stop = len(text)
     while stop and text[stop - 1] in " \t\n\r":
         stop -= 1
-    if not head or not text.startswith("]}", stop - 2):
+    # the last bond's "]]", then the list's and the object's ends
+    if not head or not text.startswith("]]]}", stop - 4):
         return None
     start, stop = head.end(), stop - 2
     cuts, total = [], 0
     while start < stop:
         end = text.find("]],[[", start + _CHUNK, stop)
         end = stop if end < 0 else end + 3   # just past "]],"
-        bonds = _chunk_bonds(text[start:end].encode("ascii")
-                             + (b"," if end == stop else b""))
+        bonds = _chunk_bonds(_chunk(text, start, end))
         if not bonds:
             return None
         cuts.append((start, end))
         total += bonds
         start = end
-    return (int(head[1]), int(head[2])), cuts, total
+    return head, cuts, total
+
+
+def _chunk(text: str, start: int, end: int) -> bytes:
+    """text[start:end] in ASCII, given the comma that the list's last
+    bond lacks."""
+    chunk = text[start:end].encode("ascii")
+    return chunk + b"," if chunk.endswith(b"]]") else chunk
 
 
 def _unit_columns(quads: Iterable, columns: list) -> None:
@@ -855,17 +938,23 @@ def tree_from_json(text: str, max_bonds: int | None = None) -> RootedTree:
         except UnicodeEncodeError:
             scan = None
         if scan:
-            root, cuts, total = scan
-            _guard_bonds(total, max_bonds)
-            columns = [[], [], []]
-            try:
-                for start, end in cuts:
-                    numbers = map(int, text[start:end].encode("ascii")
-                                  .translate(_SPACES).split())
-                    _unit_columns(zip(*[numbers] * 4), columns)
-            except ValueError:   # json.loads names the bond at fault
-                columns.clear()
+            head, cuts, total = scan
+            chunks = (_chunk(text, start, end) for start, end in cuts)
+            if max_bonds is not None and total > max_bonds:
+                # refused before any number is converted, where
+                # json.loads would have read every number
+                if all(map(_json_integers, chunks)):
+                    _guard_bonds(total, max_bonds)
             else:
-                return _packed_tree(root, columns)
+                columns = [[], [], []]
+                try:
+                    for chunk in chunks:
+                        numbers = iter(_chunk_numbers(chunk))
+                        _unit_columns(zip(numbers, numbers, numbers, numbers),
+                                      columns)
+                except ValueError:   # json.loads names the bond at fault
+                    columns.clear()
+                else:
+                    return _packed_tree((int(head[1]), int(head[2])), columns)
     root, columns = _decoded_columns(text, max_bonds)
     return _packed_tree(root, columns)

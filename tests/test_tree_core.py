@@ -482,6 +482,10 @@ PATH_BONDS = 13
     ('"root":[1,0]', '"root":[01,0]'),
     ('"root":[1,0]', '"root":[1.0,0]'),
     ('"root":[1,0]', '"root":[1,' + "9" * 20 + "]"),
+    # a number moved out of its slot into the gap beside it
+    ("],[[5,0]", "],5[[,0]"), ("[[5,0]", "[5[,0]"), ("[[5,0]", "[[5,]0"),
+    ("[[5,0],[6,0]]", "[[5,0],6[,0]]"), ("[[5,0],[6,0]]", "[[5,0],[6,]0]"),
+    ("[[5,0],[6,0]]", "[[5,0],[6,0]0]"), ("[[5,0],[6,0]]", "[[5,0]0,[6,0]]"),
 ])
 def test_mutated_text_reads_alike_by_both_routes(old, new):
     assert old in PATH_TEXT
@@ -498,6 +502,7 @@ def test_mutated_text_reads_alike_by_both_routes(old, new):
     PATH_TEXT + "}",
     PATH_TEXT[:-1],
     PATH_TEXT[:-2] + "]]}",
+    PATH_TEXT[:-2] + ",]}",
     PATH_TEXT[:-1] + ',"root":[2,0]}',
     PATH_TEXT[:-1] + ',"bonds":[[[1,0],[2,0]]]}',
     '{"root":[9,9],' + PATH_TEXT[1:],
@@ -508,6 +513,18 @@ def test_mutated_text_reads_alike_by_both_routes(old, new):
 ])
 def test_reshaped_text_reads_alike_by_both_routes(text):
     assert_routes_agree(text, PATH_BONDS)
+
+
+@pytest.mark.parametrize("value", ["-0", "0", "9" * 19, "-" + "9" * 19,
+                                   "1" + "0" * 18, "9" * 20, "-" + "9" * 20])
+@pytest.mark.parametrize("slot", range(4), ids=["x1", "y1", "x2", "y2"])
+def test_each_slot_of_a_bond_reads_alike_by_both_routes(slot, value):
+    # -0 is JSON's 0; 20 digits are past the byte scans' cap, so a text
+    # over the guard leaves the chunked route
+    numbers = ["5", "0", "6", "0"]
+    numbers[slot] = value
+    bond = "[[{},{}],[{},{}]]".format(*numbers)
+    assert_routes_agree(PATH_TEXT.replace("[[5,0],[6,0]]", bond, 1), PATH_BONDS)
 
 
 @pytest.mark.parametrize("root", [(10 ** 19 - 1, -(10 ** 19 - 3)),
@@ -539,6 +556,25 @@ def test_a_5000_digit_coordinate_reads_alike_by_both_routes(limit):
     finally:
         sys.set_int_max_str_digits(saved)
     assert ("limit" in message) == bool(limit)
+
+
+@pytest.mark.parametrize("shift", [0, -40_000], ids=["plain", "negative"])
+def test_the_guard_fires_before_any_number_is_converted(shift):
+    bonds = 20_000
+    tree = validate_tree((shift, shift), [((x, shift), (x + 1, shift))
+                                          for x in range(shift, shift + bonds)])
+    text = tree_to_json(tree)
+    assert len(text) > core._CHUNK
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a number was converted before the guard")
+
+    with mock.patch.object(core.json, "loads", refuse), \
+            mock.patch.object(core, "int", refuse, create=True):
+        with pytest.raises(TooLarge, match=rf"^{bonds} bonds exceeds the "
+                           rf"guard {bonds - 1}$"):
+            tree_from_json(text, bonds - 1)
+    assert tree_from_json(text, bonds) == tree
 
 
 # --- what reading a large tree costs ----------------------------------------
@@ -600,6 +636,28 @@ def test_the_walk_is_dropped_once_the_hooks_exist():
     assert core.downstream_weights(tree) == hooks
 
 
+coordinate = st.one_of(st.integers(-10**6, 10**6),
+                       st.integers(10**18, 10**19 - 10**3),
+                       st.integers(-(10**19 - 10**3), -(10**18)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bonds=st.integers(1, 60), seed=st.integers(0, 2**32),
+       dx=coordinate, dy=coordinate)
+def test_the_writer_formats_what_the_decoder_reads(bonds, seed, dx, dy):
+    grown = random_lattice_tree(bonds, seed)
+    tree = validate_tree((dx, dy), [((u[0] + dx, u[1] + dy),
+                                     (v[0] + dx, v[1] + dy))
+                                    for u, v in grown.bonds])
+    want = (f'{{"root":[{dx},{dy}],"bonds":['
+            + ",".join("[[%d,%d],[%d,%d]]" % ends for ends in core._ends(tree))
+            + "]}")
+    assert tree_to_json(tree) == want
+    out = io.StringIO()
+    tree_to_json(tree, out)
+    assert out.getvalue() == want
+
+
 def test_gen_writes_the_same_text_in_chunks(monkeypatch, capsys):
     monkeypatch.setattr(core, "_CHUNK", 64)   # two bonds a write
     tree = comb_tree(12)
@@ -608,3 +666,55 @@ def test_gen_writes_the_same_text_in_chunks(monkeypatch, capsys):
     out = io.StringIO()
     assert tree_to_json(tree, out) is None
     assert out.getvalue() == tree_to_json(tree)
+
+
+# --- the validation walk against the walk with a seen-set -------------------
+
+def walks(root, pairs):
+    """What validation hands core._tree_walk and gets back, and
+    core._breadth_first on the same arguments."""
+    calls = []
+    real = core._tree_walk
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    with mock.patch.object(core, "_tree_walk", spy):
+        try:
+            validate_tree(root, pairs)
+        except (HasCycle, NotConnected):
+            pass
+    (start, present, stride, _), got = calls[0]
+    return got, core._breadth_first(start, present, stride), stride
+
+
+@settings(max_examples=60, deadline=None)
+@given(bonds=st.integers(1, 200), seed=st.integers(0, 2**32),
+       pick=st.integers(0, 10**6))
+def test_the_walk_skips_only_the_bond_it_came_by(bonds, seed, pick):
+    grown = random_lattice_tree(bonds, seed)
+    sites = sorted(grown.sites)
+    root = sites[pick % len(sites)]
+    pairs = list(grown.bonds)
+    got, (order, parent, reached), stride = walks(root, pairs)
+    assert (reached, len(order)) == (bonds, bonds + 1)
+    assert [entry >> 3 for entry in got[0]] == order and got[1] == parent
+    # the low bits of each entry are the step back to the parent
+    back = (1, stride, -1, -stride)
+    assert got[0][0] & 7 == 4
+    assert all(order[p] == site + back[entry & 7]
+               for site, entry, p in zip(order[1:], got[0][1:], parent[1:]))
+    # one bond more, closing a cycle or detached: neither walk sees a tree
+    closing = [((x, y), (x + dx, y + dy)) for x, y in sites
+               for dx, dy in ((1, 0), (0, 1))
+               if (x + dx, y + dy) in grown.sites
+               and ((x, y), (x + dx, y + dy)) not in pairs]
+    far = sites[-1][0] + 2
+    cases = [(((far, 0), (far, 1)), bonds)]   # detached: it is not reached
+    if closing:   # every bond is reached, and no new site
+        cases.append((closing[pick % len(closing)], bonds + 1))
+    for extra, reached_bonds in cases:
+        got, (order, _, reached), _ = walks(root, pairs + [extra])
+        assert got is None
+        assert (reached, len(order)) == (reached_bonds, bonds + 1)
