@@ -3,7 +3,8 @@
 Two regimes coexist.  Small generations are handled exactly: bond
 counts computed by two independent formulas that must agree, on the
 (odd, exponent) pairs of TowerParams and small rationals, and the full
-weight product and an explicit upper bound on it, as integers.  Large
+weight product and an explicit upper bound on it, as integers, read
+from generators.Levels alone, so custom trees have them too.  Large
 generations live purely in the log domain, where everything is normalized per first-generation bond: the
 log-weight divided by the first-generation count stays order one for
 every generation even though both quantities leave the representable
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from .core import Dyadic, _bonds_phrase, balanced_product
 from .errors import BoundViolated, InternalMismatch, TooLarge
-from .generators import MAX_INT_BITS, TowerParams
+from .generators import MAX_INT_BITS, Levels, TowerParams
 
 LN2 = math.log(2.0)
 
@@ -137,7 +138,7 @@ def epsilon_partial_exact(a0: int, upto_k: int) -> Fraction:
 
 # --- exact bond counts and weights ------------------------------------------
 
-def _exact_level(params: TowerParams, generation: int | None) -> tuple:
+def _exact_level(params: Levels, generation: int | None) -> tuple:
     """The checked generation and its stored bond count; TooLarge past
     the integer horizon."""
     j = params.checked_generation(generation)
@@ -217,7 +218,7 @@ def _backbone_weight_product(length: int, count: int, sub_bonds: int) -> int:
     return balanced_product(parts)
 
 
-def _exact_weight_guard(params: TowerParams, generation: int | None) -> int:
+def _exact_weight_guard(params: Levels, generation: int | None) -> int:
     """The checked generation, once its exact weight integer is known to
     stay within MAX_EXACT_WEIGHT_BONDS bonds; TooLarge otherwise."""
     j, total = _exact_level(params, generation)
@@ -229,7 +230,7 @@ def _exact_weight_guard(params: TowerParams, generation: int | None) -> int:
     return j
 
 
-def exact_weight(params: TowerParams, generation: int | None = None) -> int:
+def exact_weight(params: Levels, generation: int | None = None) -> int:
     """The exact weight product, by level recursion.
 
     Level one is a path, so it contributes (backbone length)!; each
@@ -271,7 +272,7 @@ class LogWeightBound:
 
 
 def weight_upper_bound(
-    params: TowerParams, generation: int | None = None, mode: str = "exact"
+    params: Levels, generation: int | None = None, mode: str = "exact"
 ):
     """Upper bound on the weight product: every backbone weight is at
     most the total bond count, so the level recursion is bounded by

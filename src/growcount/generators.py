@@ -1,13 +1,14 @@
 """Constructors for specific tree families.
 
-Besides paths and combs, this module builds the recursively branched
-family controlled by a tower sequence a_k = 2^(a_{k-1}): generation j
-is a straight backbone carrying equally spaced, 90-degree-rotated
-copies of generation j-1.  The derived sequences grow so fast that
-integers stop being materializable after a few levels; TowerParams
-keeps exact values up to a bit-size horizon and ends there, however
-many generations are asked for.  Everything the log-domain analytics
-needs survives past the horizon.
+Besides paths and combs, this module builds hierarchical trees: level
+k is a straight backbone carrying equally spaced, 90-degree-rotated
+copies of level k-1.  One `Levels` describes both such families, the
+tower family of a_k = 2^(a_{k-1}) and custom trees, and one builder
+lays out either.  The tower's sequences grow so fast that integers
+stop being materializable after a few levels; TowerParams keeps exact
+values up to a bit-size horizon and ends there, however many
+generations are asked for.  Everything the log-domain analytics needs
+survives past the horizon.
 """
 
 import itertools
@@ -73,42 +74,26 @@ def comb_tree(bond_count: int) -> RootedTree:
 # --- parameter sequences ----------------------------------------------------
 
 def _int_view(pairs: str) -> property:
-    """A sequence of TowerParams as ints, formed from its pairs when read."""
+    """A sequence of Levels as ints, formed from its pairs when read."""
     return property(lambda self: tuple(
         None if v is None else int(v) for v in getattr(self, pairs)))
 
 
 @dataclass(frozen=True)
-class TowerParams:
-    """Derived sequences for the doubly exponential tree family.
-
-    All sequences are indexed by generation k and padded with None below
-    their first valid index: tower[k] = a_k for k >= 0, first_gen[k] =
-    a_k^2 for k >= 0, backbone[k] (k >= 1) is the backbone length,
-    branches[k] (k >= 2) the number of sub-copies, bond_counts[k]
-    (k >= 1) the total number of bonds.  Level k exists while
-    tower[k-1] <= MAX_INT_BITS, so that 2^tower[k-1] can be
-    materialized; every sequence ends at the last such level or at
-    `generations`, whichever comes first.
-
-    The fields hold each value as a Dyadic pair (odd part, exponent),
-    whose odd part has at most 41 bits for every seed.  The sequences
-    above are views that form their ints when read, as the exact
-    weights and `gen tower` do, the latter only for a tree its size
-    guard allows; `analyze` reads only the pairs and builds no megabit
-    integer, in log mode or in exact mode.
+class Levels:
+    """The levels of a hierarchical tree by generation k, as Dyadic
+    pairs (odd part, exponent) with int views formed when read: backbone
+    length backbone[k] (k >= 1), branches[k] (k >= 2) copies of level
+    k-1 along it, and bond_counts[k] (k >= 1) bonds in all.  Entries
+    below the first valid index are None; the sequences may end before
+    `generations`, at an integer horizon.
     """
 
-    a0: int
     generations: int
-    tower_pairs: tuple = field(repr=False)
-    first_gen_pairs: tuple = field(repr=False)
     backbone_pairs: tuple = field(repr=False)
     branches_pairs: tuple = field(repr=False)
     bond_counts_pairs: tuple = field(repr=False)
 
-    tower = _int_view("tower_pairs")
-    first_gen = _int_view("first_gen_pairs")
     backbone = _int_view("backbone_pairs")
     branches = _int_view("branches_pairs")
     bond_counts = _int_view("bond_counts_pairs")
@@ -126,10 +111,33 @@ class TowerParams:
         pairs = self.bond_counts_pairs
         return pairs[k] if k < len(pairs) else None
 
-    def bonds(self, k: int) -> int | None:
-        """bond_counts[k], or None past the integer horizon."""
-        pair = self.bond_pair(k)
-        return None if pair is None else int(pair)
+
+def _bond_counts(backbone, branches) -> tuple:
+    """The bond counts of the levels, as pairs: level 1 is its backbone,
+    and level k adds branches[k] copies of level k-1 to its backbone."""
+    counts = [None, backbone[1]]
+    for k in range(2, len(backbone)):
+        counts.append(backbone[k] + branches[k] * counts[k - 1])
+    return tuple(counts)
+
+
+@dataclass(frozen=True)
+class TowerParams(Levels):
+    """The Levels of the doubly exponential family, plus its seed and
+    tower[k] = a_k and first_gen[k] = a_k^2 (k >= 0), as pairs and int
+    views.  Level k exists while tower[k-1] <= MAX_INT_BITS, so that
+    2^tower[k-1] can be materialized; every sequence ends at the last
+    such level or at `generations`, whichever comes first.  Every odd
+    part has at most 41 bits; `analyze` reads only the pairs and builds
+    no megabit integer.
+    """
+
+    a0: int
+    tower_pairs: tuple = field(repr=False)
+    first_gen_pairs: tuple = field(repr=False)
+
+    tower = _int_view("tower_pairs")
+    first_gen = _int_view("first_gen_pairs")
 
 
 def _exact_quotient(num: Dyadic, den: Dyadic, a0: int, k: int,
@@ -154,8 +162,7 @@ def _broken(a0: int, k: int, identity: str) -> InternalMismatch:
 
 
 def _derived_levels(a0: int, first_gen: list) -> tuple:
-    """Backbone lengths, branch counts and bond counts from first_gen,
-    all as Dyadic pairs.
+    """Backbone lengths and branch counts from first_gen, as Dyadic pairs.
 
     Divisibility of backbone lengths by branch counts, the spacing
     backbone[k]/branches[k] == 4*first_gen[k-2] between attachment
@@ -165,7 +172,6 @@ def _derived_levels(a0: int, first_gen: list) -> tuple:
     """
     backbone: list = [None, first_gen[1]]
     branches: list = [None, None]
-    bond_counts: list = [None, first_gen[1]]
     for k in range(2, len(first_gen)):
         gap = _FOUR * first_gen[k - 2]
         backbone.append(_exact_quotient(
@@ -174,7 +180,6 @@ def _derived_levels(a0: int, first_gen: list) -> tuple:
         branches.append(_exact_quotient(
             first_gen[k], first_gen[k - 1], a0, k,
             "first_gen[k-1] | first_gen[k]"))
-        bond_counts.append(backbone[k] + branches[k] * bond_counts[k - 1])
         if backbone[k] <= backbone[k - 1]:
             raise _broken(a0, k, "backbone[k] > backbone[k-1]")
         spacing = _exact_quotient(backbone[k], branches[k], a0, k,
@@ -186,7 +191,7 @@ def _derived_levels(a0: int, first_gen: list) -> tuple:
                 raise _broken(a0, k, "spacing(k) > backbone[k-2]")
             if branches[k] <= branches[k - 1]:
                 raise _broken(a0, k, "branches[k] > branches[k-1]")
-    return backbone, branches, bond_counts
+    return tuple(backbone), tuple(branches)
 
 
 def tower_params(a0: int, generations: int) -> TowerParams:
@@ -218,11 +223,12 @@ def tower_params(a0: int, generations: int) -> TowerParams:
         tower.append(Dyadic((1, a)))
         first_gen.append(Dyadic((1, 2 * a)))
         a = 1 << a if a <= _MAX_EXPONENT else None
-    backbone, branches, bond_counts = _derived_levels(a0, first_gen)
+    backbone, branches = _derived_levels(a0, first_gen)
 
     # positional: keywords double the cost of a call this frequent
-    return TowerParams(a0, generations, tuple(tower), tuple(first_gen),
-                       tuple(backbone), tuple(branches), tuple(bond_counts))
+    return TowerParams(generations, backbone, branches,
+                       _bond_counts(backbone, branches),
+                       a0, tuple(tower), tuple(first_gen))
 
 
 # --- hierarchical embedding -------------------------------------------------
@@ -242,25 +248,26 @@ def _emit_level(level, origin, direction, backbone, branches, out):
             )
 
 
-def _build(backbone, branches, levels: int, total, describe: str):
-    """The tree and its runs of bonds, each as (run, nesting level).
-
-    backbone and branches are indexed by generation; total is the bond
-    count the recurrence gives, which the caller has already held to
-    MAX_TREE_BONDS.  A built tree of another size raises
-    InternalMismatch, reading "built N bonds {describe} {total}".
-    """
+def _build(levels: Levels, generation: int | None):
+    """The tree of a generation of `levels` (None: the last) and its
+    runs of bonds, each as (run, nesting level).  The bond count is held
+    to MAX_TREE_BONDS on its pair, so a refused tree forms no level int;
+    a tree built to another size raises InternalMismatch."""
+    j = levels.checked_generation(generation)
+    total = levels.bond_pair(j)
+    guard_tree_bonds(total, MAX_TREE_BONDS)
     leveled_runs: list = []
-    _emit_level(levels, (0, 0), (1, 0), backbone, branches, leveled_runs)
+    _emit_level(j, (0, 0), (1, 0), levels.backbone, levels.branches,
+                leveled_runs)
     try:
         tree = tree_from_runs((0, 0), (run for run, _ in leveled_runs))
     except DuplicateBond as exc:
         raise OverlapDetected("two branches produced the same bond") from exc
     except (HasCycle, NotConnected) as exc:
         raise OverlapDetected(f"embedding is not a tree: {exc}") from exc
-    if tree.bond_count != total:
-        raise InternalMismatch(
-            f"built {tree.bond_count} bonds {describe} {total}")
+    if tree.bond_count != int(total):
+        raise InternalMismatch(f"built {tree.bond_count} bonds at generation "
+                               f"{j}; bond_counts[{j}] gives {int(total)}")
     return tree, leveled_runs
 
 
@@ -274,7 +281,9 @@ def _labels(leveled_runs) -> dict[tuple[Site, Site], int]:
     return labels
 
 
-def _check_custom(ells, bs):
+def custom_levels(ells, bs) -> Levels:
+    """The Levels of backbone lengths ell_1..ell_m and branch counts
+    b_2..b_m, checked as custom_hierarchical_tree says."""
     ells, bs = tuple(ells), tuple(bs)
     for v in ells + bs:   # int() would truncate 2.9 and accept True and "2"
         if type(v) is not int:
@@ -301,45 +310,29 @@ def _check_custom(ells, bs):
     # re-index to generation numbers: ell[k] for k=1..m, b[k] for k=2..m
     ell = (None,) + ells
     b = (None, None) + bs
-    m = len(ells)
-    for k in range(2, m + 1):
+    for k in range(2, len(ell)):
         if ell[k] % b[k]:
             raise ConstraintViolated(
                 f"branch count {b[k]} does not divide backbone length {ell[k]}"
             )
-    for k in range(3, m + 1):
+    for k in range(3, len(ell)):
         if ell[k] // b[k] <= ell[k - 2]:
             raise ConstraintViolated(
                 f"spacing {ell[k] // b[k]} at level {k} does not clear the "
                 f"level-{k - 2} backbone of length {ell[k - 2]}"
             )
-    total = ell[1]
-    for k in range(2, m + 1):
-        total = ell[k] + b[k] * total
-    return ell, b, m, total
+    backbone = (None,) + tuple(map(Dyadic.of, ells))
+    branches = (None, None) + tuple(map(Dyadic.of, bs))
+    return Levels(len(ells), backbone, branches,
+                  _bond_counts(backbone, branches))
 
 
 def custom_hierarchical_tree(ells, bs) -> RootedTree:
-    """Build a hierarchical tree from caller-chosen backbone lengths and
-    branch counts (lengths ell_1..ell_m, counts b_2..b_m).
-
-    The same embedding as the tower family: branches sit at spacing
-    ell_k/b_k along the backbone and each nesting level is rotated +90
-    degrees.  Constraint failures raise ConstraintViolated naming the
-    constraint; trees past MAX_TREE_BONDS raise TooLarge.
-    """
-    ell, b, m, total = _check_custom(ells, bs)
-    guard_tree_bonds(total, MAX_TREE_BONDS)
-    return _build(ell, b, m, total, f"from lengths {list(ell[1:])} and "
-                  f"counts {list(b[2:])}; the recurrence gives")[0]
-
-
-def _tower(params: TowerParams, generations: int | None):
-    j = params.checked_generation(generations)
-    # guarded on the pair, so a refused tree forms none of its level ints
-    guard_tree_bonds(params.bond_pair(j), MAX_TREE_BONDS)
-    return _build(params.backbone, params.branches, j, params.bonds(j),
-                  f"for a0={params.a0}, generation {j}; bond_counts[{j}] gives")
+    """Build a hierarchical tree from backbone lengths ell_1..ell_m and
+    branch counts b_2..b_m, with branches at spacing ell_k/b_k as in the
+    tower family.  Constraint failures raise ConstraintViolated naming
+    the constraint; trees past MAX_TREE_BONDS raise TooLarge."""
+    return _build(custom_levels(ells, bs), None)[0]
 
 
 def tower_tree(params: TowerParams, generations: int | None = None) -> RootedTree:
@@ -348,10 +341,10 @@ def tower_tree(params: TowerParams, generations: int | None = None) -> RootedTre
     Only small generations exist as coordinates: the guard refuses
     anything past MAX_TREE_BONDS bonds (already generation 2 at a0=20).
     """
-    return _tower(params, generations)[0]
+    return _build(params, generations)[0]
 
 
 def tower_tree_generations(params: TowerParams, generations: int | None = None):
     """Like `tower_tree`, plus each bond's nesting level by endpoint pair."""
-    tree, leveled_runs = _tower(params, generations)
+    tree, leveled_runs = _build(params, generations)
     return tree, _labels(leveled_runs)

@@ -27,7 +27,12 @@ from growcount.analytics import (
 )
 from growcount.core import Dyadic, tree_weight
 from growcount.errors import InternalMismatch, TooLarge
-from growcount.generators import tower_params, tower_tree
+from growcount.generators import (
+    custom_hierarchical_tree,
+    custom_levels,
+    tower_params,
+    tower_tree,
+)
 
 
 def mp_epsilon0(a0, levels=6):
@@ -142,6 +147,20 @@ def test_exact_weight_generation_two_by_hand():
 def test_exact_weight_matches_materialized_tree(j):
     p = tower_params(1, 3)
     assert exact_weight(p, j) == tree_weight(tower_tree(p, j))
+
+
+# the last is the best custom tree measured for log W / L, 75,088 bonds
+@pytest.mark.parametrize("ells,bs", [
+    ((2, 6, 24), (2, 2)),
+    ((3, 12, 60), (3, 3)),
+    ((2, 15, 45), (15, 15)),
+    ((3, 37, 1976), (37, 494)),
+], ids=["2,6,24", "3,12,60", "2,15,45", "3,37,1976"])
+def test_custom_exact_weight_matches_materialized_tree(ells, bs):
+    levels = custom_levels(ells, bs)
+    w = exact_weight(levels)
+    assert w == tree_weight(custom_hierarchical_tree(ells, bs))
+    assert w <= weight_upper_bound(levels, mode="exact")
 
 
 def test_exact_weight_divides_factorial():

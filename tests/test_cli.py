@@ -378,7 +378,7 @@ def analyze_by_public_route(a0, gen, mode):
             log_w = math.log(
                 analytics.weight_upper_bound(params, gen, mode="exact"))
         else:
-            total = params.bonds(gen)
+            total = params.bond_pair(gen)
             log_w = analytics.weight_upper_bound(params, gen, mode="log").ln
     except (GrowcountError, ValueError) as exc:
         return "", f"error: {type(exc).__name__}: {exc}\n", 2

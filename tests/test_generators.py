@@ -19,6 +19,7 @@ from growcount.generators import (
     TowerParams,
     comb_tree,
     custom_hierarchical_tree,
+    custom_levels,
     path_tree,
     tower_params,
     tower_tree,
@@ -92,8 +93,8 @@ def test_materializability_horizon(a0, horizon):
     assert p.tower[horizon] > MAX_INT_BITS
     for f in FIELDS:
         assert len(getattr(p, f)) == horizon + 1, f
-    assert p.bonds(horizon) == p.bond_counts[horizon]
-    assert p.bonds(horizon + 1) is None
+    assert int(p.bond_pair(horizon)) == p.bond_counts[horizon]
+    assert p.bond_pair(horizon + 1) is None
 
 
 def test_generations_past_the_horizon_add_no_entries():
@@ -104,14 +105,14 @@ def test_generations_past_the_horizon_add_no_entries():
     for f in FIELDS:
         assert len(getattr(p, f)) == 3, f
     assert dataclasses.replace(p, generations=2) == tower_params(20, 2)
-    assert p.bonds(3) is None and p.bonds(10**6) is None
+    assert p.bond_pair(3) is None and p.bond_pair(10**6) is None
 
 
 def test_seed_past_the_integer_budget_is_refused():
     # the largest seed still materializes its first level
     p = tower_params(MAX_INT_BITS, 2)
     assert p.first_gen[1] == 1 << 2 * MAX_INT_BITS
-    assert len(p.tower) == len(p.bond_counts) == 2 and p.bonds(2) is None
+    assert len(p.tower) == len(p.bond_counts) == 2 and p.bond_pair(2) is None
     with pytest.raises(TooLarge, match=f"a0={MAX_INT_BITS + 1}: 2\\^a0"):
         tower_params(MAX_INT_BITS + 1, 1)
 
@@ -148,10 +149,11 @@ def as_pairs(values: tuple) -> tuple:
 # first_gen[2]); from 22 on every sequence ends at generation 1
 @pytest.mark.parametrize("a0", list(range(1, 25)) + [31, 32, 33, 64])
 def test_tower_params_match_plain_arithmetic(a0):
-    # every dataclass field: the seed, the generations and the pairs,
-    # and the int views of the pairs
+    # every dataclass field: those of Levels, then the seed and the
+    # sequences the levels derive from, and the int views of the pairs
     assert [f.name for f in dataclasses.fields(TowerParams)] \
-        == ["a0", "generations"] + [f"{name}_pairs" for name in FIELDS]
+        == ["generations", "backbone_pairs", "branches_pairs",
+            "bond_counts_pairs", "a0", "tower_pairs", "first_gen_pairs"]
     for gen in range(1, 9):
         got = tower_params(a0, gen)
         assert (got.a0, got.generations) == (a0, gen)
@@ -217,26 +219,25 @@ def test_broken_tower_identity_is_a_cli_error(monkeypatch, capsys):
     assert err.startswith("error: InternalMismatch: tower identity")
 
 
+# the 32-bond tree of either family with bond_counts[2] one too large:
+# the one builder lays 32 bonds and refuses the count
+BUMPED = (None, Dyadic.of(4), Dyadic.of(33))
+BUILT_32_NOT_33 = r"^built 32 bonds at generation 2; bond_counts\[2\] gives 33$"
+
+
 @pytest.mark.parametrize("build", ["tower_tree", "tower_tree_generations"])
 def test_tower_tree_checks_its_bond_count(build):
-    p = tower_params(1, 2)
-    wrong = dataclasses.replace(
-        p, bond_counts_pairs=(None, Dyadic.of(4), Dyadic.of(33)))
-    with pytest.raises(InternalMismatch, match=r"^built 32 bonds for a0=1, "
-                       r"generation 2; bond_counts\[2\] gives 33$"):
+    wrong = dataclasses.replace(tower_params(1, 2), bond_counts_pairs=BUMPED)
+    with pytest.raises(InternalMismatch, match=BUILT_32_NOT_33):
         getattr(generators, build)(wrong)
 
 
 def test_custom_tree_checks_its_bond_count(monkeypatch):
-    check = generators._check_custom
-
-    def off_by_one(ells, bs):
-        ell, b, m, total = check(ells, bs)
-        return ell, b, m, total + 1
-    monkeypatch.setattr(generators, "_check_custom", off_by_one)
-    with pytest.raises(InternalMismatch, match=r"^built 32 bonds from lengths "
-                       r"\[4, 16\] and counts \[4\]; the recurrence gives 33$"):
-        custom_hierarchical_tree([4, 16], [4])
+    wrong = dataclasses.replace(custom_levels((4, 16), (4,)),
+                                bond_counts_pairs=BUMPED)
+    monkeypatch.setattr(generators, "custom_levels", lambda *_: wrong)
+    with pytest.raises(InternalMismatch, match=BUILT_32_NOT_33):
+        custom_hierarchical_tree((4, 16), (4,))
 
 
 def test_tower_params_reject_bad_arguments():
@@ -296,6 +297,10 @@ def test_tower_tree_guard():
 def test_custom_reproduces_tower_generation_two():
     assert custom_hierarchical_tree((4, 16), (4,)) \
         == tower_tree(tower_params(1, 2))
+    custom, tower = custom_levels((4, 16), (4,)), tower_params(1, 2)
+    for name in ("backbone_pairs", "branches_pairs", "bond_counts_pairs"):
+        assert getattr(custom, name) == getattr(tower, name), name
+    assert custom.generations == tower.generations == 2
 
 
 def test_custom_small_family():

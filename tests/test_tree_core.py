@@ -373,17 +373,27 @@ def test_count_guard(monkeypatch):
     assert "TooLarge: 8 bonds exceeds the guard 6" in err
 
 
+def test_dot_guard(monkeypatch):
+    monkeypatch.setattr(core, "MAX_TREE_BONDS", 6)
+    code, out, _ = run_cli(monkeypatch, ["export", "--format", "dot"],
+                           tree_to_json(comb_tree(6)))
+    assert code == 0 and out.startswith("graph")
+    code, out, err = run_cli(monkeypatch, ["export", "--format", "dot"],
+                             tree_to_json(comb_tree(8)))
+    assert (code, out) == (3, "")
+    assert err == "error: TooLarge: 8 bonds exceeds the guard 6\n"
+
+
 def test_guards_fire_before_the_bonds_are_checked(monkeypatch):
     monkeypatch.setattr(core, "MAX_TREE_BONDS", 3)
     monkeypatch.setattr(render, "MAX_SVG_BONDS", 3)
     # four bonds, one of them malformed: a size refusal, not a parse error
     text = json.dumps({"root": [0, 0], "bonds": BASE + [[[0, 0], [0.5, 0]]]})
-    for argv in (["count"], ["export", "--format", "svg"]):
+    for argv in (["count"], ["export", "--format", "svg"],
+                 ["export", "--format", "dot"]):
         code, out, err = run_cli(monkeypatch, argv, text)
         assert (code, out) == (3, ""), argv
         assert "TooLarge" in err
-    code, _, err = run_cli(monkeypatch, ["export", "--format", "dot"], text)
-    assert code == 2 and "integers" in err
 
 
 def test_svg_guard_passes_trees_at_the_limit(monkeypatch):
