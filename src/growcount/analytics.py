@@ -138,6 +138,15 @@ def epsilon_partial_exact(a0: int, upto_k: int) -> Fraction:
 
 # --- exact bond counts and weights ------------------------------------------
 
+def _tower_only(params: Levels, what: str) -> None:
+    """Raise ValueError unless `params` are the tower family's: `what`
+    reads its seed and first-generation counts, which custom levels
+    do not have."""
+    if not isinstance(params, TowerParams):
+        raise ValueError(f"{what} needs tower-family levels (TowerParams); "
+                         "custom levels have no a0 or first generation")
+
+
 def _exact_level(params: Levels, generation: int | None) -> tuple:
     """The checked generation and its stored bond count; TooLarge past
     the integer horizon."""
@@ -174,8 +183,9 @@ def bond_count(params: TowerParams, generation: int | None = None) -> Dyadic:
     first_gen[j] * num.  Both routes run on the pairs, so no megabit
     integer is formed.  Disagreement (or a non-integral rational)
     raises InternalMismatch; a generation past the integer horizon
-    raises TooLarge.
+    raises TooLarge.  Custom levels raise ValueError.
     """
+    _tower_only(params, "bond_count")
     j, stored = _exact_level(params, generation)
     first_gen, backbone = params.first_gen_pairs, params.backbone_pairs
 
@@ -283,7 +293,8 @@ def weight_upper_bound(
     count, which turns the recursion into adding one increment
     (backbone[k]/first_gen[k]) * log(bond_counts[k]) per level, and
     works for any generation; the log bond count uses the exact value
-    while it is materializable and the series form past that.
+    while it is materializable and the series form past that, and
+    takes tower-family levels only: custom ones raise ValueError.
     """
     j = params.checked_generation(generation)
 
@@ -298,6 +309,7 @@ def weight_upper_bound(
 
     if mode != "log":
         raise ValueError(f"mode must be 'exact' or 'log', got {mode!r}")
+    _tower_only(params, 'weight_upper_bound(mode="log")')
 
     first_gen = params.first_gen_pairs
     x = _per_bond_log_factorial(first_gen[1])

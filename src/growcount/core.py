@@ -28,22 +28,28 @@ wraps into another column.  A bond packs to 2 * (its lower endpoint)
 + 0 for a +y step or + 1 for a +x step, so sorted keys come in the
 order of sorted (lower, upper) endpoint pairs.  Canonical JSON longer
 than a chunk is read a chunk at a time.  A byte scan of each chunk's
-skeleton counts its bonds; over a size guard, more byte scans check its
-numbers, so the guard fires before any number is converted, and under
-it json's scanner decodes each chunk's numbers as one flat list,
-straight into coordinate columns.  Any other text goes through
-json.loads.  The generators pack each straight run of bonds as
-a range of keys (`tree_from_runs`).  Validation is one breadth-first
-walk from the root over a set of keys.  It keeps no seen-set: in a
-tree every neighbour but the parent is new, so the distinct bonds form
-a tree exactly when the walk stops at L + 1 sites, and the bond back to
-the parent, the step each site was entered by, is never looked up:
-three lookups per site.  Its site order and parent entries give every
-hook size in one reverse pass, as a plain list in walk order, and are
-then dropped.  The JSON writer formats each bond straight from its key;
-`_ends` decodes keys into flat (x1, y1, x2, y2) tuples of the lower and
-upper endpoints for the oracle, messages and `bonds` view (through it
-the renderings).
+skeleton counts its bonds; over a size guard, two translations and an
+int shift check each pair of neighbouring bytes, so the guard fires
+before any number is converted, and under it json's scanner decodes
+each chunk's numbers as one flat list, straight into coordinate
+columns.  Any other text goes through json.loads.  Validation of bonds
+read or listed is one breadth-first walk from the root over a set of
+keys.  It keeps no seen-set: in a tree every neighbour but the parent
+is new, so the distinct bonds form a tree exactly when the walk stops
+at L + 1 sites, and the bond back to the parent, the step each site
+was entered by, is never looked up: three lookups per site.  Its site
+order and parent entries give every hook size in one reverse pass, as
+a plain list in walk order, and are then dropped.  The generators lay
+a tree out as straight runs of bonds (`tree_from_runs`), each packed
+as a range of keys and checked run by run: a run that starts on the
+tree and adds as many new sites as bonds adds a leaf per bond, so such
+a tree needs no walk until its hooks are read.  The JSON writer
+formats each bond from its key through tables of strings, per row and
+step the text after each of the bond's x, and per written chunk each
+x, with at most two entries for each bond of a chunk; `_ends` decodes
+keys into flat (x1, y1, x2, y2) tuples of the lower and upper
+endpoints for the oracle, messages and `bonds` view (through it the
+renderings).
 
 Random growth packs a site as (x + off) * width + (y + off), with off
 one more than the bond count and width = 2 * off + 1, and a candidate
@@ -69,7 +75,7 @@ import random
 import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -155,9 +161,9 @@ class RootedTree:
 
     @cached_property
     def _walk(self) -> tuple[list[int], list[int]]:
-        # (order, parent) of `_tree_walk`.  Validation fills this in; it
-        # is recomputed only for a tree built directly or after
-        # downstream_weights has dropped it.
+        # (order, parent) of `_tree_walk`.  The walk that validates bonds
+        # fills this in; it is computed here for a tree built from runs
+        # or directly, or after downstream_weights has dropped it.
         return _tree_walk(self._pack(self.root), set(self.keys), self.stride,
                           self.bond_count + 1)
 
@@ -205,10 +211,11 @@ _EXACT_DECIMAL = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
 def prime_power_digits(primes: Sequence[int], exponents: Sequence[int]) -> str:
     """Exact decimal digits of the product of p**e over the pairs, e >= 0.
 
-    Borwein's order: from the top exponent bit down, square the running
-    product, then multiply in the primes whose exponent has that bit
-    set, so the last squaring does most of the work; a product tree
-    repeats a full-size multiplication at every level.  Every product
+    Borwein's order: from the top exponent bit down, the running
+    product times the primes whose exponent has that bit set, times
+    the running product again, so the last squaring does most of the
+    work and its two factors are of one size; a product tree repeats a
+    full-size multiplication at every level.  Every product
     is a Decimal under _EXACT_DECIMAL, where an inexact step would
     raise (libmpdec beats CPython's Karatsuba at millions of bits), so
     only the primes themselves are ever converted from int.
@@ -222,7 +229,7 @@ def prime_power_digits(primes: Sequence[int], exponents: Sequence[int]) -> str:
     out = decimal.Decimal(1)
     with decimal.localcontext(_EXACT_DECIMAL):
         for bucket in reversed(by_bit):
-            out = out * out * balanced_product(map(decimal.Decimal, bucket))
+            out = out * (out * balanced_product(map(decimal.Decimal, bucket)))
     return str(out)
 
 
@@ -509,37 +516,81 @@ def tree_from_runs(root: Site, runs: Iterable) -> RootedTree:
 
     A run (x, y, dx, dy, n) is the n bonds that step from site (x, y)
     by the unit vector (dx, dy); each field is an int, and n >= 1.  A
-    run's packed keys are a range, so no bond is handled one by one
-    before the walk.
+    run's packed keys are a range, so no bond is handled one by one.
+    Runs that `_runs_grow_a_tree` accepts form a tree with no walk;
+    any others are checked by `_keyed_tree`, which raises as it does
+    for any bonds.
     """
     root = _as_site(root)
-    lows = []   # per run: its lowest lower endpoint, its step and n
+    # per run: its lowest lower endpoint, its step and n, negated when
+    # the run starts from its upper end
+    lows = []
     for x, y, dx, dy, n in runs:
-        for v in (x, y, dx, dy, n):   # bool is an int subclass
-            if type(v) is not int:
-                raise ValueError(f"run fields must be integers, got {v!r}")
+        # bool is an int subclass
+        if not type(x) is type(y) is type(dx) is type(dy) is type(n) is int:
+            bad = next(v for v in (x, y, dx, dy, n) if type(v) is not int)
+            raise ValueError(f"run fields must be integers, got {bad!r}")
         if n < 1:
             raise ValueError(f"a run needs at least one bond, got {n}")
         if dx * dx + dy * dy != 1:
             raise ValueError(f"a run steps by a unit vector, got {(dx, dy)}")
         if dx:
-            lows.append((x if dx > 0 else x - n, y, 1, n))
+            lows.append((x, y, 1, n) if dx > 0 else (x - n, y, 1, -n))
         else:
-            lows.append((x, y if dy > 0 else y - n, 0, n))
+            lows.append((x, y, 0, n) if dy > 0 else (x, y - n, 0, -n))
     if not lows:
         raise ValueError("a rooted tree needs at least one bond")
-    ox = min(x for x, _, _, _ in lows)
-    oy = min(y for _, y, _, _ in lows)
+    origin = ox, oy = (min(x for x, _, _, _ in lows),
+                       min(y for _, y, _, _ in lows))
     # as in _packed_tree: a +y run's top lower endpoint is y + n - 1
-    stride = max(y - 1 if step else y + n - 1
+    stride = max(y - 1 if step else y + abs(n) - 1
                  for _, y, step, n in lows) + 3 - oy
     keys = []
     for x, y, step, n in lows:
         key = 2 * ((x - ox) * stride + y - oy) + step
         gap = 2 * stride if step else 2
-        keys.extend(range(key, key + gap * n, gap))
-    del lows   # before the set and the walk
-    return _keyed_tree(root, keys, (ox, oy), stride)
+        keys.extend(range(key, key + gap * abs(n), gap))
+    # every site packs below the highest key's upper end; past 64 bytes
+    # a bond the walk's set would be the smaller
+    size = (max(keys) >> 1) + stride + 1
+    grown = size <= 64 * len(keys) + 64 \
+        and _runs_grow_a_tree(root, lows, origin, stride, size)
+    del lows   # before the keys are sorted and checked
+    if not grown:
+        return _keyed_tree(root, keys, origin, stride)
+    keys.sort()
+    return RootedTree(root=root, keys=tuple(keys), origin=origin,
+                      stride=stride)
+
+
+def _runs_grow_a_tree(root: Site, lows: list, origin: Site, stride: int,
+                      size: int) -> bool:
+    """Whether each run of `lows` (see tree_from_runs) starts at the
+    root or at a site of an earlier run, and adds as many sites never
+    seen before as it has bonds.  Then every bond, run by run, joins a
+    new leaf to a tree that holds the root, so the runs form a tree of
+    L + 1 sites.  The sites seen are the set bytes of a bitmap over the
+    `size` packed sites, and each run's are read and set as one slice."""
+    ox, oy = origin
+    rx, ry = root
+    start = (rx - ox) * stride + ry - oy
+    # a root outside the packed rows would alias a site of another column
+    if not (oy <= ry <= oy + stride - 2 and 0 <= start < size):
+        return False
+    seen = bytearray(size)
+    seen[start] = 1
+    for x, y, step, n in lows:
+        gap = stride if step else 1
+        low = (x - ox) * stride + y - oy
+        if n > 0:
+            start, new = low, slice(low + gap, low + gap * (n + 1), gap)
+        else:
+            start, n = low - gap * n, -n
+            new = slice(low, start, gap)
+        if not seen[start] or 1 in seen[new]:
+            return False
+        seen[new] = b"\1" * n
+    return True
 
 
 def downstream_weights(tree: RootedTree) -> list[int]:
@@ -737,42 +788,73 @@ _CANONICAL_HEAD = re.compile(
     r'(-?(?:0|[1-9][0-9]{0,18}))\],"bonds":\[')
 _BOND_SKELETON = b"[[,],[,]],"
 _NUMERALS = b"-0123456789"
-_ZEROS = bytes.maketrans(b"123456789", b"000000000")
-# a slot opens after "[" or ","; a leading zero is then ",00" or ",01"
-_LEADS = bytes.maketrans(b"[123456789", b",111111111")
+# a chunk's bytes by class: "[" 1, "," 2, "]" 3, "-" 4, "0" 5, any other
+# digit 6; and the classes that may follow each one in bonds whose slots
+# hold JSON integers, 0 standing for the chunk's end
+_CLASSES = bytes.maketrans(b"[,]-0123456789", b"\1\2\3\4\5" + b"\6" * 9)
+_FOLLOWERS = {1: (1, 4, 5, 6), 2: (0, 1, 4, 5, 6), 3: (2, 3), 4: (5, 6),
+              5: (2, 3, 5, 6), 6: (2, 3, 5, 6)}
+# reads bytes as one bit field, never a numeral as a number
+_bit_field = int.from_bytes
 _SPACES = bytes.maketrans(b"[]", b"  ")
 
 
-def _bond_texts(tree: RootedTree):
-    """Each bond as canonical JSON, formatted straight from the keys."""
-    (ox, oy), stride = tree.origin, tree.stride
-    for key in tree.keys:
-        x, y = divmod(key >> 1, stride)
-        x += ox
-        y += oy
-        if key & 1:   # +x: the shared y is formatted once
-            y = str(y)
-            yield f"[[{x},{y}],[{x + 1},{y}]]"
-        else:
-            x = str(x)
-            yield f"[[{x},{y}],[{x},{y + 1}]]"
+def _row_texts(oy: int, row_steps: Iterable[int]) -> tuple[dict, dict]:
+    """For each key modulo 2 * stride in `row_steps`, which names a
+    bond's row and step: the text after the bond's first x, and the
+    text after its second."""
+    middles, lasts = {}, {}
+    for row_step in row_steps:
+        y = oy + (row_step >> 1)
+        middles[row_step] = f",{y}],["
+        lasts[row_step] = f",{y + 1 - (row_step & 1)}]]"
+    return middles, lasts
+
+
+def _bond_texts(tree: RootedTree, size: int):
+    """The bonds as canonical JSON, `size` of them joined by commas at
+    a time, formatted from tables of strings, none longer than 2 * size:
+    `_row_texts` for every row of a tree at most size / 2 rows high, or
+    else for the rows of each `size` keys; and per `size` keys, each x.
+    That spans at most size + 1 columns, because the keys are sorted
+    and in a connected tree every column between two keys' holds a
+    key."""
+    (ox, oy), stride, keys = tree.origin, tree.stride, tree.keys
+    width = 2 * stride
+    if width <= size:
+        middles, lasts = _row_texts(oy, range(width))
+    for at in range(0, len(keys), size):
+        part = keys[at:at + size]
+        if width > size:
+            middles, lasts = _row_texts(
+                oy, set(map(operator.mod, part, itertools.repeat(width))))
+        first = part[0] // width
+        xs = [str(x) for x in range(ox + first, ox + part[-1] // width + 2)]
+        base = first * width
+        texts = []
+        append = texts.append
+        for key in part:
+            x, row_step = divmod(key - base, width)
+            append(f"[[{xs[x]}{middles[row_step]}"
+                   f"{xs[x + (row_step & 1)]}{lasts[row_step]}")
+        yield ",".join(texts)
 
 
 def tree_to_json(tree: RootedTree, out=None) -> str | None:
     """Serialize to the canonical wire form, deterministic to the byte.
 
     {"root":[x,y],"bonds":[[[x1,y1],[x2,y2]],...]} with bonds sorted and
-    integer coordinates only, formatted straight from the sorted keys.
-    Returned, or written to `out` a chunk of bonds at a time.
+    integer coordinates only, formatted from the sorted keys.  Returned,
+    or written to `out` a chunk of bonds at a time.
     """
     rx, ry = tree.root
     head = f'{{"root":[{rx},{ry}],"bonds":['
-    texts = _bond_texts(tree)
+    texts = _bond_texts(tree, max(_CHUNK // 32, 1))
     if out is None:
         return head + ",".join(texts) + "]}"
-    for at in range(0, tree.bond_count, _CHUNK // 32):
-        out.write(("," if at else head)
-                  + ",".join(itertools.islice(texts, _CHUNK // 32)))
+    for text in texts:
+        out.write(head + text)
+        head = ","
     out.write("]}")
 
 
@@ -784,20 +866,31 @@ def _chunk_bonds(chunk: bytes) -> int:
     return bonds if skeleton == _BOND_SKELETON * bonds else 0
 
 
+@cache
+def _pair_verdicts() -> bytes:
+    """A translation of each pair code, class | next class << 3, to "d"
+    for two digits, "a" for a slot's first digit 0, "." for any other
+    pair _FOLLOWERS allows and "x" for the rest."""
+    table = bytearray(b"x" * 256)
+    for first, followers in _FOLLOWERS.items():
+        for then in followers:
+            table[first | then << 3] = ord(
+                "d" if first >= 5 and then >= 5 else "a" if then == 5 else ".")
+    return bytes(table)
+
+
 def _json_integers(chunk: bytes) -> bool:
     """Whether each slot of a chunk whose skeleton passed holds an
     integer as JSON writes it, of at most 19 digits, and nothing else
-    holds a numeral; found by byte scans, no number converted."""
-    digits = chunk.translate(_ZEROS, b"-")
-    # an empty slot or a lone minus, a numeral outside a slot, 20 digits
-    if any(bad in digits for bad in (b"[,", b",]", b"]0", b"0[", b"0" * 20)):
-        return False
-    minus = len(chunk) - len(digits)
-    if minus and (chunk.count(b"[-") + chunk.count(b",-") != minus
-                  or b"-[" in chunk):   # a minus sign not opening a slot
-        return False
-    leads = chunk.translate(_LEADS, b"-")
-    return b",00" not in leads and b",01" not in leads
+    holds a numeral; no number converted.  One translation gives each
+    byte's class, an int shift sets the next byte's class beside it,
+    and one more translation names each pair, so a misplaced numeral,
+    an empty slot or a misplaced minus is an "x", a leading zero "ad"
+    and 20 digits 19 "d"s in a row."""
+    classes = _bit_field(chunk.translate(_CLASSES), "little")
+    pairs = (classes | classes >> 5).to_bytes(len(chunk), "little") \
+        .translate(_pair_verdicts())
+    return b"x" not in pairs and b"ad" not in pairs and b"d" * 19 not in pairs
 
 
 def _chunk_numbers(chunk: bytes) -> list[int]:

@@ -163,6 +163,16 @@ def test_custom_exact_weight_matches_materialized_tree(ells, bs):
     assert w <= weight_upper_bound(levels, mode="exact")
 
 
+@pytest.mark.parametrize("call", [
+    lambda levels: weight_upper_bound(levels, 3, mode="log"),
+    lambda levels: bond_count(levels),
+], ids=["weight_upper_bound log", "bond_count"])
+def test_custom_levels_are_refused_where_the_tower_seed_is_read(call):
+    # both read a0 and first_gen, which only tower levels carry
+    with pytest.raises(ValueError, match="needs tower-family levels"):
+        call(custom_levels((2, 6, 24), (2, 2)))
+
+
 def test_exact_weight_divides_factorial():
     p = tower_params(1, 3)
     for j in (1, 2, 3):

@@ -280,6 +280,108 @@ def test_runs_must_step_by_unit_vectors():
         core.tree_from_runs((0, 0), [])
 
 
+# --- runs checked run by run ------------------------------------------------
+
+UNIT_STEPS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+
+
+def run_bonds(runs):
+    """The bonds of each run as (lower, upper) pairs, each run's listed
+    from its lower end, as tree_from_runs lists their keys."""
+    pairs = []
+    for x, y, dx, dy, n in runs:
+        if dx + dy < 0:   # start from the other end
+            x, y, dx, dy = x + n * dx, y + n * dy, -dx, -dy
+        sites = [(x + i * dx, y + i * dy) for i in range(n + 1)]
+        pairs += zip(sites, sites[1:])
+    return pairs
+
+
+def built(build, *args):
+    try:
+        return build(*args)
+    except Exception as exc:   # the type and the message must agree
+        return type(exc), str(exc)
+
+
+@st.composite
+def run_lists(draw):
+    """Runs that start at the root or on an earlier run, or, now and
+    then, anywhere: overlapping, detached, cyclic, off the root, and
+    at random shuffled out of order."""
+    root = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+    sites, runs = [root], []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.integers(0, 7))
+        if kind:
+            x, y = draw(st.sampled_from(sites))
+        else:
+            x, y = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+        if kind == 1:   # around a unit square and back: a cycle
+            new = [(x, y, 1, 0, 1), (x + 1, y, 0, 1, 1),
+                   (x + 1, y + 1, -1, 0, 1), (x, y + 1, 0, -1, 1)]
+        else:
+            dx, dy = draw(st.sampled_from(UNIT_STEPS))
+            new = [(x, y, dx, dy, draw(st.integers(1, 4)))]
+        for x, y, dx, dy, n in new:
+            runs.append((x, y, dx, dy, n))
+            sites += [(x + i * dx, y + i * dy) for i in range(1, n + 1)]
+    if draw(st.booleans()):
+        runs = draw(st.permutations(runs))
+    if not draw(st.integers(0, 7)):
+        root = (draw(st.integers(-4, 4)), draw(st.integers(-4, 4)))
+    return root, runs
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=run_lists())
+def test_runs_build_what_their_bonds_build(case):
+    # the same tree, or the same exception and message, as the walk
+    # over the same keys in the same order
+    root, runs = case
+    got = built(core.tree_from_runs, root, runs)
+    assert got == built(validate_tree, root, run_bonds(runs))
+    if isinstance(got, core.RootedTree):
+        assert got.hooks == tree_from_json(tree_to_json(got)).hooks
+
+
+@pytest.mark.parametrize("build", [
+    lambda: path_tree(7), lambda: comb_tree(12),
+    lambda: tower_tree(tower_params(1, 2)),
+    lambda: custom_hierarchical_tree((3, 12, 60), (3, 3)),
+], ids=["path", "comb", "tower", "custom"])
+def test_generated_trees_need_no_walk_until_their_hooks_are_read(build):
+    tree = build()
+    assert "_walk" not in vars(tree)
+    read = tree_from_json(tree_to_json(tree))
+    assert tree == read and tree.hooks == read.hooks
+
+
+@pytest.mark.parametrize("root", [(0, 4), (4, -2), (2, 0)])
+def test_a_root_off_the_packed_rows_is_no_site_of_the_runs(root):
+    # stride 2: x * 2 + y of (0, 4) is that of (2, 0), the run's start,
+    # and of (4, -2) that of (3, 0), its end; only (2, 0) is the root
+    runs = [(2, 0, 1, 0, 1)]
+    assert built(core.tree_from_runs, root, runs) \
+        == built(validate_tree, root, run_bonds(runs))
+
+
+@pytest.mark.parametrize("runs", [
+    # the second run starts on the third, so the run check turns the
+    # runs down
+    [(0, 0, 1, 0, 2), (1, 1, 0, 1, 1), (1, 0, 0, 1, 1)],
+    # 400 bonds in a box of 201 columns of 202 rows: a bitmap of the
+    # box would take 100 bytes a bond
+    [(0, 0, 1, 0, 200), (200, 0, 0, 1, 200)],
+], ids=["out of order", "sparse"])
+def test_runs_turned_down_by_the_run_check_go_to_the_walk(runs):
+    with mock.patch.object(core, "_tree_walk",
+                           wraps=core._tree_walk) as walk:
+        tree = core.tree_from_runs((0, 0), runs)
+    walk.assert_called_once()
+    assert tree == validate_tree((0, 0), run_bonds(runs))
+
+
 # --- incremental random growth ----------------------------------------------
 
 def rescanning_random_tree(bond_count: int, seed: int):
@@ -502,6 +604,35 @@ def test_mutated_text_reads_alike_by_both_routes(old, new):
     assert_routes_agree(PATH_TEXT.replace(old, new, 1), PATH_BONDS)
 
 
+def json_integers(chunk):
+    """What json.loads says of a chunk's numbers: all integers of at
+    most 19 digits, and nothing else where they stand."""
+    try:
+        bonds = json.loads(b"[" + chunk.rstrip(b",") + b"]")
+    except ValueError:
+        return False
+    return all(len(str(abs(v))) <= 19 for bond in bonds
+               for site in bond for v in site)
+
+
+@pytest.mark.parametrize("chunk", [
+    b"[[5,0],[6,0]],", b"[[-5,-0],[-6,-0]],[[0,7],[0,8]],",
+    b"[[" + b"9" * 19 + b",-" + b"9" * 19 + b"],[1,-1000000000000000000]],",
+    b"[[,0],[6,0]],", b"[[5,0],[6,]],",              # an empty slot
+    b"[[-,0],[6,0]],", b"[[5,0],[6,-]],",            # a lone minus
+    b"[-[5,0],[6,0]],", b"[[5,0],-[6,0]],",          # -[
+    b"[[01,0],[6,0]],", b"[[5,00],[6,0]],",          # 01
+    b"[[-01,0],[6,0]],", b"[[5,0],[6,-00]],",        # -01
+    b"[[" + b"1" * 20 + b",0],[6,0]],",              # 20 digits
+    b"[[5,-" + b"1" * 20 + b"],[6,0]],",
+    b"[[5,0],[6,0]]7,", b"7[[5,0],[6,0]],", b"[[5,0]7,[6,0]],",
+    b"[[5-,0],[6,0]],", b"[[5,0],[6,--0]],", b"[[5,0],[6,1-0]],",
+], ids=lambda chunk: chunk.decode()[:40])
+def test_the_numeral_check_agrees_with_json_loads(chunk):
+    assert core._chunk_bonds(chunk)
+    assert core._json_integers(chunk) == json_integers(chunk)
+
+
 @pytest.mark.parametrize("text", [
     "\t" + PATH_TEXT + "\r\n",
     " \n" + PATH_TEXT + " \t \n",
@@ -666,6 +797,54 @@ def test_the_writer_formats_what_the_decoder_reads(bonds, seed, dx, dy):
     out = io.StringIO()
     tree_to_json(tree, out)
     assert out.getvalue() == want
+
+
+def tall_tree():
+    # a 300-bond column with two bonds beside it: stride 302, width 2
+    return validate_tree((0, -150), [((0, y), (0, y + 1))
+                                     for y in range(-150, 150)]
+                         + [((0, 0), (1, 0)), ((1, 0), (1, 1))])
+
+
+@pytest.mark.parametrize("tree", [
+    pytest.param(lambda: validate_tree((-7, -9), [((-7, -9), (-8, -9))]),
+                 id="one +x bond"),
+    pytest.param(lambda: validate_tree((3, 4), [((3, 4), (3, 5))]),
+                 id="one +y bond"),
+    pytest.param(lambda: validate_tree((-40, -60), [
+        ((u[0] - 40, u[1] - 60), (v[0] - 40, v[1] - 60))
+        for u, v in random_lattice_tree(300, 5).bonds]), id="negative"),
+    pytest.param(tall_tree, id="tall"),
+    pytest.param(lambda: comb_tree(300), id="comb"),
+])
+@pytest.mark.parametrize("chunk", [1, 31, 32, 64, 97 * 32, core._CHUNK])
+def test_the_writer_formats_each_bond_as_it_did(tree, chunk, monkeypatch):
+    # every x table of the writer is one chunk's, and _CHUNK < 32 still
+    # writes a bond at a time
+    tree = tree()
+    want = (f'{{"root":[{tree.root[0]},{tree.root[1]}],"bonds":['
+            + ",".join("[[%d,%d],[%d,%d]]" % ends for ends in core._ends(tree))
+            + "]}")
+    monkeypatch.setattr(core, "_CHUNK", chunk)
+    assert tree_to_json(tree) == want
+    out = io.StringIO()
+    tree_to_json(tree, out)
+    assert out.getvalue() == want
+
+
+@pytest.mark.parametrize("step", [(1, 0), (0, 1)], ids=["wide", "tall"])
+def test_writing_a_long_path_peaks_under_80_bytes_per_bond(step):
+    # a table for every row of a 100,000-row tree would take about
+    # 140 bytes a bond; a tall tree's row tables are a chunk's
+    bonds = 100_000
+    tree = core.tree_from_runs((0, 0), [(0, 0, *step, bonds)])
+    tracemalloc.start()
+    try:
+        tree_to_json(tree, io.StringIO())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / bonds < 80
 
 
 def test_gen_writes_the_same_text_in_chunks(monkeypatch, capsys):
