@@ -26,8 +26,8 @@ bounding box, so that a row of unused values keeps every column apart:
 the neighbours of site s are s +- 1 and s +- stride, and none of them
 wraps into another column.  A bond packs to 2 * (its lower endpoint)
 + 0 for a +y step or + 1 for a +x step, so sorted keys come in the
-order of sorted (lower, upper) endpoint pairs.  Canonical JSON longer
-than a chunk is read a chunk at a time.  A byte scan of each chunk's
+order of sorted (lower, upper) endpoint pairs.  Canonical JSON, of any
+length, is read a chunk at a time.  A byte scan of each chunk's
 skeleton counts its bonds; over a size guard, two translations and an
 int shift check each pair of neighbouring bytes, so the guard fires
 before any number is converted, and under it json's scanner decodes
@@ -37,24 +37,31 @@ read or listed is one breadth-first walk from the root over a set of
 keys.  It keeps no seen-set: in a tree every neighbour but the parent
 is new, so the distinct bonds form a tree exactly when the walk stops
 at L + 1 sites, and the bond back to the parent, the step each site
-was entered by, is never looked up: three lookups per site.  Its site
-order and parent entries give every hook size in one reverse pass, as
-a plain list in walk order, and are then dropped.  The generators lay
-a tree out as straight runs of bonds (`tree_from_runs`), each packed
-as a range of keys and checked run by run: a run that starts on the
-tree and adds as many new sites as bonds adds a leaf per bond, so such
-a tree needs no walk until its hooks are read.  The JSON writer
-formats each bond from its key through tables of strings, per row and
-step the text after each of the bond's x, and per written chunk each
-x, with at most two entries for each bond of a chunk; `_ends` decodes
-keys into flat (x1, y1, x2, y2) tuples of the lower and upper
-endpoints for the oracle, messages and `bonds` view (through it the
-renderings).
+was entered by, is never looked up: three lookups per site.  It reads
+at most L + 1 sites and measures its lists once per block of them, not
+once per site.  Its site order and parent entries give every hook size
+in one reverse pass, as a plain list in walk order, and are then
+dropped.  The generators lay a tree out as straight runs of bonds
+(`tree_from_runs`), each packed as a range of keys and checked run by
+run: a run that starts on the tree and adds as many new sites as bonds
+adds a leaf per bond, so such a tree needs no walk until its hooks are
+read.  The JSON writer formats each bond from its key through tables
+of strings, per row and step the text after each of the bond's x, and
+per written chunk each x, with at most two entries for each bond of a
+chunk; `_ends` decodes keys into flat (x1, y1, x2, y2) tuples of the
+lower and upper endpoints for the oracle, messages and `bonds` view
+(through it the renderings).
 
 Random growth packs a site as (x + off) * width + (y + off), with off
 one more than the bond count and width = 2 * off + 1, and a candidate
 bond as 4 * (outside site) + rank, rank 0..3 naming the tree site at
 outside - width, - 1, + 1 or + width: sites and ranks go in (x, y) order.
+Each step adds a site that is not yet on the tree, so the bonds grown
+form a tree by construction; a count of the sites stands in for the
+walk, which runs only once the hooks are read.  A step draws its index
+into the sorted candidates as rng.choice does on CPython 3.10 to 3.13,
+inline: getrandbits of the candidate count's bit length, drawn again
+while it is not below the count, so the stream rests on getrandbits.
 
 Growth orders are exactly the linear extensions of the bond forest
 obtained by orienting every bond away from the root, so the counting
@@ -82,6 +89,7 @@ from .errors import (
     CapExceeded,
     DuplicateBond,
     HasCycle,
+    InternalMismatch,
     InternalNonDivisible,
     NotConnected,
     RootDetached,
@@ -402,6 +410,11 @@ def _breadth_first(start: int, present: set, stride: int):
     return order, parent, ends // 2
 
 
+# _tree_walk measures its lists once per this many sites, so a cycle
+# takes them at most three entries a site of one block past a tree's
+_WALK_BLOCK = 4096
+
+
 def _tree_walk(start: int, present: set, stride: int, sites: int):
     """The breadth-first walk from `start` if the distinct bonds in
     `present` form a tree of `sites` sites, else None.
@@ -416,32 +429,38 @@ def _tree_walk(start: int, present: set, stride: int, sites: int):
     # per step, a neighbour's entry less 8 * site (+y: 10, -y: -8)
     plus_x, minus_x = 8 * stride + 3, 1 - 8 * stride
     minus_x_key = 1 - 2 * stride   # the -x bond's key less 2 * site
-    for i, entry in enumerate(order):   # the lists grow while read
-        back = entry & 7
-        site8 = entry - back
-        k = site8 >> 2
-        if back != 0 and k in present:
-            order.append(site8 + 10)
-            parent.append(i)
-        if back != 1 and k + 1 in present:
-            order.append(site8 + plus_x)
-            parent.append(i)
-        if back != 2 and k - 2 in present:
-            order.append(site8 - 8)
-            parent.append(i)
-        if back != 3 and k + minus_x_key in present:
-            order.append(site8 + minus_x)
-            parent.append(i)
-        if len(order) > sites:
-            return None
+    try:
+        # a tree lists exactly `sites` entries: a walk that runs out
+        # first is not connected, and one that lists more has a cycle
+        for block in range(0, sites, _WALK_BLOCK):
+            for i in range(block, min(block + _WALK_BLOCK, sites)):
+                entry = order[i]   # the lists grow while they are read
+                back = entry & 7
+                site8 = entry - back
+                k = site8 >> 2
+                if back != 0 and k in present:
+                    order.append(site8 + 10)
+                    parent.append(i)
+                if back != 1 and k + 1 in present:
+                    order.append(site8 + plus_x)
+                    parent.append(i)
+                if back != 2 and k - 2 in present:
+                    order.append(site8 - 8)
+                    parent.append(i)
+                if back != 3 and k + minus_x_key in present:
+                    order.append(site8 + minus_x)
+                    parent.append(i)
+            if len(order) > sites:
+                return None
+    except IndexError:
+        return None
     return (order, parent) if len(order) == sites else None
 
 
-def _packed_tree(root: Site, columns: list) -> RootedTree:
-    """Pack the bonds with lower endpoints (xs, ys) and steps (0 for +y,
-    1 for +x), check the tree axioms and return the RootedTree.
+def _column_keys(columns: list) -> tuple[list, Site, int]:
+    """(keys, origin, stride) of the bonds with lower endpoints (xs, ys)
+    and steps (0 for +y, 1 for +x), packed in the order given.
     `columns` = [xs, ys, steps] is emptied, so the keys replace them.
-    Raises as `_keyed_tree` does.
     """
     xs, ys, steps = columns
     columns.clear()
@@ -453,8 +472,14 @@ def _packed_tree(root: Site, columns: list) -> RootedTree:
     base = 2 * (ox * stride + oy)
     keys = [2 * (x * stride + y) + step - base
             for x, y, step in zip(xs, ys, steps)]
-    del xs, ys, steps
-    return _keyed_tree(root, keys, (ox, oy), stride)
+    return keys, (ox, oy), stride
+
+
+def _packed_tree(root: Site, columns: list) -> RootedTree:
+    """Pack the bonds of `columns` (see `_column_keys`), check the tree
+    axioms and return the RootedTree.  Raises as `_keyed_tree` does.
+    """
+    return _keyed_tree(root, *_column_keys(columns))
 
 
 def _keyed_tree(root: Site, keys: list, origin: Site, stride: int) \
@@ -744,12 +769,15 @@ def random_lattice_tree(bond_count: int, seed: int) -> RootedTree:
     Each step picks uniformly among bonds with one endpoint on the tree,
     so no site is reused and no cycle forms.  Deterministic in `seed`:
     the packed candidates (see the module docstring) sort as a full
-    rescan's (site, bond) pairs, so rng.choice picks the same bond.
+    rescan's (site, bond) pairs, and each step draws the index that
+    rng.choice would draw, so it picks the same bond.  No site is
+    added twice, which the site count confirms, so the tree needs no
+    walk until its hooks are read.
     """
     if bond_count < 1:
         raise ValueError("bond_count must be >= 1")
     guard_tree_bonds(bond_count, MAX_TREE_BONDS)
-    choice = random.Random(seed).choice
+    getrandbits = random.Random(seed).getrandbits
     off, width = bond_count + 1, 2 * bond_count + 3
     site = off * width + off   # the root, (0, 0)
     # per NEIGHBOR_STEPS: the neighbour's offset, and the new site's rank
@@ -763,7 +791,12 @@ def random_lattice_tree(bond_count: int, seed: int) -> RootedTree:
         for delta, rank in around:
             if site + delta not in sites:
                 insort(perimeter, 4 * (site + delta) + rank)
-        pick = choice(perimeter)
+        n = len(perimeter)
+        bits = n.bit_length()
+        at = getrandbits(bits)
+        while at >= n:
+            at = getrandbits(bits)
+        pick = perimeter[at]
         site, rank = pick >> 2, pick & 3
         sites.add(site)
         lows.append(site + lower[rank])
@@ -771,17 +804,23 @@ def random_lattice_tree(bond_count: int, seed: int) -> RootedTree:
         # every candidate ending at the new site is now inside the tree
         lo = bisect_left(perimeter, pick - rank)
         del perimeter[lo:bisect_left(perimeter, pick - rank + 4, lo)]
+    if len(sites) != bond_count + 1:
+        raise InternalMismatch(f"{bond_count} bonds grew {len(sites)} "
+                               "sites; a tree needs L+1")
+    del sites, perimeter   # before the columns
     columns = [[low // width - off for low in lows],
                [low % width - off for low in lows], steps]
-    del sites, perimeter, lows, steps   # before the keys and the walk
-    # _packed_tree's walk checks every tree axiom
-    return _packed_tree((0, 0), columns)
+    del lows, steps   # before the keys
+    keys, origin, stride = _column_keys(columns)
+    keys.sort()
+    return RootedTree(root=(0, 0), keys=tuple(keys), origin=origin,
+                      stride=stride)
 
 
 # --- canonical JSON ---------------------------------------------------------
 
-# tree text longer than this is read a chunk at a time, each chunk ending
-# at the first bond boundary past this many characters; see tree_from_json
+# canonical tree text is read a chunk at a time, each chunk ending at the
+# first bond boundary past this many characters; see tree_from_json
 _CHUNK = 1 << 18
 _CANONICAL_HEAD = re.compile(
     r'[ \t\n\r]*\{"root":\[(-?(?:0|[1-9][0-9]{0,18})),'
@@ -1021,11 +1060,11 @@ def tree_from_json(text: str, max_bonds: int | None = None) -> RootedTree:
     """Parse and validate the canonical wire form.  Liberal in bond order.
 
     With `max_bonds` given, a longer bond list raises TooLarge before
-    any bond is checked.  Canonical text longer than a chunk is read a
-    chunk at a time; any other text, and any that route turns down, by
+    any bond is checked.  Canonical text of any length is read a chunk
+    at a time; any other text, and any that route turns down, by
     json.loads, so every error is the one json.loads would give.
     """
-    if type(text) is str and len(text) > _CHUNK:
+    if type(text) is str:
         try:
             scan = _canonical_scan(text)
         except UnicodeEncodeError:

@@ -198,6 +198,54 @@ def test_cycle_reports_bonds_and_sites():
         parse(square)
 
 
+# a unit square on the end of a two-bond tail, and a path with a bond
+# apart from it
+TAILED_CYCLE = [((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0), (3, 0)),
+                ((3, 0), (3, 1)), ((2, 1), (3, 1)), ((2, 0), (2, 1))]
+DETACHED_BOND = [((0, 0), (1, 0)), ((1, 0), (2, 0)), ((5, 5), (5, 6))]
+
+
+@pytest.mark.parametrize("bonds, error, message", [
+    (TAILED_CYCLE, HasCycle, "6 bonds span 6 sites; a tree needs L+1"),
+    (DETACHED_BOND, NotConnected, "1 bond(s) unreachable from the root"),
+], ids=["tailed cycle", "detached bond"])
+def test_walk_verdicts_keep_their_messages(bonds, error, message):
+    text = json.dumps({"root": [0, 0], "bonds": sorted(bonds)},
+                      separators=(",", ":"))
+    for read in (lambda: validate_tree((0, 0), bonds),
+                 lambda: tree_from_json(text)):
+        with pytest.raises(error) as caught:
+            read()
+        assert str(caught.value) == message
+
+
+class CountingSet(set):
+    """A set that counts the lookups that find their key."""
+    found = 0
+
+    def __contains__(self, key):
+        hit = super().__contains__(key)
+        self.found += hit
+        return hit
+
+
+@pytest.mark.parametrize("side", [2, 80], ids=["square", "grid"])
+def test_the_walk_over_a_cycle_stops_near_its_site_count(side):
+    # every bond of a side x side block of sites: with no seen-set the
+    # walk would go round its squares for ever; 80 x 80 is several
+    # of the walk's blocks
+    stride = side + 1   # a row of unused values above the top row
+    present = CountingSet(
+        2 * (x * stride + y) + step for x in range(side)
+        for y in range(side) for step in (0, 1)
+        if (y if step == 0 else x) < side - 1)
+    sites = len(present) + 1
+    assert core._tree_walk(0, present, stride, sites) is None
+    # each lookup found appends one entry to the walk's order
+    assert present.found + 1 <= 4 * sites + 1
+    assert present.found <= sites + 3 * core._WALK_BLOCK
+
+
 @pytest.mark.parametrize("entry, message", [
     ([[1, 1], [3, 1]], "unit distance"),
     ([[1, 1], [1, 1]], "unit distance"),
@@ -404,11 +452,27 @@ def rescanning_random_tree(bond_count: int, seed: int):
     return validate_tree((0, 0), bonds)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7, 123456])
-@pytest.mark.parametrize("bonds", [1, 5, 50, 400])
+def perimeter_length(tree):
+    """The number of bonds with exactly one endpoint on `tree`."""
+    sites = tree.sites
+    return sum((x + dx, y + dy) not in sites
+               for x, y in sites for dx, dy in NEIGHBOR_STEPS)
+
+
+# at 2000 bonds the candidate count passes 256, so the draw's bit count
+# changes and about half of the draws just past it are drawn again
+@pytest.mark.parametrize("bonds, seed", [
+    *((bonds, seed) for bonds in (1, 2, 5, 50, 400)
+      for seed in (0, 1, 7, 123456, 2**40)),
+    (2000, 0), (2000, 2**40),
+])
 def test_random_tree_matches_the_rescanning_loop(bonds, seed):
-    assert random_lattice_tree(bonds, seed) \
-        == rescanning_random_tree(bonds, seed)
+    tree = random_lattice_tree(bonds, seed)
+    assert "_walk" not in vars(tree)   # grown, so never walked
+    assert tree == rescanning_random_tree(bonds, seed)
+    assert tree.hooks == validate_tree((0, 0), tree.bonds).hooks
+    if bonds == 2000:
+        assert perimeter_length(tree) > 256
 
 
 # sha256 of `gen random` stdout for bonds {1, 2, 3, 7, 50, 400, 2000} x
@@ -602,6 +666,52 @@ PATH_BONDS = 13
 def test_mutated_text_reads_alike_by_both_routes(old, new):
     assert old in PATH_TEXT
     assert_routes_agree(PATH_TEXT.replace(old, new, 1), PATH_BONDS)
+
+
+def short_texts(bonds):
+    """A canonical text of a grown tree of `bonds` bonds, moved so that
+    it has negative coordinates, and variants of it, by name."""
+    grown = random_lattice_tree(bonds, bonds)
+    pairs = [[[ax - 3, ay - 2], [bx - 3, by - 2]]
+             for (ax, ay), (bx, by) in grown.bonds]
+
+    def text(pairs):
+        return json.dumps({"root": [-3, -2], "bonds": pairs},
+                          separators=(",", ":"))
+
+    canonical = text(pairs)
+    head, _, rest = canonical.partition('"bonds":[[[')
+    yield "canonical", canonical
+    yield "spaced", canonical.replace("],[", "], [", 1)
+    yield "upper first", text([pairs[0][::-1]] + pairs[1:])
+    yield "unsorted", text(pairs[::-1])
+    yield "duplicate", text(pairs + pairs[:1])
+    yield "float", text([[[pairs[0][0][0] + 0.0, pairs[0][0][1]],
+                          pairs[0][1]]] + pairs[1:])
+    yield "bool", text([[[True, 0], [True, 1]]] + pairs)
+    yield "empty slot", head + '"bonds":[[[,' + rest.partition(",")[2]
+    yield "outside a slot", canonical.replace('"bonds":[', '"bonds":[7', 1)
+
+
+@pytest.mark.parametrize("bonds", [1, 2, 5, 50, 400])
+def test_short_text_reads_alike_by_both_routes(bonds):
+    # the default chunk size: each text is one chunk, or none
+    for name, text in short_texts(bonds):
+        for max_bonds in (None, 1, bonds - 1, bonds):
+            assert outcome(tree_from_json, text, max_bonds) \
+                == outcome(through_json_loads, text, max_bonds), \
+                (name, max_bonds)
+    canonical = next(short_texts(bonds))[1]
+
+    def refuse(*args):
+        raise AssertionError("canonical text left the chunked route")
+
+    with mock.patch.object(core, "_decoded_columns", refuse):
+        assert tree_to_json(tree_from_json(canonical, bonds)) == canonical
+        if bonds > 1:
+            with pytest.raises(TooLarge, match=rf"^{bonds} bonds exceeds "
+                               rf"the guard {bonds - 1}$"):
+                tree_from_json(canonical, bonds - 1)
 
 
 def json_integers(chunk):
