@@ -1,14 +1,16 @@
 """Exact and log-domain analytics for the tower tree family.
 
 Two regimes coexist.  Small generations are handled exactly: bond
-counts computed by two independent formulas that must agree, on the
-(odd, exponent) pairs of TowerParams and small rationals, and the full
-weight product and an explicit upper bound on it, as integers, read
-from generators.Levels alone, so custom trees have them too.  Large
-generations live purely in the log domain, where everything is normalized per first-generation bond: the
-log-weight divided by the first-generation count stays order one for
-every generation even though both quantities leave the representable
-range after a handful of levels.
+counts computed by two independent formulas that must agree, the
+stored level recurrence against a ratio sum over first-generation
+counts, on the (odd, exponent) pairs of TowerParams and small
+rationals, and the full weight product and an explicit upper bound on
+it, as integers, read from generators.Levels alone, so custom trees
+have them too.  Large generations live purely in the log domain, where
+everything is normalized per first-generation bond: the log-weight
+divided by the first-generation count stays order one for every
+generation even though both quantities leave the representable range
+after a handful of levels.
 
 The bridge between the regimes is the series with terms
 4*(a/2^a)^2 evaluated at successive tower values a.  `_series_rows` is
@@ -175,11 +177,11 @@ def _shift_reduced(num: Dyadic, den: Dyadic) -> Fraction:
 def bond_count(params: TowerParams, generation: int | None = None) -> Dyadic:
     """Exact number of bonds, computed two independent ways, as a Dyadic.
 
-    Route one telescopes branch-count products against backbone lengths;
-    route two evaluates first_gen[j] * (1 + 4*sum of the ratios
+    Route one is the stored count from `_bond_counts`; route two
+    evaluates first_gen[j] * (1 + 4*sum of the ratios
     first_gen[k-2]/first_gen[k-1]) in rational arithmetic, each ratio
     built by `_shift_reduced`.  With num/den the bracket in lowest
-    terms, the product is the integer total exactly when total * den ==
+    terms, the product is the stored count exactly when stored * den ==
     first_gen[j] * num.  Both routes run on the pairs, so no megabit
     integer is formed.  Disagreement (or a non-integral rational)
     raises InternalMismatch; a generation past the integer horizon
@@ -187,24 +189,16 @@ def bond_count(params: TowerParams, generation: int | None = None) -> Dyadic:
     """
     _tower_only(params, "bond_count")
     j, stored = _exact_level(params, generation)
-    first_gen, backbone = params.first_gen_pairs, params.backbone_pairs
-
-    total = backbone[j]
-    prod = Dyadic((1, 0))
-    for k in range(j - 1, 0, -1):
-        prod = prod * params.branches_pairs[k + 1]
-        total = total + prod * backbone[k]
-
+    first_gen = params.first_gen_pairs
     ratio_sum = Fraction(0)
     for k in range(2, j + 1):
         ratio_sum += _shift_reduced(first_gen[k - 2], first_gen[k - 1])
     num, den = (1 + 4 * ratio_sum).as_integer_ratio()
-    if total * Dyadic.of(den) != first_gen[j] * Dyadic.of(num) \
-            or total != stored:
+    if stored * Dyadic.of(den) != first_gen[j] * Dyadic.of(num):
         raise InternalMismatch(
             f"bond-count formulas disagree at a0={params.a0}, generation {j}"
         )
-    return total
+    return stored
 
 
 def _backbone_weight_product(length: int, count: int, sub_bonds: int) -> int:

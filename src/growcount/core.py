@@ -32,25 +32,25 @@ skeleton counts its bonds; over a size guard, two translations and an
 int shift check each pair of neighbouring bytes, so the guard fires
 before any number is converted, and under it json's scanner decodes
 each chunk's numbers as one flat list, straight into coordinate
-columns.  Any other text goes through json.loads.  Validation of bonds
-read or listed is one breadth-first walk from the root over a set of
-keys.  It keeps no seen-set: in a tree every neighbour but the parent
-is new, so the distinct bonds form a tree exactly when the walk stops
-at L + 1 sites, and the bond back to the parent, the step each site
-was entered by, is never looked up: three lookups per site.  It reads
-at most L + 1 sites and measures its lists once per block of them, not
-once per site.  Its site order and parent entries give every hook size
-in one reverse pass, as a plain list in walk order, and are then
-dropped.  The generators lay a tree out as straight runs of bonds
-(`tree_from_runs`), each packed as a range of keys and checked run by
-run: a run that starts on the tree and adds as many new sites as bonds
-adds a leaf per bond, so such a tree needs no walk until its hooks are
-read.  The JSON writer formats each bond from its key through tables
-of strings, per row and step the text after each of the bond's x, and
-per written chunk each x, with at most two entries for each bond of a
-chunk; `_ends` decodes keys into flat (x1, y1, x2, y2) tuples of the
-lower and upper endpoints for the oracle, messages and `bonds` view
-(through it the renderings).
+columns.  Any other text goes through json.loads.  Every builder
+finishes through `_sorted_tree`.  Validation of bonds read or listed is
+one breadth-first walk from the root (`_root_site`, -1 off the packed
+rows) over a set of keys.  It keeps no seen-set: in a tree every
+neighbour but the parent is new, so the distinct bonds form a tree
+exactly when the walk stops at L + 1 sites, and the bond back to the
+parent, the step each site was entered by, is never looked up: three
+lookups per site.  It reads at most L + 1 sites and measures its lists
+once per block of them.  It is handed to `downstream_weights`, which
+reads every hook size from it in one reverse pass.  The generators lay
+a tree out as straight runs of bonds (`tree_from_runs`), each packed as
+a range of keys and checked run by run: a run that starts on the tree
+and adds as many new sites as bonds adds a leaf per bond, so such a
+tree is walked only when its hooks are read.  The JSON writer formats
+each bond from its key through tables of strings, per row and step the
+text after each of the bond's x, and per written chunk each x, with at
+most two entries for each bond of a chunk; `_ends` decodes keys into
+flat (x1, y1, x2, y2) tuples of the lower and upper endpoints for the
+oracle, messages and `bonds` view (through it the renderings).
 
 Random growth packs a site as (x + off) * width + (y + off), with off
 one more than the bond count and width = 2 * off + 1, and a candidate
@@ -166,18 +166,6 @@ class RootedTree:
         `tree_weight`, `growth_count` and the `count` verb share it.
         """
         return downstream_weights(self)
-
-    @cached_property
-    def _walk(self) -> tuple[list[int], list[int]]:
-        # (order, parent) of `_tree_walk`.  The walk that validates bonds
-        # fills this in; it is computed here for a tree built from runs
-        # or directly, or after downstream_weights has dropped it.
-        return _tree_walk(self._pack(self.root), set(self.keys), self.stride,
-                          self.bond_count + 1)
-
-    def _pack(self, site: Site) -> int:
-        return (site[0] - self.origin[0]) * self.stride \
-            + site[1] - self.origin[1]
 
 
 def _ends(tree: RootedTree, keys: Iterable[int] | None = None):
@@ -475,17 +463,29 @@ def _column_keys(columns: list) -> tuple[list, Site, int]:
     return keys, (ox, oy), stride
 
 
-def _packed_tree(root: Site, columns: list) -> RootedTree:
-    """Pack the bonds of `columns` (see `_column_keys`), check the tree
-    axioms and return the RootedTree.  Raises as `_keyed_tree` does.
-    """
-    return _keyed_tree(root, *_column_keys(columns))
+def _root_site(root: Site, origin: Site, stride: int) -> int:
+    """The packed site of `root`, or -1, which touches no bond, for a
+    root off the packed rows, where it would alias another column's site."""
+    (rx, ry), (ox, oy) = root, origin
+    if not oy <= ry <= oy + stride - 2:
+        return -1
+    return (rx - ox) * stride + ry - oy
+
+
+def _sorted_tree(root: Site, keys: list, origin: Site, stride: int):
+    """The RootedTree of the packed `keys`, which are sorted in place
+    and then emptied, so the caller's reference holds no list after."""
+    keys.sort()
+    tree = RootedTree(root=root, keys=tuple(keys), origin=origin,
+                      stride=stride)
+    keys.clear()
+    return tree
 
 
 def _keyed_tree(root: Site, keys: list, origin: Site, stride: int) \
         -> RootedTree:
     """Check the tree axioms on the packed `keys`, in the order the
-    bonds were given, and return the RootedTree; `keys` is sorted.
+    bonds were given, and return `_sorted_tree`'s tree, its walk in _walk.
 
     Raises DuplicateBond, RootDetached, NotConnected or HasCycle, in
     that order of checking; a bond named in a message is decoded only
@@ -496,19 +496,13 @@ def _keyed_tree(root: Site, keys: list, origin: Site, stride: int) \
     if len(present) != len(keys):   # the first key listed twice
         seen = set()
         duplicate = next(k for k in keys if k in seen or seen.add(k))
-    keys.sort()
-    tree = RootedTree(root=root, keys=tuple(keys), origin=origin,
-                      stride=stride)
-    keys.clear()   # the caller's reference holds no list through the walk
+    tree = _sorted_tree(root, keys, origin, stride)
     if duplicate is not None:
         (ax, ay, bx, by), = _ends(tree, [duplicate])
         raise DuplicateBond(
             f"bond Bond(u={(ax, ay)}, v={(bx, by)}) listed twice")
     bonds = tree.bond_count
-    # a root outside the packed rows would alias a site of another
-    # column; packed site -1 touches no bond
-    oy = origin[1]
-    start = tree._pack(root) if oy <= root[1] <= oy + stride - 2 else -1
+    start = _root_site(root, origin, stride)
     walk = _tree_walk(start, present, stride, bonds + 1)
     if walk:
         tree.__dict__["_walk"] = walk
@@ -533,7 +527,7 @@ def validate_tree(root: Site, bonds: Iterable) -> RootedTree:
     root = _as_site(root)
     columns = [[], [], []]
     _unit_columns(_entry_quads(bonds), columns)
-    return _packed_tree(root, columns)
+    return _keyed_tree(root, *_column_keys(columns))
 
 
 def tree_from_runs(root: Site, runs: Iterable) -> RootedTree:
@@ -567,7 +561,7 @@ def tree_from_runs(root: Site, runs: Iterable) -> RootedTree:
         raise ValueError("a rooted tree needs at least one bond")
     origin = ox, oy = (min(x for x, _, _, _ in lows),
                        min(y for _, y, _, _ in lows))
-    # as in _packed_tree: a +y run's top lower endpoint is y + n - 1
+    # as in _column_keys: a +y run's top lower endpoint is y + n - 1
     stride = max(y - 1 if step else y + abs(n) - 1
                  for _, y, step, n in lows) + 3 - oy
     keys = []
@@ -583,9 +577,7 @@ def tree_from_runs(root: Site, runs: Iterable) -> RootedTree:
     del lows   # before the keys are sorted and checked
     if not grown:
         return _keyed_tree(root, keys, origin, stride)
-    keys.sort()
-    return RootedTree(root=root, keys=tuple(keys), origin=origin,
-                      stride=stride)
+    return _sorted_tree(root, keys, origin, stride)
 
 
 def _runs_grow_a_tree(root: Site, lows: list, origin: Site, stride: int,
@@ -597,10 +589,8 @@ def _runs_grow_a_tree(root: Site, lows: list, origin: Site, stride: int,
     L + 1 sites.  The sites seen are the set bytes of a bitmap over the
     `size` packed sites, and each run's are read and set as one slice."""
     ox, oy = origin
-    rx, ry = root
-    start = (rx - ox) * stride + ry - oy
-    # a root outside the packed rows would alias a site of another column
-    if not (oy <= ry <= oy + stride - 2 and 0 <= start < size):
+    start = _root_site(root, origin, stride)
+    if not 0 <= start < size:
         return False
     seen = bytearray(size)
     seen[start] = 1
@@ -621,13 +611,17 @@ def _runs_grow_a_tree(root: Site, lows: list, origin: Site, stride: int,
 def downstream_weights(tree: RootedTree) -> list[int]:
     """Per-bond weights 1 + (number of bonds strictly downstream).
 
-    One reverse pass over the breadth-first walk: each site's subtree
-    size is added to its parent's, and the size of a non-root site is
-    the hook of the bond into it.  Entry i belongs to the bond into the
-    (i+1)-th site breadth first from the root.  The walk is then dropped.
+    One reverse pass over the breadth-first walk that validated the tree,
+    taken from it, or a new one: each site's subtree size is added to
+    its parent's, and the size of a non-root site is the hook of the
+    bond into it.  Entry i belongs to the bond into the (i+1)-th site
+    breadth first from the root.
     """
-    parent = tree._walk[1]
-    del tree.__dict__["_walk"]
+    # only the parent entries are kept: the site order is dropped
+    # before the sizes are made
+    parent = (tree.__dict__.pop("_walk", None) or _tree_walk(
+        _root_site(tree.root, tree.origin, tree.stride), set(tree.keys),
+        tree.stride, tree.bond_count + 1))[1]
     size = [1] * len(parent)
     for i in range(len(parent) - 1, 0, -1):
         size[parent[i]] += size[i]
@@ -662,11 +656,11 @@ def enumerate_growth_orders(tree: RootedTree, cap: int | None = None) -> int:
     yet added are masks[:n] of one list: a picked mask is swapped to
     masks[n-1], the search goes on over masks[:n-1], and the two are
     swapped back, so no step copies the list.  With three bonds left,
-    the last two are tried in both orders inline; a tree of one or two
-    bonds tries each order in turn.  No hook sizes and no orientation
-    are read, and connectivity is not assumed: the last bond counts
-    only if it touches a reached site.  Exponential in general;
-    practical for roughly L <= 12.  With `cap` given, raises
+    the last two are tried in both orders inline; with none left, the
+    order is tallied.  No hook sizes and no orientation are read, and
+    connectivity is not assumed: the last bond counts only if it
+    touches a reached site.  Exponential in general; practical for
+    roughly L <= 12.  With `cap` given, raises
     CapExceeded as soon as the running count passes it; a negative cap
     is a ValueError, and more than MAX_ORACLE_BONDS bonds TooLarge.
     """
@@ -700,6 +694,9 @@ def enumerate_growth_orders(tree: RootedTree, cap: int | None = None) -> int:
             if orders:
                 tally(orders)
             return
+        if not n:   # a tree of one or two bonds, fully added
+            tally(1)
+            return
         last = n - 1
         for i in range(n):
             mask = masks[i]
@@ -710,18 +707,7 @@ def enumerate_growth_orders(tree: RootedTree, cap: int | None = None) -> int:
                 masks[last] = masks[i]
                 masks[i] = mask
 
-    root = 1 << bit[tree.root]
-    if len(masks) > 2:
-        rec(len(masks), root)
-        return count
-    for order in itertools.permutations(masks):   # one or two bonds
-        sites = root
-        for mask in order:
-            if not mask & sites:
-                break
-            sites |= mask
-        else:
-            tally(1)
+    rec(len(masks), 1 << bit[tree.root])
     return count
 
 
@@ -811,10 +797,7 @@ def random_lattice_tree(bond_count: int, seed: int) -> RootedTree:
     columns = [[low // width - off for low in lows],
                [low % width - off for low in lows], steps]
     del lows, steps   # before the keys
-    keys, origin, stride = _column_keys(columns)
-    keys.sort()
-    return RootedTree(root=(0, 0), keys=tuple(keys), origin=origin,
-                      stride=stride)
+    return _sorted_tree((0, 0), *_column_keys(columns))
 
 
 # --- canonical JSON ---------------------------------------------------------
@@ -1087,6 +1070,7 @@ def tree_from_json(text: str, max_bonds: int | None = None) -> RootedTree:
                 except ValueError:   # json.loads names the bond at fault
                     columns.clear()
                 else:
-                    return _packed_tree((int(head[1]), int(head[2])), columns)
+                    return _keyed_tree((int(head[1]), int(head[2])),
+                                       *_column_keys(columns))
     root, columns = _decoded_columns(text, max_bonds)
-    return _packed_tree(root, columns)
+    return _keyed_tree(root, *_column_keys(columns))

@@ -138,6 +138,31 @@ def test_certify_verbs_match_the_golden_digests(case):
     assert certify_digests(case) == case
 
 
+# sha256 of the stdouts of each row's runs, in order, each run reading
+# the stdout of its "stdin" argv: the byte-for-byte steps of the CI
+# workflow (tower, path, comb, custom and 1e5 random trees, the random
+# workload's 32 `gen random | count` pipes and the 1e5 random tree's
+# DOT and SVG), which run the same commands out of process
+CLI_DIGESTS = [json.loads(line)
+               for line in golden("cli_digests.jsonl").splitlines()]
+
+
+@pytest.mark.parametrize("case", CLI_DIGESTS, ids=lambda case: case["name"])
+def test_cli_outputs_match_the_golden_digests(capsys, monkeypatch, case):
+    digest = hashlib.sha256()
+    for run in case["runs"]:
+        stdin = ""
+        if run["stdin"]:
+            assert cli_module.main(run["stdin"]) == 0
+            stdin = capsys.readouterr().out
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert cli_module.main(run["argv"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        digest.update(out.out.encode())
+    assert digest.hexdigest() == case["sha256"]
+
+
 # --- determinism ------------------------------------------------------------
 
 def test_gen_count_pipeline_is_byte_stable(cli):

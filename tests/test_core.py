@@ -246,6 +246,28 @@ def test_oracle_cap_zero_and_negative():
             enumerate_growth_orders(t, cap=-1)
 
 
+# every rooted shape of one or two bonds, up to symmetry, with its count
+# by hand: a root in the middle adds its two bonds in either order
+@pytest.mark.parametrize("root, bonds, n", [
+    *(((0, 0), [((0, 0), step)], 1) for step in NEIGHBOR_STEPS),
+    ((0, 0), [((0, 0), (1, 0)), ((1, 0), (2, 0))], 1),
+    ((1, 0), [((0, 0), (1, 0)), ((1, 0), (2, 0))], 2),
+    ((0, 0), [((0, 0), (1, 0)), ((1, 0), (1, 1))], 1),
+    ((1, 0), [((0, 0), (1, 0)), ((1, 0), (1, 1))], 2),
+], ids=["-y", "-x", "+x", "+y", "straight-end", "straight-middle",
+        "bent-end", "bent-middle"])
+def test_oracle_on_one_and_two_bond_trees(root, bonds, n):
+    t = validate_tree(root, bonds)
+    assert enumerate_growth_orders(t) == n == growth_count(t)
+    for cap in (0, 1):
+        if n > cap:
+            with pytest.raises(CapExceeded,
+                               match=f"^more than {cap} growth orders$"):
+                enumerate_growth_orders(t, cap=cap)
+        else:
+            assert enumerate_growth_orders(t, cap=cap) == n
+
+
 def test_oracle_depth_guard_fires_before_any_mask():
     at = path_tree(MAX_ORACLE_BONDS)
     assert enumerate_growth_orders(at, cap=10) == 1

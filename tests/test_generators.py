@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from growcount.errors import (
     ConstraintViolated,
     InternalMismatch,
     OddLength,
+    OverlapDetected,
     TooLarge,
 )
 from growcount.generators import (
@@ -344,6 +346,25 @@ def test_custom_refuses_non_integer_parameters(ells, bs, bad):
 def test_custom_size_guard():
     with pytest.raises(TooLarge):
         custom_hierarchical_tree((2, MAX_TREE_BONDS + 2), (1,))
+
+
+# levels that custom_levels refuses (backbones that do not increase), so
+# built here by hand: in both, each of two level-2 branches carries a
+# level-1 run towards the other's; the second run of the first ends on
+# the first run's start and closes a cycle, and that of the second lays
+# a bond of the first run again
+@pytest.mark.parametrize("backbone, branches, message", [
+    ((1, 1, 2), (1, 2), "embedding is not a tree: 6 bonds span 6 sites; "
+                        "a tree needs L+1"),
+    ((2, 1, 2), (1, 2), "two branches produced the same bond"),
+], ids=["cycle", "duplicate"])
+def test_overlapping_levels_are_refused(backbone, branches, message):
+    backbone = (None,) + tuple(map(Dyadic.of, backbone))
+    branches = (None, None) + tuple(map(Dyadic.of, branches))
+    levels = generators.Levels(len(backbone) - 1, backbone, branches,
+                               generators._bond_counts(backbone, branches))
+    with pytest.raises(OverlapDetected, match=f"^{re.escape(message)}$"):
+        generators._build(levels, None)
 
 
 def test_level_labels_cover_every_bond():

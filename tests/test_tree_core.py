@@ -414,6 +414,25 @@ def test_a_root_off_the_packed_rows_is_no_site_of_the_runs(root):
         == built(validate_tree, root, run_bonds(runs))
 
 
+@pytest.mark.parametrize("root, site", [((0, 4), -1), ((4, -2), -1),
+                                        ((2, 0), 0)])
+def test_the_runs_and_their_keys_pack_the_root_alike(root, site):
+    # the runs of the test above, their root packed by _root_site alone
+    # on the run check's route and on _keyed_tree's (validate_tree's)
+    runs, real, got = [(2, 0, 1, 0, 1)], core._root_site, []
+
+    def spy(*args):
+        got.append(real(*args))
+        return got[-1]
+
+    with mock.patch.object(core, "_root_site", spy):
+        for build, bonds in ((core.tree_from_runs, runs),
+                             (validate_tree, run_bonds(runs))):
+            built(build, root, bonds)
+            assert got and set(got) == {site}
+            got.clear()
+
+
 @pytest.mark.parametrize("runs", [
     # the second run starts on the third, so the run check turns the
     # runs down
@@ -574,7 +593,7 @@ def test_svg_guard_passes_trees_at_the_limit(monkeypatch):
 def through_json_loads(text, max_bonds=None):
     """tree_from_json by its json.loads route alone."""
     root, columns = core._decoded_columns(text, max_bonds)
-    return core._packed_tree(root, columns)
+    return core._keyed_tree(root, *core._column_keys(columns))
 
 
 def outcome(read, text, max_bonds):
@@ -885,6 +904,28 @@ def test_the_walk_is_dropped_once_the_hooks_exist():
     hooks = tree.hooks
     assert "_walk" not in tree.__dict__
     assert core.downstream_weights(tree) == hooks
+
+
+@pytest.mark.parametrize("build, walked", [
+    (lambda: tree_from_json(tree_to_json(comb_tree(12))), True),
+    (lambda: validate_tree((0, 0), path_tree(9).bonds), True),
+    (lambda: comb_tree(12), False),
+    (lambda: tower_tree(tower_params(1, 3)), False),
+    (lambda: custom_hierarchical_tree((3, 12, 60), (3, 3)), False),
+    (lambda: random_lattice_tree(50, 3), False),
+], ids=["text", "bonds", "comb", "tower", "custom", "random"])
+def test_downstream_weights_takes_the_walk_or_walks_afresh(build, walked):
+    # a validated tree hands its walk over; one never walked is walked
+    # here, and neither keeps a walk once its hooks are read
+    tree = build()
+    assert ("_walk" in vars(tree)) == walked
+    with mock.patch.object(core, "_tree_walk",
+                           wraps=core._tree_walk) as walk:
+        hooks = core.downstream_weights(tree)
+    assert walk.call_count == (not walked)
+    assert "_walk" not in vars(tree)
+    assert hooks == tree.hooks == core.downstream_weights(tree)
+    assert "_walk" not in vars(tree)
 
 
 coordinate = st.one_of(st.integers(-10**6, 10**6),
