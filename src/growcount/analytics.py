@@ -464,8 +464,8 @@ def verify_main_bound(params: TowerParams, generation: int) -> MainBoundReport:
     if count is not None and count.bit_length() <= LGAMMA_MAX_BITS:
         total = int(count)
         log_fact = log_factorial(total)
-        log_w = wb.per_firstgen * float(params.first_gen_pairs[generation])
-        lower = log_fact - log_w
+        # first_gen[j] <= L < 2^900 here, so ln (analyze's logW) is set
+        lower = log_fact - wb.ln
         required = log_fact - float(total) * rep.c2
         if lower < required - 1e-9 * max(1.0, abs(required)):
             raise BoundViolated(
@@ -515,18 +515,17 @@ class StructureReport:
         }
 
 
-def structure_fractions(params: TowerParams, generation: int,
-                        total: Dyadic | None = None) -> StructureReport:
+def structure_fractions(params: TowerParams, generation: int) \
+        -> StructureReport:
     """Fractions (bond ratio, first generation, backbone) at a generation.
 
     All three inequalities (ratio within [1, 1+epsilon0], backbone
     fraction under its bound) are verified, in rational arithmetic when
-    possible; violations raise InternalMismatch.  total is the
-    generation's `bond_count` when the caller already has it; without
-    it, it is computed here.  The exact ratio and backbone fraction
-    are built from the pairs by `_shift_reduced`, so no gcd runs on the
-    megabit bond count, and the first-generation fraction is the ratio
-    inverted.
+    possible; violations raise InternalMismatch.  Within the integer
+    horizon the total is `bond_count`'s, so both bond-count routes run
+    here, once.  The exact ratio and backbone fraction are built from
+    the pairs by `_shift_reduced`, so no gcd runs on the megabit bond
+    count, and the first-generation fraction is the ratio inverted.
     """
     if not 2 <= generation <= params.generations:
         raise ValueError(
@@ -536,8 +535,7 @@ def structure_fractions(params: TowerParams, generation: int,
     j = generation
 
     if params.bond_pair(j) is not None:
-        if total is None:
-            total = bond_count(params, j)
+        total = bond_count(params, j)
         first_gen = params.first_gen_pairs
         ratio = _shift_reduced(total, first_gen[j])
         first = 1 / ratio

@@ -25,7 +25,6 @@ import sys
 
 from . import analytics, bethe, core, render, verify
 from .core import (
-    dyadic_digits,
     enumerate_growth_orders,
     prime_exponents,
     prime_power_digits,
@@ -51,8 +50,8 @@ _STDIN_VERBS = ("count", "oracle", "export")
 ORACLE_FREE_LIMIT = 12   # beyond this, `oracle` insists on --cap
 # analyze reports a larger L by its bit length only; the limit keeps
 # analyze's output small and unchanged.  An L this size prints through
-# core.dyadic_digits in about 2 ms, where str() takes about 25 ms once
-# main lifts the digit cap (CPython 3.11).
+# core.prime_power_digits in about 2.7 ms, where str() takes about 23 ms
+# once main lifts the digit cap (CPython 3.11.7, best of 5).
 PRINT_INT_BITS = 2 ** 17
 
 
@@ -126,25 +125,24 @@ def cmd_analyze(args) -> int:
         raise ValueError("generation must be >= 1")
     params = tower_params(args.a0, args.gen)
     report = analytics.verify_main_bound(params, args.gen)
-    exact = args.mode == "exact"
-    # exact mode checks the bond count by both routes once and passes it
-    # on; in log mode structure_fractions checks it itself
-    total = analytics.bond_count(params, args.gen) if exact else None
+    # structure_fractions checks the bond count by both routes, in either
+    # mode; past the integer horizon exact mode's weight guard refuses
     structure = (
-        analytics.structure_fractions(params, args.gen, total)
+        analytics.structure_fractions(params, args.gen)
         if args.gen >= 2 else None
     )
-    if exact:
+    if args.mode == "exact":
         log_w = math.log(
             analytics.weight_upper_bound(params, args.gen, mode="exact")
         )
     else:
-        total = params.bond_pair(args.gen)
         log_w = report.log_weight
+    total = params.bond_pair(args.gen)
     payload = report.to_dict()
     payload["mode"] = args.mode
     printable = total is not None and total.bit_length() <= PRINT_INT_BITS
-    payload["L"] = dyadic_digits(total) if printable else None
+    payload["L"] = (prime_power_digits((total.odd, 2), (1, total.exp))
+                    if printable else None)
     payload["Lbits"] = total.bit_length() if total is not None else None
     payload["logW"] = log_w
     payload["structure"] = structure.to_dict() if structure else None

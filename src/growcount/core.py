@@ -11,10 +11,11 @@ downstream).  The division is exact and never done: one sieve pass,
 `prime_exponents`, gives each prime p <= L with its exponent in W,
 counted from the hooks, and in N, Legendre's formula for L! minus that;
 every exponent of N >= 0 is its certificate.  `growth_count` multiplies
-N's prime powers.  `count` prints W and N from their exponents with
-`prime_power_digits`, which squares once per exponent bit (Borwein's
-method) and multiplies in `decimal` from the first product, so no big
-int is ever converted to digits.  A brute-force enumerator
+N's prime powers.  One printer, `prime_power_digits`, writes `count`'s
+W and N from their exponents and `analyze`'s L from its (odd, exponent)
+pair: it squares once per exponent bit (Borwein's method) and
+multiplies in `decimal` from the first product, so no big int is ever
+converted to digits.  A brute-force enumerator
 (`enumerate_growth_orders`) is the independent oracle for the identity.
 It reads only which sites each bond joins, as one bit per site and one
 two-bit mask per bond, and never a hook or an orientation.
@@ -316,19 +317,6 @@ class Dyadic(tuple):
 
     def __ge__(self, other: "Dyadic") -> bool:
         return self._sign(other) >= 0
-
-
-def dyadic_digits(n: Dyadic) -> str:
-    """str(int(n)), computed as str(Decimal(odd) * Decimal(2)**exp).
-
-    libmpdec raises 2 to the exp-th power and prints the product in
-    subquadratic time, where int's str() is quadratic before CPython
-    3.12.  Only the odd part is converted from int, so an n whose odd
-    part is small, like a tower bond count, costs little more than
-    its digits.
-    """
-    with decimal.localcontext(_EXACT_DECIMAL):
-        return str(decimal.Decimal(n.odd) * decimal.Decimal(2) ** n.exp)
 
 
 def prime_exponents(total: int, hooks: Iterable[int]) \

@@ -147,19 +147,21 @@ def test_prime_power_digits_converts_no_big_int(primes, exponents,
     assert widest and max(widest) <= max(primes).bit_length()
 
 
-# --- dyadic_digits ----------------------------------------------------------
+# --- Dyadic digits through prime_power_digits -------------------------------
 
 @pytest.mark.parametrize("n", [0, 1, 3, -7, 10 ** 40 + 1, 3 ** 5000,
                                -(7 ** 900) << 13],
                          ids=["0", "1", "3", "-7", "1e40+1", "3^5000",
                               "-7^900*2^13"])
 def test_dyadic_digits_of_odd_and_mixed_numbers(n):
-    assert core.dyadic_digits(core.Dyadic.of(n)) == str(n)
+    d = core.Dyadic.of(n)
+    assert core.prime_power_digits((d.odd, 2), (1, d.exp)) == str(n)
 
 
 @pytest.mark.parametrize("k", [0, 1, 64, 4096, 65537, 2 ** 17])
 def test_dyadic_digits_of_powers_of_two(k):
-    assert core.dyadic_digits(core.Dyadic((1, k))) == str(1 << k)
+    d = core.Dyadic((1, k))
+    assert core.prime_power_digits((d.odd, 2), (1, d.exp)) == str(1 << k)
 
 
 @pytest.mark.parametrize("a0", [12, 13, 14, 15])
@@ -169,7 +171,8 @@ def test_dyadic_digits_of_the_bond_counts_analyze_prints(a0):
     p = tower_params(a0, 2)
     total = p.bond_counts[2]
     assert total.bit_length() == 2 ** (a0 + 1) + 1
-    assert core.dyadic_digits(p.bond_pair(2)) == str(total)
+    d = p.bond_pair(2)
+    assert core.prime_power_digits((d.odd, 2), (1, d.exp)) == str(total)
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import shlex
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -139,10 +140,10 @@ def test_certify_verbs_match_the_golden_digests(case):
 
 
 # sha256 of the stdouts of each row's runs, in order, each run reading
-# the stdout of its "stdin" argv: the byte-for-byte steps of the CI
-# workflow (tower, path, comb, custom and 1e5 random trees, the random
-# workload's 32 `gen random | count` pipes and the 1e5 random tree's
-# DOT and SVG), which run the same commands out of process
+# the stdout of its "stdin" argv: tower, path, comb, custom and 1e5
+# random trees, the random workload's 32 `gen random | count` pipes and
+# the 1e5 random tree's DOT and SVG; a CI step replays the same table
+# out of process
 CLI_DIGESTS = [json.loads(line)
                for line in golden("cli_digests.jsonl").splitlines()]
 
@@ -161,6 +162,34 @@ def test_cli_outputs_match_the_golden_digests(capsys, monkeypatch, case):
         assert out.err == ""
         digest.update(out.out.encode())
     assert digest.hexdigest() == case["sha256"]
+
+
+README = (Path(__file__).parent.parent / "README.md").read_text()
+
+
+def test_readme_examples_match_the_cli(capsys, monkeypatch):
+    # the rules of the CI README steps, in process: each piped tour line's
+    # output byte for byte, and for the examples without a pipe each part
+    # the README shows around its "..." elisions, in order
+    lines = README.splitlines()
+    examples = [(cmd[2:], want) for cmd, want in zip(lines, lines[1:])
+                if cmd.startswith("$ growcount ")]
+    piped = [cmd for cmd, _ in examples if " | growcount " in cmd]
+    assert (len(piped), len(examples)) == (4, 6)
+    for cmd, want in examples:
+        stdin = ""
+        for stage in cmd.split(" | "):
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            assert cli_module.main(shlex.split(stage)[1:]) == 0, stage
+            stdin = capsys.readouterr().out
+        if cmd in piped:
+            assert stdin == want + "\n", cmd
+            continue
+        at = 0
+        for part in want.split("..."):
+            at = stdin.find(part, at)
+            assert at >= 0, (cmd, part)
+            at += len(part)
 
 
 # --- determinism ------------------------------------------------------------
@@ -396,15 +425,14 @@ def analyze_by_public_route(a0, gen, mode):
             raise ValueError("generation must be >= 1")
         params = tower_params(a0, gen)
         report = analytics.verify_main_bound(params, gen)
-        total = analytics.bond_count(params, gen) if mode == "exact" else None
-        structure = (analytics.structure_fractions(params, gen, total)
+        structure = (analytics.structure_fractions(params, gen)
                      if gen >= 2 else None)
         if mode == "exact":
             log_w = math.log(
                 analytics.weight_upper_bound(params, gen, mode="exact"))
         else:
-            total = params.bond_pair(gen)
             log_w = analytics.weight_upper_bound(params, gen, mode="log").ln
+        total = params.bond_pair(gen)
     except (GrowcountError, ValueError) as exc:
         return "", f"error: {type(exc).__name__}: {exc}\n", 2
     payload = report.to_dict()
@@ -431,6 +459,20 @@ def test_analyze_matches_public_route(capsys, a0, gen, mode):
     code = cli_module.main(argv)
     out, err = capsys.readouterr()
     assert (out, err, code) == analyze_by_public_route(a0, gen, mode)
+
+
+# exact mode's refusals, recorded while exact mode called bond_count
+# itself before structure_fractions and the exact-weight guard
+@pytest.mark.parametrize("args,error", [
+    ("--a0 20 --gen 3", "generation 3 bond count exceeds the integer budget"),
+    ("--a0 1 --gen 4",
+     "13958643712 bonds exceeds the exact-weight guard 1000000"),
+    ("--a0 2 --gen 3",
+     "9663676416 bonds exceeds the exact-weight guard 1000000"),
+])
+def test_exact_analyze_refusals(capsys, args, error):
+    assert cli_module.main(["analyze", *args.split(), "--mode", "exact"]) == 2
+    assert capsys.readouterr() == ("", f"error: TooLarge: {error}\n")
 
 
 def test_analyze_refuses_generation_zero_first(capsys):
@@ -472,9 +514,12 @@ def test_analyze_builds_one_tower_params(monkeypatch, capsys, a0, gen, mode):
 
 @pytest.mark.parametrize("a0,gen,mode", [
     (21, 3, "log"), (20, 1, "log"), (1, 3, "exact"), (3, 8, "log"),
+    (21, 2, "log"), (1, 1, "exact"),
 ])
 def test_analyze_certifies_once_with_one_tower_params(
         monkeypatch, capsys, a0, gen, mode):
+    # bond_count runs inside structure_fractions, so once at gen >= 2
+    # within the integer horizon and never at gen 1, in either mode
     calls = []
 
     def counted(name):
@@ -484,13 +529,15 @@ def test_analyze_certifies_once_with_one_tower_params(
             calls.append((name, params, generation))
             return original(params, generation, *rest)
         return wrapper
-    for name in ("verify_main_bound", "structure_fractions"):
+    for name in ("verify_main_bound", "structure_fractions", "bond_count"):
         monkeypatch.setattr(analytics, name, counted(name))
     argv = ["analyze", "--a0", str(a0), "--gen", str(gen), "--mode", mode]
     assert cli_module.main(argv) == 0
     capsys.readouterr()
     names = ["verify_main_bound"] + (["structure_fractions"] if gen >= 2
                                      else [])
+    if gen >= 2 and tower_params(a0, gen).bond_pair(gen) is not None:
+        names.append("bond_count")
     assert [name for name, _, _ in calls] == names
     assert all(g == gen for _, _, g in calls)
     assert all(params is calls[0][1] for _, params, _ in calls)
@@ -694,8 +741,8 @@ def test_refused_tower_forms_no_level_integer(capsys):
 @pytest.mark.parametrize("a0,gen,code", [(21, 2, 2), (1, 3, 0), (2, 2, 0)])
 def test_exact_analyze_checks_the_bond_count_once(monkeypatch, capsys,
                                                   a0, gen, code):
-    # exact mode checks the bond count by both routes once and passes the
-    # total on to structure_fractions and to the exact-weight guard
+    # exact mode checks the bond count by both routes once, in
+    # structure_fractions, before the exact-weight guard
     argv = ["analyze", "--a0", str(a0), "--gen", str(gen), "--mode", "exact"]
     assert cli_module.main(argv) == code
     want = capsys.readouterr()
