@@ -21,8 +21,8 @@ catastrophic cancellation.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import Dyadic, _bonds_phrase, balanced_product
 from .errors import BoundViolated, InternalMismatch, TooLarge
@@ -88,8 +88,7 @@ def _series_rows(a0: int) -> list[tuple[int, float, float, float, float]]:
 
 # --- the epsilon series -----------------------------------------------------
 
-@dataclass(frozen=True)
-class EpsilonReport:
+class EpsilonReport(NamedTuple):
     """Value and per-term breakdown of the excess-bond series."""
 
     a0: int
@@ -256,8 +255,7 @@ def exact_weight(params: Levels, generation: int | None = None) -> int:
 
 # --- the recursive upper bound ----------------------------------------------
 
-@dataclass(frozen=True)
-class LogWeightBound:
+class LogWeightBound(NamedTuple):
     """Log-domain upper bound on the weight product.
 
     per_firstgen is log(bound) divided by the first-generation count
@@ -334,8 +332,7 @@ def weight_upper_bound(
 
 # --- certified constants ----------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstantsReport:
+class ConstantsReport(NamedTuple):
     """The growth constant C with its full derivation trail.
 
     c1 majorizes the sum of all bound-iteration increments past the
@@ -393,8 +390,7 @@ def constants(a0: int) -> ConstantsReport:
     )
 
 
-@dataclass(frozen=True)
-class MainBoundReport:
+class MainBoundReport(NamedTuple):
     """Certification that the log weight stays below C2 per bond.
 
     margin_per_bond is (C2*L - log W)/L with L the bond count and W the
@@ -483,8 +479,7 @@ def verify_main_bound(params: TowerParams, generation: int) -> MainBoundReport:
 
 # --- structural fractions ---------------------------------------------------
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """How a generation's bonds split between bulk and backbone.
 
     Exact rationals when the generation is within the integer horizon,

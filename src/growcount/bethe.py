@@ -23,8 +23,8 @@ builds a new frontier.
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import linear_extension_count
 from .errors import InternalMismatch, TooLarge
@@ -178,8 +178,7 @@ def tree_growth_count_enumerated(tree: frozenset) -> int:
     return linear_extension_count(children, roots)
 
 
-@dataclass(frozen=True)
-class BetheBoundReport:
+class BetheBoundReport(NamedTuple):
     """Existence bound: some subtree has at least `average` growth orders.
 
     average = growth_count / tree_count is exact; naive_floor is the
@@ -196,8 +195,8 @@ class BetheBoundReport:
     maximizer_count: int
     # the enumerated subtrees and their counts, for per-subtree checks;
     # not in to_dict
-    trees: list = field(default_factory=list, repr=False, compare=False)
-    counts: list = field(default_factory=list, repr=False, compare=False)
+    trees: list
+    counts: list
 
     def to_dict(self) -> dict:
         return {

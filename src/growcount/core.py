@@ -82,9 +82,8 @@ import operator
 import random
 import re
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     CapExceeded,
@@ -131,21 +130,23 @@ def guard_tree_bonds(total, limit: int) -> None:
     raise TooLarge(f"tree would have {size} (guard {limit})")
 
 
-@dataclass(frozen=True)
-class RootedTree:
+class _TreeFields(NamedTuple):
+    root: Site
+    keys: tuple[int, ...]
+    origin: Site
+    stride: int
+
+
+class RootedTree(_TreeFields):
     """A validated rooted lattice tree.  Build instances via `validate_tree`,
     `tree_from_json` or `tree_from_runs`.
 
     `keys` are the packed bonds in sorted order and `origin` and
     `stride` the packing (see the module docstring), all fixed by the
-    bond set, so two equal trees compare equal and serialize to
-    identical bytes.
+    bond set, so two equal trees compare and hash equal and serialize
+    to identical bytes.  The fields are a named tuple's and cannot be
+    assigned; the subclass keeps a __dict__ for the cached views.
     """
-
-    root: Site
-    keys: tuple[int, ...]
-    origin: Site
-    stride: int
 
     @property
     def bond_count(self) -> int:

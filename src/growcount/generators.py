@@ -12,7 +12,8 @@ survives past the horizon.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 # MAX_TREE_BONDS and the guard's text live in core, which guards `count`
 # and random trees with them; the guards here read this module's name
@@ -79,8 +80,7 @@ def _int_view(pairs: str) -> property:
         None if v is None else int(v) for v in getattr(self, pairs)))
 
 
-@dataclass(frozen=True)
-class Levels:
+class Levels(NamedTuple):
     """The levels of a hierarchical tree by generation k, as Dyadic
     pairs (odd part, exponent) with int views formed when read: backbone
     length backbone[k] (k >= 1), branches[k] (k >= 2) copies of level
@@ -90,9 +90,9 @@ class Levels:
     """
 
     generations: int
-    backbone_pairs: tuple = field(repr=False)
-    branches_pairs: tuple = field(repr=False)
-    bond_counts_pairs: tuple = field(repr=False)
+    backbone_pairs: tuple
+    branches_pairs: tuple
+    bond_counts_pairs: tuple
 
     backbone = _int_view("backbone_pairs")
     branches = _int_view("branches_pairs")
@@ -121,20 +121,20 @@ def _bond_counts(backbone, branches) -> tuple:
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class TowerParams(Levels):
+class TowerParams(namedtuple("TowerParams", Levels._fields
+                             + ("a0", "tower_pairs", "first_gen_pairs")),
+                  Levels):
     """The Levels of the doubly exponential family, plus its seed and
     tower[k] = a_k and first_gen[k] = a_k^2 (k >= 0), as pairs and int
     views.  Level k exists while tower[k-1] <= MAX_INT_BITS, so that
     2^tower[k-1] can be materialized; every sequence ends at the last
     such level or at `generations`, whichever comes first.  Every odd
     part has at most 41 bits; `analyze` reads only the pairs and builds
-    no megabit integer.
+    no megabit integer.  The fields are those of Levels, then a0,
+    tower_pairs and first_gen_pairs.
     """
 
-    a0: int
-    tower_pairs: tuple = field(repr=False)
-    first_gen_pairs: tuple = field(repr=False)
+    __slots__ = ()
 
     tower = _int_view("tower_pairs")
     first_gen = _int_view("first_gen_pairs")

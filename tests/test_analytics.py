@@ -5,7 +5,6 @@ the tests recompute the same quantities with mpmath at 50 digits and in
 exact rational arithmetic, so the two sides are independent.
 """
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -108,8 +107,7 @@ def test_bond_count_catches_a_patched_count():
         bumped[j] += Dyadic((1, 0))
         with pytest.raises(InternalMismatch, match=rf"^bond-count formulas "
                            rf"disagree at a0=3, generation {j}$"):
-            bond_count(dataclasses.replace(p, bond_counts_pairs=tuple(bumped)),
-                       j)
+            bond_count(p._replace(bond_counts_pairs=tuple(bumped)), j)
 
 
 def test_bond_count_catches_a_patched_backbone_by_route_two():
@@ -119,8 +117,8 @@ def test_bond_count_catches_a_patched_backbone_by_route_two():
     backbone, bumped = list(p.backbone_pairs), list(p.bond_counts_pairs)
     backbone[2] += Dyadic((1, 0))
     bumped[2] += Dyadic((1, 0))
-    q = dataclasses.replace(p, backbone_pairs=tuple(backbone),
-                            bond_counts_pairs=tuple(bumped))
+    q = p._replace(backbone_pairs=tuple(backbone),
+                   bond_counts_pairs=tuple(bumped))
     with pytest.raises(InternalMismatch, match=r"^bond-count formulas "
                        r"disagree at a0=20, generation 2$"):
         bond_count(q, 2)

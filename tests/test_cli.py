@@ -5,8 +5,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -462,9 +465,12 @@ def test_analyze_matches_public_route(capsys, a0, gen, mode):
 
 
 # exact mode's refusals, recorded while exact mode called bond_count
-# itself before structure_fractions and the exact-weight guard
+# itself before structure_fractions and the exact-weight guard; a0 21
+# at gen 2 is refused by the guard after its bond count is checked
 @pytest.mark.parametrize("args,error", [
     ("--a0 20 --gen 3", "generation 3 bond count exceeds the integer budget"),
+    ("--a0 21 --gen 2",
+     "about 2^4194304 bonds exceeds the exact-weight guard 1000000"),
     ("--a0 1 --gen 4",
      "13958643712 bonds exceeds the exact-weight guard 1000000"),
     ("--a0 2 --gen 3",
@@ -514,12 +520,13 @@ def test_analyze_builds_one_tower_params(monkeypatch, capsys, a0, gen, mode):
 
 @pytest.mark.parametrize("a0,gen,mode", [
     (21, 3, "log"), (20, 1, "log"), (1, 3, "exact"), (3, 8, "log"),
-    (21, 2, "log"), (1, 1, "exact"),
+    (21, 2, "log"), (1, 1, "exact"), (2, 2, "exact"), (21, 2, "exact"),
 ])
 def test_analyze_certifies_once_with_one_tower_params(
         monkeypatch, capsys, a0, gen, mode):
     # bond_count runs inside structure_fractions, so once at gen >= 2
-    # within the integer horizon and never at gen 1, in either mode
+    # within the integer horizon and never at gen 1, in either mode;
+    # exact mode's weight guard then refuses a0 21 at gen 2 (exit 2)
     calls = []
 
     def counted(name):
@@ -532,7 +539,8 @@ def test_analyze_certifies_once_with_one_tower_params(
     for name in ("verify_main_bound", "structure_fractions", "bond_count"):
         monkeypatch.setattr(analytics, name, counted(name))
     argv = ["analyze", "--a0", str(a0), "--gen", str(gen), "--mode", mode]
-    assert cli_module.main(argv) == 0
+    refused = (a0, gen, mode) == (21, 2, "exact")
+    assert cli_module.main(argv) == (2 if refused else 0)
     capsys.readouterr()
     names = ["verify_main_bound"] + (["structure_fractions"] if gen >= 2
                                      else [])
@@ -678,6 +686,19 @@ def test_a_handler_wrapped_after_the_parser_is_built_sees_the_call(
         == bethe_existence_bound(3).to_dict()
 
 
+def test_a_launch_imports_no_dataclasses_or_inspect():
+    # the records are named tuples; dataclasses would import inspect, and
+    # with it ast, dis and tokenize, at every launch.  -S keeps the
+    # imports of site's .pth files out of the check
+    code = ("import sys, growcount.cli as cli; cli.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    src = str(Path(cli_module.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.stdout, proc.stderr, proc.returncode) == ("[]\n", "", 0)
+
+
 def _analyze_peak(argv):
     """The peak traced allocation of one CLI call, and its exit code."""
     tracemalloc.start()
@@ -736,29 +757,6 @@ def test_refused_tower_forms_no_level_integer(capsys):
     assert code == 2 and peak < 64 * 1024, peak
     assert capsys.readouterr() == ("", "error: TooLarge: tree would have "
                                    "about 2^2097152 bonds (guard 10000000)\n")
-
-
-@pytest.mark.parametrize("a0,gen,code", [(21, 2, 2), (1, 3, 0), (2, 2, 0)])
-def test_exact_analyze_checks_the_bond_count_once(monkeypatch, capsys,
-                                                  a0, gen, code):
-    # exact mode checks the bond count by both routes once, in
-    # structure_fractions, before the exact-weight guard
-    argv = ["analyze", "--a0", str(a0), "--gen", str(gen), "--mode", "exact"]
-    assert cli_module.main(argv) == code
-    want = capsys.readouterr()
-    calls = []
-    original = analytics.bond_count
-
-    def counted(params, generation=None):
-        calls.append(generation)
-        return original(params, generation)
-    monkeypatch.setattr(analytics, "bond_count", counted)
-    assert cli_module.main(argv) == code
-    assert capsys.readouterr() == want
-    assert calls == [gen]
-    if code:
-        assert want == ("", "error: TooLarge: about 2^4194304 bonds exceeds "
-                        "the exact-weight guard 1000000\n")
 
 
 def test_bethe_report_matches_library(cli):

@@ -1,12 +1,12 @@
 """Tree families: paths, combs, the tower construction and custom variants."""
 
-import dataclasses
 import math
 import re
 
 import pytest
 
 from growcount import cli, generators
+from growcount.analytics import verify_main_bound
 from growcount.core import Dyadic, validate_tree
 from growcount.errors import (
     ConstraintViolated,
@@ -106,7 +106,7 @@ def test_generations_past_the_horizon_add_no_entries():
     assert p.generations == 10**6
     for f in FIELDS:
         assert len(getattr(p, f)) == 3, f
-    assert dataclasses.replace(p, generations=2) == tower_params(20, 2)
+    assert p._replace(generations=2) == tower_params(20, 2)
     assert p.bond_pair(3) is None and p.bond_pair(10**6) is None
 
 
@@ -151,9 +151,9 @@ def as_pairs(values: tuple) -> tuple:
 # first_gen[2]); from 22 on every sequence ends at generation 1
 @pytest.mark.parametrize("a0", list(range(1, 25)) + [31, 32, 33, 64])
 def test_tower_params_match_plain_arithmetic(a0):
-    # every dataclass field: those of Levels, then the seed and the
+    # every named tuple field: those of Levels, then the seed and the
     # sequences the levels derive from, and the int views of the pairs
-    assert [f.name for f in dataclasses.fields(TowerParams)] \
+    assert list(TowerParams._fields) \
         == ["generations", "backbone_pairs", "branches_pairs",
             "bond_counts_pairs", "a0", "tower_pairs", "first_gen_pairs"]
     for gen in range(1, 9):
@@ -229,17 +229,31 @@ BUILT_32_NOT_33 = r"^built 32 bonds at generation 2; bond_counts\[2\] gives 33$"
 
 @pytest.mark.parametrize("build", ["tower_tree", "tower_tree_generations"])
 def test_tower_tree_checks_its_bond_count(build):
-    wrong = dataclasses.replace(tower_params(1, 2), bond_counts_pairs=BUMPED)
+    wrong = tower_params(1, 2)._replace(bond_counts_pairs=BUMPED)
     with pytest.raises(InternalMismatch, match=BUILT_32_NOT_33):
         getattr(generators, build)(wrong)
 
 
 def test_custom_tree_checks_its_bond_count(monkeypatch):
-    wrong = dataclasses.replace(custom_levels((4, 16), (4,)),
-                                bond_counts_pairs=BUMPED)
+    wrong = custom_levels((4, 16), (4,))._replace(bond_counts_pairs=BUMPED)
     monkeypatch.setattr(generators, "custom_levels", lambda *_: wrong)
     with pytest.raises(InternalMismatch, match=BUILT_32_NOT_33):
         custom_hierarchical_tree((4, 16), (4,))
+
+
+@pytest.mark.parametrize("build,field", [
+    (lambda: path_tree(3), "root"),
+    (lambda: tower_params(3, 2), "a0"),
+    (lambda: custom_levels((2, 6, 24), (2, 2)), "generations"),
+    (lambda: verify_main_bound(tower_params(3, 2), 2), "margin_per_bond"),
+], ids=["RootedTree", "TowerParams", "Levels", "MainBoundReport"])
+def test_records_are_immutable_and_hash_by_value(build, field):
+    record = build()
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    again = build()
+    assert again is not record
+    assert again == record and hash(again) == hash(record)
 
 
 def test_tower_params_reject_bad_arguments():
