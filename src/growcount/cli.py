@@ -61,7 +61,9 @@ def _emit(payload: dict) -> int:
 
 
 def _read_tree(max_bonds=None):
-    return tree_from_json(sys.stdin.read(), max_bonds)
+    # in a list, which tree_from_json empties once the bonds are read,
+    # so the text is freed before they are packed
+    return tree_from_json([sys.stdin.read()], max_bonds)
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -102,8 +104,11 @@ def _need(args, *names):
 
 def cmd_count(args) -> int:
     tree = _read_tree(core.MAX_TREE_BONDS)
-    primes, w, n = prime_exponents(tree.bond_count, tree.hooks)
-    return _emit({"L": tree.bond_count, "W": prime_power_digits(primes, w),
+    bonds, hooks = tree.bond_count, tree.hooks
+    del tree   # its keys, before the sieve
+    primes, w, n = prime_exponents(bonds, hooks)
+    del hooks   # before the digits
+    return _emit({"L": bonds, "W": prime_power_digits(primes, w),
                   "N": prime_power_digits(primes, n)})
 
 

@@ -25,33 +25,37 @@ A tree is stored as packed integers, not as one object per bond.  Site
 over the tree's sites and stride one more than the height of its
 bounding box, so that a row of unused values keeps every column apart:
 the neighbours of site s are s +- 1 and s +- stride, and none of them
-wraps into another column.  A bond packs to 2 * (its lower endpoint)
-+ 0 for a +y step or + 1 for a +x step, so sorted keys come in the
-order of sorted (lower, upper) endpoint pairs.  Canonical JSON, of any
-length, is read a chunk at a time.  A byte scan of each chunk's
-skeleton counts its bonds; over a size guard, two translations and an
-int shift check each pair of neighbouring bytes, so the guard fires
-before any number is converted, and under it json's scanner decodes
-each chunk's numbers as one flat list, straight into coordinate
-columns.  Any other text goes through json.loads.  Every builder
-finishes through `_sorted_tree`.  Validation of bonds read or listed is
-one breadth-first walk from the root (`_root_site`, -1 off the packed
-rows) over a set of keys.  It keeps no seen-set: in a tree every
+wraps into another column.  A bond packs to 2 * (its lower endpoint) + 0
+for a +y step or + 1 for a +x step, so sorted keys come in the order of
+sorted (lower, upper) endpoint pairs.  Canonical JSON, of any length, is
+read a chunk at a time.  A byte scan of each chunk's skeleton counts its
+bonds; over a size guard, two translations and an int shift check each
+pair of neighbouring bytes, so the guard fires before any number is
+converted, and under it json's scanner decodes each chunk's numbers as
+one flat list, straight into coordinate columns.  Any other text goes
+through json.loads.  A text handed in a list is freed once its bonds are
+read, before they are packed.  Every builder finishes through
+`_sorted_tree`.  Validation of bonds read or listed is one breadth-first
+walk from the root (`_root_site`, -1 off the packed rows).  Where the
+packed keys span at most 64 bytes a bond, they are looked up in a
+bitmap, one byte a key, and the walk keeps no seen-set: in a tree every
 neighbour but the parent is new, so the distinct bonds form a tree
 exactly when the walk stops at L + 1 sites, and the bond back to the
 parent, the step each site was entered by, is never looked up: three
-lookups per site.  It reads at most L + 1 sites and measures its lists
-once per block of them.  It is handed to `downstream_weights`, which
-reads every hook size from it in one reverse pass.  The generators lay
-a tree out as straight runs of bonds (`tree_from_runs`), each packed as
-a range of keys and checked run by run: a run that starts on the tree
-and adds as many new sites as bonds adds a leaf per bond, so such a
-tree is walked only when its hooks are read.  The JSON writer formats
-each bond from its key through tables of strings, per row and step the
-text after each of the bond's x, and per written chunk each x, with at
-most two entries for each bond of a chunk; `_ends` decodes keys into
-flat (x1, y1, x2, y2) tuples of the lower and upper endpoints for the
-oracle, messages and `bonds` view (through it the renderings).
+lookups per site.  It reads at most L + 1 sites, pops its queue as it
+goes and measures its parent list once per block of sites; sparser keys
+are a set, walked with a seen-set.  The walk's parent list is handed to
+`downstream_weights`, which reads every hook size from it in one reverse
+pass.  The generators lay a tree out as straight runs of bonds
+(`tree_from_runs`), each packed as a range of keys and checked run by
+run: a run that starts on the tree and adds as many new sites as bonds
+adds a leaf per bond, so such a tree is walked only when its hooks are
+read.  The JSON writer formats each bond from its key through tables of
+strings, per written chunk each x and, in a tree at most half a chunk
+high, per row and step the text after each of the bond's x; `_ends`
+decodes keys into flat (x1, y1, x2, y2) tuples of the lower and upper
+endpoints for the oracle, messages and `bonds` view (through it the
+renderings).
 
 Random growth packs a site as (x + off) * width + (y + off), with off
 one more than the bond count and width = 2 * off + 1, and a candidate
@@ -82,6 +86,7 @@ import operator
 import random
 import re
 from bisect import bisect_left, insort
+from collections import deque
 from functools import cache, cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -387,22 +392,59 @@ def _breadth_first(start: int, present: set, stride: int):
     return order, parent, ends // 2
 
 
-# _tree_walk measures its lists once per this many sites, so a cycle
-# takes them at most three entries a site of one block past a tree's
+# keys go in a bitmap, one byte a key value, where it spans at most this
+# many bytes a bond (plus one bond's worth); past it a set is the smaller
+_BITMAP_BOND_BYTES = 64
+
+
+def _presence(keys, stride: int):
+    """The packed `keys` as the walks look them up: a bitmap whose byte
+    2 * stride + key is 1 for each key, with 2 * stride + 1 zero bytes
+    past the top key, so every lookup from a site of a bond falls inside
+    it; or the set of the keys where the bitmap would pass
+    `_BITMAP_BOND_BYTES` a bond."""
+    size = max(keys) + 4 * stride + 2
+    if size > _BITMAP_BOND_BYTES * (len(keys) + 1):
+        return set(keys)
+    bits = bytearray(size)
+    views = itertools.repeat(memoryview(bits)[2 * stride:])
+    deque(map(operator.setitem, views, keys, itertools.repeat(1)), 0)
+    return bits
+
+
+def _walk_parents(start: int, present, stride: int, sites: int):
+    """The parent list of the breadth-first walk from packed site
+    `start` if the distinct keys of `present`, a `_presence`, form a
+    tree of `sites` sites holding it, else None: `_tree_walk` on a
+    bitmap, `_breadth_first` on a set."""
+    if not isinstance(present, set):
+        return _tree_walk(start, present, stride, sites)
+    # sites - 1 distinct bonds reach at most `sites` sites, and reach
+    # them all only as a tree
+    order, parent, _ = _breadth_first(start, present, stride)
+    return parent if len(order) == sites else None
+
+
+# _tree_walk measures its parent list once per this many sites, so a
+# cycle takes it at most three entries a site of one block past a tree's
 _WALK_BLOCK = 4096
 
 
-def _tree_walk(start: int, present: set, stride: int, sites: int):
-    """The breadth-first walk from `start` if the distinct bonds in
-    `present` form a tree of `sites` sites, else None.
+def _tree_walk(start: int, bits: bytearray, stride: int, sites: int):
+    """The parent list of the breadth-first walk from `start`, as
+    `_breadth_first` gives it, if the keys in the bitmap `bits` (see
+    `_presence`) form a tree of `sites` sites, else None.
 
-    Returns (order, parent) as `_breadth_first` does, except that each
-    entry of order is 8 * site + the step back to the site's parent,
-    0..3 for +y, +x, -y, -x, or 4 for `start`.  That bond is the one
-    the site was entered by, so it is not looked up: three lookups per
-    site.  The step rides in the site's own int, so the walk holds no
-    more objects than the sites it lists."""
-    order, parent = [8 * start + 4], [-1]
+    Each entry of its queue is 8 * (site + stride) + the step back to
+    the site's parent, 0..3 for +y, +x, -y, -x, or 4 for `start`, so
+    2 * (site + stride) is the byte of the site's +y key.  The bond a
+    site was entered by is not looked up: three lookups per site.  The
+    queue is popped as it is read, so it holds only the frontier."""
+    if start < 0:
+        # left of the packed columns or off their rows, it touches no
+        # bond, and its lookups would index the bitmap from its end
+        return None
+    queue, parent = deque([8 * (start + stride) + 4]), [-1]
     # per step, a neighbour's entry less 8 * site (+y: 10, -y: -8)
     plus_x, minus_x = 8 * stride + 3, 1 - 8 * stride
     minus_x_key = 1 - 2 * stride   # the -x bond's key less 2 * site
@@ -411,33 +453,39 @@ def _tree_walk(start: int, present: set, stride: int, sites: int):
         # first is not connected, and one that lists more has a cycle
         for block in range(0, sites, _WALK_BLOCK):
             for i in range(block, min(block + _WALK_BLOCK, sites)):
-                entry = order[i]   # the lists grow while they are read
+                entry = queue.popleft()
                 back = entry & 7
                 site8 = entry - back
                 k = site8 >> 2
-                if back != 0 and k in present:
-                    order.append(site8 + 10)
+                if back != 0 and bits[k]:
+                    queue.append(site8 + 10)
                     parent.append(i)
-                if back != 1 and k + 1 in present:
-                    order.append(site8 + plus_x)
+                if back != 1 and bits[k + 1]:
+                    queue.append(site8 + plus_x)
                     parent.append(i)
-                if back != 2 and k - 2 in present:
-                    order.append(site8 - 8)
+                if back != 2 and bits[k - 2]:
+                    queue.append(site8 - 8)
                     parent.append(i)
-                if back != 3 and k + minus_x_key in present:
-                    order.append(site8 + minus_x)
+                if back != 3 and bits[k + minus_x_key]:
+                    queue.append(site8 + minus_x)
                     parent.append(i)
-            if len(order) > sites:
+            if len(parent) > sites:
                 return None
-    except IndexError:
+    except IndexError:   # an empty queue, or a start past the top key
         return None
-    return (order, parent) if len(order) == sites else None
+    return parent if len(parent) == sites else None
+
+
+# _column_keys packs this many bonds at a time
+_KEY_BLOCK = 1 << 16
 
 
 def _column_keys(columns: list) -> tuple[list, Site, int]:
     """(keys, origin, stride) of the bonds with lower endpoints (xs, ys)
     and steps (0 for +y, 1 for +x), packed in the order given.
-    `columns` = [xs, ys, steps] is emptied, so the keys replace them.
+    `columns` = [xs, ys, steps] is emptied, so the keys replace them:
+    they are written over xs a block at a time, so each x is freed as
+    its key is made.
     """
     xs, ys, steps = columns
     columns.clear()
@@ -447,9 +495,14 @@ def _column_keys(columns: list) -> tuple[list, Site, int]:
     # the top site row is max(y + 1 - step); one unused row above it
     stride = max(map(operator.sub, ys, steps)) + 3 - oy
     base = 2 * (ox * stride + oy)
-    keys = [2 * (x * stride + y) + step - base
-            for x, y, step in zip(xs, ys, steps)]
-    return keys, (ox, oy), stride
+    # zip stops at the end of each block of xs before it reads on in ys
+    # and steps
+    ys, steps = iter(ys), iter(steps)
+    for at in range(0, len(xs), _KEY_BLOCK):
+        xs[at:at + _KEY_BLOCK] = [
+            2 * (x * stride + y) + step - base
+            for x, y, step in zip(xs[at:at + _KEY_BLOCK], ys, steps)]
+    return xs, (ox, oy), stride
 
 
 def _root_site(root: Site, origin: Site, stride: int) -> int:
@@ -474,15 +527,18 @@ def _sorted_tree(root: Site, keys: list, origin: Site, stride: int):
 def _keyed_tree(root: Site, keys: list, origin: Site, stride: int) \
         -> RootedTree:
     """Check the tree axioms on the packed `keys`, in the order the
-    bonds were given, and return `_sorted_tree`'s tree, its walk in _walk.
+    bonds were given, and return `_sorted_tree`'s tree, its walk's parent
+    list in _walk.
 
     Raises DuplicateBond, RootDetached, NotConnected or HasCycle, in
     that order of checking; a bond named in a message is decoded only
     then.
     """
-    present = set(keys)
+    present = _presence(keys, stride)
+    distinct = len(present) if isinstance(present, set) \
+        else present.count(1)
     duplicate = None
-    if len(present) != len(keys):   # the first key listed twice
+    if distinct != len(keys):   # the first key listed twice
         seen = set()
         duplicate = next(k for k in keys if k in seen or seen.add(k))
     tree = _sorted_tree(root, keys, origin, stride)
@@ -492,12 +548,13 @@ def _keyed_tree(root: Site, keys: list, origin: Site, stride: int) \
             f"bond Bond(u={(ax, ay)}, v={(bx, by)}) listed twice")
     bonds = tree.bond_count
     start = _root_site(root, origin, stride)
-    walk = _tree_walk(start, present, stride, bonds + 1)
-    if walk:
-        tree.__dict__["_walk"] = walk
+    parent = _walk_parents(start, present, stride, bonds + 1)
+    if parent:
+        tree.__dict__["_walk"] = parent
         return tree
     # not a tree: a walk with a seen-set says why
-    order, _, reached = _breadth_first(start, present, stride)
+    del present
+    order, _, reached = _breadth_first(start, set(tree.keys), stride)
     if not reached:
         raise RootDetached(f"root {root} touches no bond")
     if reached != bonds:
@@ -558,10 +615,10 @@ def tree_from_runs(root: Site, runs: Iterable) -> RootedTree:
         key = 2 * ((x - ox) * stride + y - oy) + step
         gap = 2 * stride if step else 2
         keys.extend(range(key, key + gap * abs(n), gap))
-    # every site packs below the highest key's upper end; past 64 bytes
-    # a bond the walk's set would be the smaller
+    # every site packs below the highest key's upper end; past
+    # _BITMAP_BOND_BYTES a bond the walk's set would be the smaller
     size = (max(keys) >> 1) + stride + 1
-    grown = size <= 64 * len(keys) + 64 \
+    grown = size <= _BITMAP_BOND_BYTES * (len(keys) + 1) \
         and _runs_grow_a_tree(root, lows, origin, stride, size)
     del lows   # before the keys are sorted and checked
     if not grown:
@@ -606,14 +663,14 @@ def downstream_weights(tree: RootedTree) -> list[int]:
     bond into it.  Entry i belongs to the bond into the (i+1)-th site
     breadth first from the root.
     """
-    # only the parent entries are kept: the site order is dropped
-    # before the sizes are made
-    parent = (tree.__dict__.pop("_walk", None) or _tree_walk(
-        _root_site(tree.root, tree.origin, tree.stride), set(tree.keys),
-        tree.stride, tree.bond_count + 1))[1]
+    parent = tree.__dict__.pop("_walk", None) or _walk_parents(
+        _root_site(tree.root, tree.origin, tree.stride),
+        _presence(tree.keys, tree.stride), tree.stride, tree.bond_count + 1)
     size = [1] * len(parent)
+    # each parent entry is popped as it is read, so the list shrinks
+    # while the sizes grow
     for i in range(len(parent) - 1, 0, -1):
-        size[parent[i]] += size[i]
+        size[parent.pop()] += size[i]
     del size[0]
     return size
 
@@ -810,44 +867,41 @@ _bit_field = int.from_bytes
 _SPACES = bytes.maketrans(b"[]", b"  ")
 
 
-def _row_texts(oy: int, row_steps: Iterable[int]) -> tuple[dict, dict]:
-    """For each key modulo 2 * stride in `row_steps`, which names a
-    bond's row and step: the text after the bond's first x, and the
-    text after its second."""
-    middles, lasts = {}, {}
-    for row_step in row_steps:
-        y = oy + (row_step >> 1)
-        middles[row_step] = f",{y}],["
-        lasts[row_step] = f",{y + 1 - (row_step & 1)}]]"
-    return middles, lasts
-
-
 def _bond_texts(tree: RootedTree, size: int):
     """The bonds as canonical JSON, `size` of them joined by commas at
     a time, formatted from tables of strings, none longer than 2 * size:
-    `_row_texts` for every row of a tree at most size / 2 rows high, or
-    else for the rows of each `size` keys; and per `size` keys, each x.
-    That spans at most size + 1 columns, because the keys are sorted
-    and in a connected tree every column between two keys' holds a
-    key."""
+    for a tree at most size / 2 rows high, per key modulo 2 * stride,
+    which names a bond's row and step, the text after the bond's first
+    x and the text after its second; and per `size` keys, each x.  That
+    spans at most size + 1 columns, because the keys are sorted and in a
+    connected tree every column between two keys' holds a key.  A
+    taller tree's rows are formatted bond by bond: a table of a chunk's
+    rows would cost more to build than it saves, and a chunk can span
+    every row of the tree."""
     (ox, oy), stride, keys = tree.origin, tree.stride, tree.keys
     width = 2 * stride
-    if width <= size:
-        middles, lasts = _row_texts(oy, range(width))
+    tall = width > size
+    if not tall:
+        middles = [f",{oy + (row_step >> 1)}],[" for row_step in range(width)]
+        lasts = [f",{oy + (row_step >> 1) + 1 - (row_step & 1)}]]"
+                 for row_step in range(width)]
     for at in range(0, len(keys), size):
         part = keys[at:at + size]
-        if width > size:
-            middles, lasts = _row_texts(
-                oy, set(map(operator.mod, part, itertools.repeat(width))))
         first = part[0] // width
         xs = [str(x) for x in range(ox + first, ox + part[-1] // width + 2)]
         base = first * width
         texts = []
         append = texts.append
-        for key in part:
-            x, row_step = divmod(key - base, width)
-            append(f"[[{xs[x]}{middles[row_step]}"
-                   f"{xs[x + (row_step & 1)]}{lasts[row_step]}")
+        if tall:
+            for key in part:
+                x, row_step = divmod(key - base, width)
+                y, step = oy + (row_step >> 1), row_step & 1
+                append(f"[[{xs[x]},{y}],[{xs[x + step]},{y + 1 - step}]]")
+        else:
+            for key in part:
+                x, row_step = divmod(key - base, width)
+                append(f"[[{xs[x]}{middles[row_step]}"
+                       f"{xs[x + (row_step & 1)]}{lasts[row_step]}")
         yield ",".join(texts)
 
 
@@ -911,10 +965,12 @@ def _chunk_numbers(chunk: bytes) -> list[int]:
     which json.loads refuses, and an empty slot is refused here.  So
     the chunk raises ValueError unless its slots, and only they, hold
     JSON integers, which json.loads reads as the whole text's route
-    would."""
+    would.  json.loads is handed the chunk decoded: bytes it would
+    first decode as UTF-8."""
     if b"[," in chunk or b",]" in chunk:
         raise ValueError("an empty slot")
-    return json.loads(b"[" + chunk.translate(_SPACES).rstrip(b",") + b"]")
+    return json.loads(
+        "[" + chunk.translate(_SPACES).rstrip(b",").decode("ascii") + "]")
 
 
 def _canonical_scan(text: str):
@@ -1028,22 +1084,30 @@ def _decoded_columns(text: str, max_bonds: int | None):
     return root, columns
 
 
-def tree_from_json(text: str, max_bonds: int | None = None) -> RootedTree:
+def tree_from_json(text: str | list, max_bonds: int | None = None) \
+        -> RootedTree:
     """Parse and validate the canonical wire form.  Liberal in bond order.
 
     With `max_bonds` given, a longer bond list raises TooLarge before
     any bond is checked.  Canonical text of any length is read a chunk
     at a time; any other text, and any that route turns down, by
     json.loads, so every error is the one json.loads would give.
+    `text` may also be a list holding the text, which is emptied once
+    its bonds are read, so a caller that keeps no other reference frees
+    the text before the bonds are packed.
     """
-    if type(text) is str:
+    holder = text if type(text) is list else [text]
+    del text
+    if type(holder[0]) is str:
         try:
-            scan = _canonical_scan(text)
+            scan = _canonical_scan(holder[0])
         except UnicodeEncodeError:
             scan = None
         if scan:
             head, cuts, total = scan
-            chunks = (_chunk(text, start, end) for start, end in cuts)
+            rx, ry = head.groups()
+            del scan, head   # a match holds its text
+            chunks = (_chunk(holder[0], start, end) for start, end in cuts)
             if max_bonds is not None and total > max_bonds:
                 # refused before any number is converted, where
                 # json.loads would have read every number
@@ -1059,7 +1123,8 @@ def tree_from_json(text: str, max_bonds: int | None = None) -> RootedTree:
                 except ValueError:   # json.loads names the bond at fault
                     columns.clear()
                 else:
-                    return _keyed_tree((int(head[1]), int(head[2])),
+                    holder.clear()
+                    return _keyed_tree((int(rx), int(ry)),
                                        *_column_keys(columns))
-    root, columns = _decoded_columns(text, max_bonds)
+    root, columns = _decoded_columns(holder.pop(), max_bonds)
     return _keyed_tree(root, *_column_keys(columns))

@@ -686,17 +686,31 @@ def test_a_handler_wrapped_after_the_parser_is_built_sees_the_call(
         == bethe_existence_bound(3).to_dict()
 
 
+# the standard modules src/ imports by name: a launch loads what they
+# and an empty argparse parser load, growcount's own modules and no
+# other module
+LAUNCH_STDLIB = ("argparse", "bisect", "collections", "decimal", "fractions",
+                 "functools", "gc", "itertools", "json", "math", "operator",
+                 "random", "re", "sys", "typing")
+
+
 def test_a_launch_imports_no_dataclasses_or_inspect():
     # the records are named tuples; dataclasses would import inspect, and
-    # with it ast, dis and tokenize, at every launch.  -S keeps the
-    # imports of site's .pth files out of the check
-    code = ("import sys, growcount.cli as cli; cli.build_parser(); "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    # with it ast, dis and tokenize, at every launch.  A module imported
+    # for one step, such as array for a bitmap, would cost every launch
+    # its import too.  -S keeps the imports of site's .pth files out of
+    # the check
+    code = (f"import {', '.join(LAUNCH_STDLIB)}; argparse.ArgumentParser(); "
+            "before = set(sys.modules); "
+            "import growcount.cli as cli; cli.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); "
+            "print(sorted(name for name in set(sys.modules) - before "
+            "if name.partition('.')[0] != 'growcount'))")
     src = str(Path(cli_module.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
-    assert (proc.stdout, proc.stderr, proc.returncode) == ("[]\n", "", 0)
+    assert (proc.stdout, proc.stderr, proc.returncode) == ("[]\n[]\n", "", 0)
 
 
 def _analyze_peak(argv):

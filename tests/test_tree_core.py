@@ -219,12 +219,12 @@ def test_walk_verdicts_keep_their_messages(bonds, error, message):
         assert str(caught.value) == message
 
 
-class CountingSet(set):
-    """A set that counts the lookups that find their key."""
+class CountingBits(bytearray):
+    """A bitmap that counts the lookups that find a key."""
     found = 0
 
-    def __contains__(self, key):
-        hit = super().__contains__(key)
+    def __getitem__(self, index):
+        hit = super().__getitem__(index)
         self.found += hit
         return hit
 
@@ -235,13 +235,13 @@ def test_the_walk_over_a_cycle_stops_near_its_site_count(side):
     # walk would go round its squares for ever; 80 x 80 is several
     # of the walk's blocks
     stride = side + 1   # a row of unused values above the top row
-    present = CountingSet(
-        2 * (x * stride + y) + step for x in range(side)
-        for y in range(side) for step in (0, 1)
-        if (y if step == 0 else x) < side - 1)
-    sites = len(present) + 1
+    keys = [2 * (x * stride + y) + step for x in range(side)
+            for y in range(side) for step in (0, 1)
+            if (y if step == 0 else x) < side - 1]
+    present = CountingBits(core._presence(keys, stride))
+    sites = len(keys) + 1
     assert core._tree_walk(0, present, stride, sites) is None
-    # each lookup found appends one entry to the walk's order
+    # each lookup found queues one entry
     assert present.found + 1 <= 4 * sites + 1
     assert present.found <= sites + 3 * core._WALK_BLOCK
 
@@ -433,19 +433,22 @@ def test_the_runs_and_their_keys_pack_the_root_alike(root, site):
             got.clear()
 
 
-@pytest.mark.parametrize("runs", [
+@pytest.mark.parametrize("runs, sparse", [
     # the second run starts on the third, so the run check turns the
     # runs down
-    [(0, 0, 1, 0, 2), (1, 1, 0, 1, 1), (1, 0, 0, 1, 1)],
+    ([(0, 0, 1, 0, 2), (1, 1, 0, 1, 1), (1, 0, 0, 1, 1)], False),
     # 400 bonds in a box of 201 columns of 202 rows: a bitmap of the
-    # box would take 100 bytes a bond
-    [(0, 0, 1, 0, 200), (200, 0, 0, 1, 200)],
+    # box would take 100 bytes a bond, so the keys go in a set, walked
+    # with a seen-set
+    ([(0, 0, 1, 0, 200), (200, 0, 0, 1, 200)], True),
 ], ids=["out of order", "sparse"])
-def test_runs_turned_down_by_the_run_check_go_to_the_walk(runs):
+def test_runs_turned_down_by_the_run_check_go_to_the_walk(runs, sparse):
     with mock.patch.object(core, "_tree_walk",
-                           wraps=core._tree_walk) as walk:
+                           wraps=core._tree_walk) as walk, \
+            mock.patch.object(core, "_breadth_first",
+                              wraps=core._breadth_first) as sparse_walk:
         tree = core.tree_from_runs((0, 0), runs)
-    walk.assert_called_once()
+    assert (walk.call_count, sparse_walk.call_count) == (not sparse, sparse)
     assert tree == validate_tree((0, 0), run_bonds(runs))
 
 
@@ -876,6 +879,31 @@ def test_svg_refusal_of_a_large_tree_decodes_no_bond(monkeypatch):
     assert peak < 4 * 2**20
 
 
+def test_count_lets_go_of_its_text_before_the_bonds_are_packed(monkeypatch):
+    # count hands tree_from_json the text in a list, which is empty by
+    # the time the keys are packed: on the chunked route, and on
+    # json.loads' for text with spaces
+    holders, held = [], []
+    real_read, real_keys = cli.tree_from_json, core._column_keys
+
+    def read(holder, max_bonds=None):
+        holders.append(holder)
+        return real_read(holder, max_bonds)
+
+    def keys(columns):
+        held.append(list(holders[-1]))
+        return real_keys(columns)
+
+    monkeypatch.setattr(cli, "tree_from_json", read)
+    monkeypatch.setattr(core, "_column_keys", keys)
+    canonical = tree_to_json(path_tree(20_000))
+    for text in (canonical, json.dumps(json.loads(canonical))):
+        monkeypatch.setattr("sys.stdin", FixedStdin(text))
+        monkeypatch.setattr("sys.stdout", io.StringIO())
+        assert cli.main(["count"]) == 0
+    assert held == [[], []]
+
+
 def test_reading_a_large_path_peaks_under_200_bytes_per_bond():
     bonds = 100_000
     text = tree_to_json(path_tree(bonds))
@@ -1011,8 +1039,8 @@ def test_gen_writes_the_same_text_in_chunks(monkeypatch, capsys):
 # --- the validation walk against the walk with a seen-set -------------------
 
 def walks(root, pairs):
-    """What validation hands core._tree_walk and gets back, and
-    core._breadth_first on the same arguments."""
+    """The parent list validation gets back from core._tree_walk, and
+    core._breadth_first on the keys it walked, as a set."""
     calls = []
     real = core._tree_walk
 
@@ -1025,8 +1053,9 @@ def walks(root, pairs):
             validate_tree(root, pairs)
         except (HasCycle, NotConnected):
             pass
-    (start, present, stride, _), got = calls[0]
-    return got, core._breadth_first(start, present, stride), stride
+    (start, bits, stride, _), got = calls[0]
+    keys = {at - 2 * stride for at, bit in enumerate(bits) if bit}
+    return got, core._breadth_first(start, keys, stride)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1037,14 +1066,9 @@ def test_the_walk_skips_only_the_bond_it_came_by(bonds, seed, pick):
     sites = sorted(grown.sites)
     root = sites[pick % len(sites)]
     pairs = list(grown.bonds)
-    got, (order, parent, reached), stride = walks(root, pairs)
+    got, (order, parent, reached) = walks(root, pairs)
     assert (reached, len(order)) == (bonds, bonds + 1)
-    assert [entry >> 3 for entry in got[0]] == order and got[1] == parent
-    # the low bits of each entry are the step back to the parent
-    back = (1, stride, -1, -stride)
-    assert got[0][0] & 7 == 4
-    assert all(order[p] == site + back[entry & 7]
-               for site, entry, p in zip(order[1:], got[0][1:], parent[1:]))
+    assert got == parent
     # one bond more, closing a cycle or detached: neither walk sees a tree
     closing = [((x, y), (x + dx, y + dy)) for x, y in sites
                for dx, dy in ((1, 0), (0, 1))
@@ -1055,6 +1079,76 @@ def test_the_walk_skips_only_the_bond_it_came_by(bonds, seed, pick):
     if closing:   # every bond is reached, and no new site
         cases.append((closing[pick % len(closing)], bonds + 1))
     for extra, reached_bonds in cases:
-        got, (order, _, reached), _ = walks(root, pairs + [extra])
+        got, (order, _, reached) = walks(root, pairs + [extra])
         assert got is None
         assert (reached, len(order)) == (reached_bonds, bonds + 1)
+
+
+# --- the bitmap against the set of keys -------------------------------------
+
+@st.composite
+def edge_trees(draw):
+    """(root, bonds) of a random tree or a staircase, moved to negative
+    coordinates, and now and then given a duplicate, a bond more or one
+    less, with its root on it, on its lowest corner, just outside it or
+    off its rows.  The lowest lower endpoint's row and column always
+    hold a bond: those are the packed range's bottom row and first
+    column.  A staircase of more than about 130 bonds spans more than
+    64 bytes a bond."""
+    bonds = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 99))
+        pairs = list(random_lattice_tree(bonds, seed).bonds)
+    else:   # +x and +y steps in turn
+        sites = [(i - i // 2, i // 2) for i in range(bonds + 1)]
+        pairs = list(zip(sites, sites[1:]))
+    dx, dy = draw(st.integers(-50, 0)), draw(st.integers(-50, 0))
+    pairs = [((ax + dx, ay + dy), (bx + dx, by + dy))
+             for (ax, ay), (bx, by) in pairs]
+    ox, oy = min(a[0] for a, _ in pairs), min(a[1] for a, _ in pairs)
+    top = max(b[1] for _, b in pairs)
+    sites = {site for pair in pairs for site in pair}
+    change = draw(st.sampled_from(["none", "duplicate", "cycle", "extra",
+                                   "drop"]))
+    if change == "duplicate":
+        pairs.append(draw(st.sampled_from(pairs))[::-1])
+    elif change == "cycle":   # a bond between two of the tree's sites
+        closing = sorted({((x, y), (x + 1, y)) for x, y in sites
+                          if (x + 1, y) in sites} - set(pairs))
+        if closing:
+            pairs.append(draw(st.sampled_from(closing)))
+    elif change == "extra":
+        x = draw(st.integers(ox - 1, ox + 3))
+        y = draw(st.integers(oy - 1, top))
+        end = (x + 1, y) if draw(st.booleans()) else (x, y + 1)
+        pairs.append(((x, y), end))
+    elif change == "drop" and len(pairs) > 1:
+        del pairs[draw(st.integers(0, len(pairs) - 1))]
+    if draw(st.booleans()):
+        root = draw(st.sampled_from(sorted(sites)))
+    else:
+        root = draw(st.sampled_from([
+            (ox, oy), (ox - 1, oy), (ox - 3, oy + 1), (ox, oy - 1),
+            (ox, top + 1), (ox + 1, top + 2), (ox - 10**6, oy),
+            (ox + 10**6, oy)]))
+    return root, draw(st.permutations(pairs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=edge_trees())
+def test_the_bitmap_and_the_set_of_keys_agree(case):
+    # the same bonds through the bitmap's walk and through the set's,
+    # forced either way: the same hooks, or the same error and message
+    root, pairs = case
+
+    def outcome(bond_bytes):
+        with mock.patch.object(core, "_BITMAP_BOND_BYTES", bond_bytes), \
+                mock.patch.object(core, "_tree_walk",
+                                  wraps=core._tree_walk) as walk:
+            got = built(lambda: validate_tree(root, pairs).hooks)
+        return got, walk.call_count
+
+    (bitmap, walked), (keyset, unwalked) = outcome(10**9), outcome(0)
+    assert bitmap == keyset == built(lambda: validate_tree(root, pairs).hooks)
+    assert unwalked == 0
+    assert walked == (bitmap[0] is not DuplicateBond)
