@@ -10,11 +10,11 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input, 3
 resource guard tripped.  A guard on a tree read from stdin, or on the
 oracle's enumeration, exits 3; a guard on requested parameters (gen,
 analyze, bethe) is invalid input and exits 2, and so is a negative
---cap.  The size guards of count and export count the bonds before
-any is checked: in long canonical text before any number is converted,
-in other text once it is decoded.  Big integers in JSON output are
-decimal strings; everything printed is deterministic, byte for byte,
-for the same inputs.
+--cap.  The size guards of count, oracle and export count the bonds
+before any is checked: in long canonical text before any number is
+converted, in other text once it is decoded.  Big integers in JSON
+output are decimal strings; everything printed is deterministic, byte
+for byte, for the same inputs.
 """
 
 import argparse
@@ -60,7 +60,7 @@ def _emit(payload: dict) -> int:
     return 0
 
 
-def _read_tree(max_bonds=None):
+def _read_tree(max_bonds):
     # in a list, which tree_from_json empties once the bonds are read,
     # so the text is freed before they are packed
     return tree_from_json([sys.stdin.read()], max_bonds)
@@ -113,7 +113,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    tree = _read_tree()
+    tree = _read_tree(core.MAX_TREE_BONDS)
     if tree.bond_count > ORACLE_FREE_LIMIT and args.cap is None:
         raise ValueError(
             f"L={tree.bond_count} needs an explicit --cap beyond "

@@ -130,6 +130,7 @@ def certify_digests(case) -> dict:
 
 def test_certify_digests_cover_every_case():
     verbs = [case["argv"][0] for case in CERTIFY_DIGESTS]
+    assert len(verbs) == 37
     assert [verbs.count(v) for v in ("bethe", "verify", "oracle")] \
         == [9, 4, 24]
     assert [case["exit"] for case in CERTIFY_DIGESTS].count(3) == 8
@@ -145,8 +146,8 @@ def test_certify_verbs_match_the_golden_digests(case):
 # sha256 of the stdouts of each row's runs, in order, each run reading
 # the stdout of its "stdin" argv: tower, path, comb, custom and 1e5
 # random trees, the random workload's 32 `gen random | count` pipes and
-# the 1e5 random tree's DOT and SVG; a CI step replays the same table
-# out of process
+# the 1e5 random tree's DOT and SVG; CI also replays this file out of
+# process, each run a `python -m growcount` of its own
 CLI_DIGESTS = [json.loads(line)
                for line in golden("cli_digests.jsonl").splitlines()]
 
@@ -171,9 +172,9 @@ README = (Path(__file__).parent.parent / "README.md").read_text()
 
 
 def test_readme_examples_match_the_cli(capsys, monkeypatch):
-    # the rules of the CI README steps, in process: each piped tour line's
-    # output byte for byte, and for the examples without a pipe each part
-    # the README shows around its "..." elisions, in order
+    # each piped tour line's output byte for byte, and for the examples
+    # without a pipe each part the README shows around its "..."
+    # elisions, in order
     lines = README.splitlines()
     examples = [(cmd[2:], want) for cmd, want in zip(lines, lines[1:])
                 if cmd.startswith("$ growcount ")]
@@ -601,6 +602,15 @@ def test_exact_weight_guard_names_a_huge_count_by_its_power_of_two(capsys):
 # out until that margin is certified
 ANALYZE_GRID = [json.loads(line)
                 for line in golden("analyze_grid.jsonl").splitlines()]
+
+
+def test_analyze_grid_covers_every_case():
+    assert len(ANALYZE_GRID) == 104
+    assert [case["argv"] for case in ANALYZE_GRID] == [
+        ["analyze", "--a0", str(a0), "--gen", str(gen), "--mode", mode]
+        for a0 in (1, 2, 3, 4, 5, 8, 16, 20, 21, 22, 30, 35, 64)
+        for gen in (1, 2, 3, 8) for mode in ("exact", "log")]
+    assert [case["exit"] for case in ANALYZE_GRID].count(2) == 42
 
 
 @pytest.mark.parametrize("case", ANALYZE_GRID,

@@ -561,6 +561,18 @@ def test_count_guard(monkeypatch):
     assert "TooLarge: 8 bonds exceeds the guard 6" in err
 
 
+def test_oracle_guard(monkeypatch):
+    # oracle reads its tree through count's guard, so a tree past it is
+    # refused before its bonds are checked or enumerated
+    monkeypatch.setattr(core, "MAX_TREE_BONDS", 6)
+    code, out, _ = run_cli(monkeypatch, ["oracle"], tree_to_json(comb_tree(6)))
+    assert (code, out) == (0, '{"N_enumerated":"15"}\n')
+    code, out, err = run_cli(monkeypatch, ["oracle", "--cap", "1000"],
+                             tree_to_json(comb_tree(8)))
+    assert (code, out) == (3, "")
+    assert err == "error: TooLarge: 8 bonds exceeds the guard 6\n"
+
+
 def test_dot_guard(monkeypatch):
     monkeypatch.setattr(core, "MAX_TREE_BONDS", 6)
     code, out, _ = run_cli(monkeypatch, ["export", "--format", "dot"],
@@ -577,8 +589,8 @@ def test_guards_fire_before_the_bonds_are_checked(monkeypatch):
     monkeypatch.setattr(render, "MAX_SVG_BONDS", 3)
     # four bonds, one of them malformed: a size refusal, not a parse error
     text = json.dumps({"root": [0, 0], "bonds": BASE + [[[0, 0], [0.5, 0]]]})
-    for argv in (["count"], ["export", "--format", "svg"],
-                 ["export", "--format", "dot"]):
+    for argv in (["count"], ["oracle", "--cap", "1000"],
+                 ["export", "--format", "svg"], ["export", "--format", "dot"]):
         code, out, err = run_cli(monkeypatch, argv, text)
         assert (code, out) == (3, ""), argv
         assert "TooLarge" in err
