@@ -67,6 +67,13 @@ walk, which runs only once the hooks are read.  A step draws its index
 into the sorted candidates as rng.choice does on CPython 3.10 to 3.13,
 inline: getrandbits of the candidate count's bit length, drawn again
 while it is not below the count, so the stream rests on getrandbits.
+The list is then edited around the draw, not bisected: the new site s's
+own candidates, 4s .. 4s + 3, lie within three slots of the drawn
+index, and those from s to its - 1 and + 1 neighbours, 4s - 2 and
+4s + 5, sort into the same gap, just before 4s - 1 and after 4s + 4
+where those are listed, so one slice assignment swaps the old for the
+new.  Only the candidates to its - width and + width neighbours are
+placed by insort.
 
 Growth orders are exactly the linear extensions of the bond forest
 obtained by orienting every bond away from the root, so the counting
@@ -85,7 +92,7 @@ import math
 import operator
 import random
 import re
-from bisect import bisect_left, insort
+from bisect import insort
 from collections import deque
 from functools import cache, cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -393,7 +400,10 @@ def _breadth_first(start: int, present: set, stride: int):
 
 
 # keys go in a bitmap, one byte a key value, where it spans at most this
-# many bytes a bond (plus one bond's worth); past it a set is the smaller
+# many bytes a bond (plus one bond's worth), else in a set.  Near the
+# limit the set alone can take less than the bitmap, but its walk adds a
+# seen-set of sites and an order list, so the bitmap route peaks lower:
+# on the 1e5 tower, about 48 bytes a bond, 12.7 MB traced against 19.8
 _BITMAP_BOND_BYTES = 64
 
 
@@ -616,7 +626,7 @@ def tree_from_runs(root: Site, runs: Iterable) -> RootedTree:
         gap = 2 * stride if step else 2
         keys.extend(range(key, key + gap * abs(n), gap))
     # every site packs below the highest key's upper end; past
-    # _BITMAP_BOND_BYTES a bond the walk's set would be the smaller
+    # _BITMAP_BOND_BYTES a bond the keys take _keyed_tree's set route
     size = (max(keys) >> 1) + stride + 1
     grown = size <= _BITMAP_BOND_BYTES * (len(keys) + 1) \
         and _runs_grow_a_tree(root, lows, origin, stride, size)
@@ -802,9 +812,10 @@ def random_lattice_tree(bond_count: int, seed: int) -> RootedTree:
     so no site is reused and no cycle forms.  Deterministic in `seed`:
     the packed candidates (see the module docstring) sort as a full
     rescan's (site, bond) pairs, and each step draws the index that
-    rng.choice would draw, so it picks the same bond.  No site is
-    added twice, which the site count confirms, so the tree needs no
-    walk until its hooks are read.
+    rng.choice would draw, so it picks the same bond.  The candidate
+    list is edited only around each draw (see the module docstring).
+    No site is added twice, which the site count confirms, so the tree
+    needs no walk until its hooks are read.
     """
     if bond_count < 1:
         raise ValueError("bond_count must be >= 1")
@@ -812,17 +823,16 @@ def random_lattice_tree(bond_count: int, seed: int) -> RootedTree:
     getrandbits = random.Random(seed).getrandbits
     off, width = bond_count + 1, 2 * bond_count + 3
     site = off * width + off   # the root, (0, 0)
-    # per NEIGHBOR_STEPS: the neighbour's offset, and the new site's rank
-    # seen from it
-    around = ((-1, 2), (-width, 3), (width, 0), (1, 1))
     # per rank: the bond's lower endpoint less the outside site, and its
     # step (0 for +y, 1 for +x)
     lower, axis = (-width, -1, 0, 0), (1, 0, 0, 1)
-    sites, perimeter, lows, steps = {site}, [], [], []
+    # the candidates from site s to its -width, -1, +1 and +width
+    # neighbours are 4s - up + 3, 4s - 2, 4s + 5 and 4s + up
+    up = 4 * width
+    base = 4 * site
+    sites, lows, steps = {site}, [], []
+    perimeter = [base - up + 3, base - 2, base + 5, base + up]
     for _ in range(bond_count):
-        for delta, rank in around:
-            if site + delta not in sites:
-                insort(perimeter, 4 * (site + delta) + rank)
         n = len(perimeter)
         bits = n.bit_length()
         at = getrandbits(bits)
@@ -833,9 +843,39 @@ def random_lattice_tree(bond_count: int, seed: int) -> RootedTree:
         sites.add(site)
         lows.append(site + lower[rank])
         steps.append(axis[rank])
-        # every candidate ending at the new site is now inside the tree
-        lo = bisect_left(perimeter, pick - rank)
-        del perimeter[lo:bisect_left(perimeter, pick - rank + 4, lo)]
+        # the new site's candidates, base .. base + 3, now inside the
+        # tree, are perimeter[lo:hi]: at most three slots either side
+        base = pick - rank
+        lo, hi = at, at + 1
+        while lo and perimeter[lo - 1] >= base:
+            lo -= 1
+        while hi < n and perimeter[hi] < base + 4:
+            hi += 1
+        # the candidate to its -1 neighbour, base - 2, goes just before
+        # base - 1 where that is listed, and the one to its +1 neighbour,
+        # base + 5, just after base + 4: nothing else sorts between them
+        # and the gap
+        if site - 1 in sites:
+            new = []
+        elif lo and perimeter[lo - 1] == base - 1:
+            lo -= 1
+            new = [base - 2, base - 1]
+        else:
+            new = [base - 2]
+        if site + 1 not in sites:
+            if hi < n and perimeter[hi] == base + 4:
+                hi += 1
+                new += (base + 4, base + 5)
+            else:
+                new.append(base + 5)
+        perimeter[lo:hi] = new
+        # the entries before lo sort below base - 2 and the rest from
+        # it up, so the -width candidate goes at or before lo, the
+        # +width one at or after it
+        if site - width not in sites:
+            insort(perimeter, base - up + 3, 0, lo)
+        if site + width not in sites:
+            insort(perimeter, base + up, lo)
     if len(sites) != bond_count + 1:
         raise InternalMismatch(f"{bond_count} bonds grew {len(sites)} "
                                "sites; a tree needs L+1")

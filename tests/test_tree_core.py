@@ -497,6 +497,56 @@ def test_random_tree_matches_the_rescanning_loop(bonds, seed):
         assert perimeter_length(tree) > 256
 
 
+@settings(max_examples=100, deadline=None)
+@given(bonds=st.integers(1, 120), seed=st.integers())
+def test_random_tree_matches_the_rescanning_loop_on_any_seed(bonds, seed):
+    assert random_lattice_tree(bonds, seed) == \
+        rescanning_random_tree(bonds, seed)
+
+
+def scripted_random(*draws):
+    """A random.Random whose getrandbits returns `draws`, then 0 for
+    ever: rng.choice and the inline draw then both take the candidates
+    at those indices, then the smallest."""
+
+    class Scripted(random.Random):
+        def seed(self, *args, **kwargs):
+            self.draws = iter(draws)
+
+        def getrandbits(self, k):
+            return next(self.draws, 0)
+
+    return Scripted
+
+
+@pytest.mark.parametrize("bonds", [1, 2, 7, 50])
+def test_random_tree_drawing_the_smallest_candidate_every_step(bonds):
+    # every new site's candidates then sit at the head of the list, so
+    # the edit around the draw starts at index 0: the tree is the path
+    # from the origin to (-bonds, 0)
+    with mock.patch.object(random, "Random", scripted_random()):
+        tree = random_lattice_tree(bonds, 0)
+        assert tree == rescanning_random_tree(bonds, 0)
+    assert tree == validate_tree(
+        (0, 0), [((-x - 1, 0), (-x, 0)) for x in range(bonds)])
+
+
+@pytest.mark.parametrize("draws", [
+    # (0, 1), then (-1, 1) at index 1, whose candidate follows
+    # 4 * (site - 1) + 3, from (-1, 0) to (0, 0), at index 0; then
+    # (-1, 0) from (-1, 1)
+    (2, 1, 1),
+    # (0, 1), then (1, 0) at index 4, one short of the list's end, the
+    # last being 4 * (site + 1), from (1, 1) to (0, 1); then (1, 1) from
+    # (0, 1), which sorts just before (1, 1) from (1, 0)
+    (2, 4, 5),
+], ids=["head", "tail"])
+def test_random_tree_edits_the_ends_of_the_candidate_list(draws):
+    with mock.patch.object(random, "Random", scripted_random(*draws)):
+        tree = random_lattice_tree(len(draws), 0)
+        assert tree == rescanning_random_tree(len(draws), 0)
+
+
 # sha256 of `gen random` stdout for bonds {1, 2, 3, 7, 50, 400, 2000} x
 # seeds {0..9, 123456, 2**40}, recorded while the perimeter was a sorted
 # list of (outside site, tree site) tuples
