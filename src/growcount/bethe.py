@@ -19,7 +19,8 @@ Brute force here means that every growth sequence's (L-1)-step prefix
 has its frontier built and every subtree is visited and counted; only
 the last step of a sequence is counted from its frontier's length.
 Each enumeration changes one list in place and restores it, so no step
-builds a new frontier.
+builds a new frontier.  `_census` hands each subtree and its count to
+a callback, so `bethe_existence_bound` streams them and keeps none.
 """
 
 import math
@@ -76,22 +77,23 @@ def bethe_growth_count(bond_count: int) -> int:
     return count
 
 
-def bethe_census(bond_count: int) -> tuple[list[frozenset], list[int]]:
-    """All distinct rooted subtrees with `bond_count` bonds, each with its
-    growth count.
+def _census(bond_count: int, visit) -> None:
+    """Hand each distinct rooted subtree with `bond_count` bonds, with
+    its growth count n, to `visit(sites, n)`.
 
     Each subtree is visited exactly once: the frontier is consumed as an
     ordered queue of (site, position of its parent among the taken
     sites), and every site is either taken (opening its children) or
     skipped for good.  A subtree's count is L!/W, with the hook sizes
     of W summed in one reverse pass over the parent positions, since
-    every parent is taken before its children.
+    every parent is taken before its children.  `sites` is the
+    enumeration's own list, changed once `visit` returns, so a caller
+    that keeps a subtree copies it.
     """
     _check_bonds(bond_count)
     factorial = math.factorial(bond_count)
     queue = [(site, -1) for site in ROOT_NEIGHBORS]
     chosen, parent = [], []
-    trees, counts = [], []
     backwards = range(bond_count - 1, -1, -1)
 
     def rec(start: int, left: int):
@@ -111,8 +113,7 @@ def bethe_census(bond_count: int) -> tuple[list[frozenset], list[int]]:
                 if rem:
                     raise InternalMismatch("L! not divisible by weights "
                                            f"for {_names(chosen)}")
-                trees.append(frozenset(chosen))
-                counts.append(n)
+                visit(chosen, n)
                 chosen.pop()
                 parent.pop()
             return
@@ -129,6 +130,18 @@ def bethe_census(bond_count: int) -> tuple[list[frozenset], list[int]]:
             parent.pop()
 
     rec(0, bond_count)
+
+
+def bethe_census(bond_count: int) -> tuple[list[frozenset], list[int]]:
+    """All distinct rooted subtrees with `bond_count` bonds, each with its
+    growth count, in the order `_census` visits them."""
+    trees, counts = [], []
+
+    def keep(sites, n):
+        trees.append(frozenset(sites))
+        counts.append(n)
+
+    _census(bond_count, keep)
     return trees, counts
 
 
@@ -182,7 +195,9 @@ class BetheBoundReport(NamedTuple):
     """Existence bound: some subtree has at least `average` growth orders.
 
     average = growth_count / tree_count is exact; naive_floor is the
-    cruder L!/9^L comparison that the average provably beats.
+    cruder L!/9^L comparison that the average provably beats.  The
+    report holds what `bethe` prints and the bounds behind it, not the
+    subtrees it counted; `bethe_census` lists those.
     """
 
     bond_count: int
@@ -193,10 +208,6 @@ class BetheBoundReport(NamedTuple):
     naive_floor: Fraction     # L!/9^L
     maximizer: tuple          # names of the sites, sorted
     maximizer_count: int
-    # the enumerated subtrees and their counts, for per-subtree checks;
-    # not in to_dict
-    trees: list
-    counts: list
 
     def to_dict(self) -> dict:
         return {
@@ -215,24 +226,30 @@ def bethe_existence_bound(bond_count: int) -> BetheBoundReport:
 
     Verifies the partition identity (per-tree counts sum to the total
     sequence count), the 9^L cap on the number of subtrees, and that the
-    average beats L!/9^L.  Returns the maximizing subtree found.
+    average beats L!/9^L.  Keeps only the subtree count, the running
+    sum and the first subtree in census order with the largest count.
     """
     _check_bonds(bond_count)
     total = bethe_growth_count(bond_count)
-    trees, counts = bethe_census(bond_count)
-    count = len(trees)
+    count = partition = best_n = 0
+    best = ()
+
+    def tally(sites, n):
+        nonlocal count, partition, best, best_n
+        count += 1
+        partition += n
+        if n > best_n:   # a tie keeps the first
+            best, best_n = tuple(sites), n
+
+    _census(bond_count, tally)
     if count > 9 ** bond_count:
         raise InternalMismatch(
             f"{count} subtrees at L={bond_count} exceeds 9^L"
         )
-    partition = sum(counts)
     if partition != total:
         raise InternalMismatch(
             f"per-tree counts sum to {partition}, sequences total {total}"
         )
-    # the first subtree with the largest count
-    best_n = max(counts)
-    best = trees[counts.index(best_n)]
 
     average = Fraction(total, count)
     average_floor = Fraction(math.factorial(bond_count + 2), 2 * 9 ** bond_count)
@@ -244,8 +261,7 @@ def bethe_existence_bound(bond_count: int) -> BetheBoundReport:
     return BetheBoundReport(
         bond_count=bond_count, growth_count=total, tree_count=count,
         average=average, average_floor=average_floor, naive_floor=naive_floor,
-        maximizer=tuple(_names(best)), maximizer_count=best_n, trees=trees,
-        counts=counts,
+        maximizer=tuple(_names(best)), maximizer_count=best_n,
     )
 
 

@@ -9,6 +9,10 @@ from .errors import TooLarge
 
 # SVG refuses trees past this many bonds
 MAX_SVG_BONDS = 10**5
+# and DOT past this many: `export --format dot` on a 1e6-bond path took
+# 5.5 s and peaked at 631 MB (1e5: 0.57 s, 77 MB; CPython 3.11.7 on a
+# 2-core x86-64 VM), so 1e7 would need several GB
+MAX_DOT_BONDS = 10**6
 
 GRID = 10          # pixels per lattice unit
 PAD = 10           # margin around the bounding box
@@ -18,6 +22,10 @@ ROOT_RADIUS = 4
 
 def to_dot(tree: RootedTree) -> str:
     """Graphviz graph with one node per site, named "x_y"; root marked."""
+    if tree.bond_count > MAX_DOT_BONDS:
+        raise TooLarge(
+            f"{tree.bond_count} bonds exceeds the DOT guard {MAX_DOT_BONDS}"
+        )
     lines = ["graph tree {"]
     for site in sorted(tree.sites):
         name = f"\"{site[0]}_{site[1]}\""

@@ -155,9 +155,9 @@ def tower_suite() -> list[Check]:
 def bethe_suite() -> list[Check]:
     """Sequence counts, subtree census and the pigeonhole chain."""
     checks = []
-    # one existence-bound run per size; the sequence totals, the subtree
-    # census and the subtrees checked one by one below are the ones it
-    # enumerated
+    # one streamed existence-bound run per size gives the sequence totals,
+    # the subtree counts and the averages; only the sizes checked subtree
+    # by subtree below are listed, by bethe_census
     reports = [bethe.bethe_existence_bound(length)
                for length in range(1, BETHE_MAX_BONDS + 1)]
 
@@ -175,8 +175,8 @@ def bethe_suite() -> list[Check]:
 
     # each subtree of up to 5 bonds: the census count, the hook route
     # over its sites and the linear extensions
-    bad = [sorted(map(bethe.address_name, tree)) for rep in reports[:5]
-           for tree, n in zip(rep.trees, rep.counts)
+    bad = [sorted(map(bethe.address_name, tree)) for length in range(1, 6)
+           for tree, n in zip(*bethe.bethe_census(length))
            if not n == bethe.tree_growth_count(tree)
            == bethe.tree_growth_count_enumerated(tree)]
     checks.append(_check(

@@ -1,6 +1,7 @@
 """Coordination-3 Bethe lattice: sequences, subtree census, pigeonhole."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -168,7 +169,8 @@ def test_census_counts_each_subtree_in_the_reference_order(bonds):
     assert [named(tree) for tree in trees] == reference_trees(bonds)
     assert counts == [tree_growth_count(tree) for tree in trees]
     rep = bethe_existence_bound(bonds)
-    assert (rep.trees, rep.counts) == (trees, counts)
+    assert rep.tree_count == len(trees)
+    assert rep.growth_count == sum(counts)
     # the maximizer is the first subtree with the largest count
     first = next(tree for tree, n in zip(trees, counts) if n == max(counts))
     assert rep.maximizer == tuple(sorted(named(first)))
@@ -221,8 +223,9 @@ def test_bethe_suite_names_a_failing_subtree(monkeypatch):
 
 
 def test_bethe_suite_enumerates_each_size_once(monkeypatch):
-    # the suite's totals, census and per-subtree hook checks all come
-    # from its one existence-bound run per size
+    # the suite's totals and census come from its one streamed
+    # existence-bound run per size; only the sizes checked subtree by
+    # subtree are listed
     calls = {"growth": [], "census": []}
 
     def counting(key, fn):
@@ -244,4 +247,47 @@ def test_bethe_suite_enumerates_each_size_once(monkeypatch):
     ]
     assert all(c.ok for c in checks)
     assert calls["growth"] == list(range(1, 8))
-    assert calls["census"] == list(range(1, 8))
+    assert calls["census"] == list(range(1, 6))
+
+
+# --- the existence report streams the census --------------------------------
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_existence_report_keeps_no_subtree():
+    # the 11,934 subtrees at L=8 as frozensets would take about 9 MB
+    assert traced_peak(lambda: bethe_existence_bound(8)) < 2**20
+
+
+def test_bethe_suite_keeps_no_large_census():
+    # the subtrees of L=6 and 7 would take about 3.7 MB
+    assert traced_peak(verify.bethe_suite) < 2**20
+
+
+def test_partition_mismatch_is_reported(monkeypatch):
+    monkeypatch.setattr(bethe, "bethe_growth_count", lambda bonds: 13)
+    with pytest.raises(InternalMismatch,
+                       match="per-tree counts sum to 12, sequences total 13"):
+        bethe_existence_bound(2)
+
+
+def test_maximizer_is_the_first_of_tied_counts(monkeypatch):
+    # four made-up subtrees of two bonds whose counts sum to 4!/2 = 12;
+    # the largest count is tied between the second and the fourth
+    census = [([4, 5], 2), ([4, 8], 4), ([5, 10], 2), ([6, 12], 4)]
+
+    def fake_census(bonds, visit):
+        for sites, n in census:
+            visit(list(sites), n)
+
+    monkeypatch.setattr(bethe, "_census", fake_census)
+    rep = bethe_existence_bound(2)
+    assert (rep.tree_count, rep.growth_count) == (4, 12)
+    assert (rep.maximizer, rep.maximizer_count) == (("0", "00"), 4)

@@ -624,7 +624,7 @@ def test_oracle_guard(monkeypatch):
 
 
 def test_dot_guard(monkeypatch):
-    monkeypatch.setattr(core, "MAX_TREE_BONDS", 6)
+    monkeypatch.setattr(render, "MAX_DOT_BONDS", 6)
     code, out, _ = run_cli(monkeypatch, ["export", "--format", "dot"],
                            tree_to_json(comb_tree(6)))
     assert code == 0 and out.startswith("graph")
@@ -637,6 +637,7 @@ def test_dot_guard(monkeypatch):
 def test_guards_fire_before_the_bonds_are_checked(monkeypatch):
     monkeypatch.setattr(core, "MAX_TREE_BONDS", 3)
     monkeypatch.setattr(render, "MAX_SVG_BONDS", 3)
+    monkeypatch.setattr(render, "MAX_DOT_BONDS", 3)
     # four bonds, one of them malformed: a size refusal, not a parse error
     text = json.dumps({"root": [0, 0], "bonds": BASE + [[[0, 0], [0.5, 0]]]})
     for argv in (["count"], ["oracle", "--cap", "1000"],
@@ -644,6 +645,20 @@ def test_guards_fire_before_the_bonds_are_checked(monkeypatch):
         code, out, err = run_cli(monkeypatch, argv, text)
         assert (code, out) == (3, ""), argv
         assert "TooLarge" in err
+
+
+def test_dot_guard_is_its_own(monkeypatch):
+    # DOT is refused past MAX_DOT_BONDS, well under count's MAX_TREE_BONDS,
+    # before any number of the canonical text is converted
+    assert render.MAX_DOT_BONDS < core.MAX_TREE_BONDS
+    monkeypatch.setattr(render, "MAX_DOT_BONDS", 1000)
+    monkeypatch.setattr(core, "_chunk_numbers", None)
+    code, out, err = run_cli(monkeypatch, ["export", "--format", "dot"],
+                             tree_to_json(path_tree(1001)))
+    assert (code, out) == (3, "")
+    assert err == "error: TooLarge: 1001 bonds exceeds the guard 1000\n"
+    with pytest.raises(TooLarge, match="1001 bonds exceeds the DOT guard"):
+        render.to_dot(path_tree(1001))
 
 
 def test_svg_guard_passes_trees_at_the_limit(monkeypatch):
