@@ -10,10 +10,10 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input, 3
 resource guard tripped.  A guard on a tree read from stdin, or on the
 oracle's enumeration, exits 3; a guard on requested parameters (gen,
 analyze, bethe) is invalid input and exits 2, and so is a negative
---cap.  The size guards of count and oracle (MAX_TREE_BONDS) and of
-export (render.MAX_SVG_BONDS, render.MAX_DOT_BONDS) count the bonds
-before any is checked: in canonical text before any number is
-converted, in other text once it is decoded.  Big integers in JSON
+--cap.  The size guards of count, oracle and export --format dot
+(MAX_TREE_BONDS) and of export --format svg (render.MAX_SVG_BONDS)
+count the bonds before any is checked: in canonical text before any
+number is converted, in other text once it is decoded.  Big integers in JSON
 output are decimal strings; everything printed is deterministic, byte
 for byte, for the same inputs.
 """
@@ -173,8 +173,8 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     svg = args.format == "svg"
-    tree = _read_tree(render.MAX_SVG_BONDS if svg else render.MAX_DOT_BONDS)
-    sys.stdout.write(render.to_svg(tree) if svg else render.to_dot(tree))
+    tree = _read_tree(render.MAX_SVG_BONDS if svg else core.MAX_TREE_BONDS)
+    (render.to_svg if svg else render.to_dot)(tree, sys.stdout)
     return 0
 
 

@@ -50,12 +50,11 @@ pass.  The generators lay a tree out as straight runs of bonds
 (`tree_from_runs`), each packed as a range of keys and checked run by
 run: a run that starts on the tree and adds as many new sites as bonds
 adds a leaf per bond, so such a tree is walked only when its hooks are
-read.  The JSON writer formats each bond from its key through tables of
-strings, per written chunk each x and, in a tree at most half a chunk
-high, per row and step the text after each of the bond's x; `_ends`
-decodes keys into flat (x1, y1, x2, y2) tuples of the lower and upper
-endpoints for the oracle, messages and `bonds` view (through it the
-renderings).
+read.  One writer, `_bond_texts`, formats the bonds of JSON, DOT and
+SVG from their keys through tables of strings: per written chunk each
+x and, in a tree at most half a chunk high, per row and step the text
+after each of the bond's x.  `_ends` decodes keys into flat (x1, y1,
+x2, y2) tuples for the oracle, messages and the `bonds` view.
 
 Random growth packs a site as (x + off) * width + (y + off), with off
 one more than the bond count and width = 2 * off + 1, and a candidate
@@ -907,28 +906,31 @@ _bit_field = int.from_bytes
 _SPACES = bytes.maketrans(b"[]", b"  ")
 
 
-def _bond_texts(tree: RootedTree, size: int):
-    """The bonds as canonical JSON, `size` of them joined by commas at
-    a time, formatted from tables of strings, none longer than 2 * size:
-    for a tree at most size / 2 rows high, per key modulo 2 * stride,
-    which names a bond's row and step, the text after the bond's first
-    x and the text after its second; and per `size` keys, each x.  That
-    spans at most size + 1 columns, because the keys are sorted and in a
-    connected tree every column between two keys' holds a key.  A
-    taller tree's rows are formatted bond by bond: a table of a chunk's
-    rows would cost more to build than it saves, and a chunk can span
-    every row of the tree."""
-    (ox, oy), stride, keys = tree.origin, tree.stride, tree.keys
-    width = 2 * stride
-    tall = width > size
+def _key_chunks(keys: tuple):
+    """The sorted `keys` in the writers' chunks of `_CHUNK // 32` (>= 1)."""
+    size = max(_CHUNK // 32, 1)
+    return (keys[at:at + size] for at in range(0, len(keys), size))
+
+
+def _bond_texts(tree: RootedTree, template: Sequence[str], x_text, y_text):
+    """Per `_key_chunks` chunk, its bonds joined by the template's last
+    text, each as the template's lead, then x_text(x1), y_text(y1),
+    x_text(x2) and y_text(y2), each followed by its text.  A chunk
+    formats each x once (every column between two keys' holds a key),
+    and, in a tree at most half a chunk high, the text after each x once
+    per row and step (key modulo 2 * stride); a taller tree's, which a
+    chunk may span whole, bond by bond."""
+    lead, after_x1, after_y1, after_x2, after_y2, joiner = template
+    (ox, oy), width = tree.origin, 2 * tree.stride
+    tall = width > max(_CHUNK // 32, 1)
     if not tall:
-        middles = [f",{oy + (row_step >> 1)}],[" for row_step in range(width)]
-        lasts = [f",{oy + (row_step >> 1) + 1 - (row_step & 1)}]]"
-                 for row_step in range(width)]
-    for at in range(0, len(keys), size):
-        part = keys[at:at + size]
+        ends = [(oy + (rs >> 1), rs & 1) for rs in range(width)]
+        middles = [f"{after_x1}{y_text(y)}{after_y1}" for y, _ in ends]
+        lasts = [f"{after_x2}{y_text(y + 1 - s)}{after_y2}" for y, s in ends]
+    for part in _key_chunks(tree.keys):
         first = part[0] // width
-        xs = [str(x) for x in range(ox + first, ox + part[-1] // width + 2)]
+        # a comprehension: map(str, ...) takes about a third longer here
+        xs = [x_text(x) for x in range(ox + first, ox + part[-1] // width + 2)]
         base = first * width
         texts = []
         append = texts.append
@@ -936,13 +938,15 @@ def _bond_texts(tree: RootedTree, size: int):
             for key in part:
                 x, row_step = divmod(key - base, width)
                 y, step = oy + (row_step >> 1), row_step & 1
-                append(f"[[{xs[x]},{y}],[{xs[x + step]},{y + 1 - step}]]")
+                append(f"{lead}{xs[x]}{after_x1}{y_text(y)}{after_y1}"
+                       f"{xs[x + step]}{after_x2}{y_text(y + 1 - step)}"
+                       f"{after_y2}")
         else:
             for key in part:
                 x, row_step = divmod(key - base, width)
-                append(f"[[{xs[x]}{middles[row_step]}"
+                append(f"{lead}{xs[x]}{middles[row_step]}"
                        f"{xs[x + (row_step & 1)]}{lasts[row_step]}")
-        yield ",".join(texts)
+        yield joiner.join(texts)
 
 
 def tree_to_json(tree: RootedTree, out=None) -> str | None:
@@ -954,7 +958,7 @@ def tree_to_json(tree: RootedTree, out=None) -> str | None:
     """
     rx, ry = tree.root
     head = f'{{"root":[{rx},{ry}],"bonds":['
-    texts = _bond_texts(tree, max(_CHUNK // 32, 1))
+    texts = _bond_texts(tree, ("[[", ",", "],[", ",", "]]", ","), str, str)
     if out is None:
         return head + ",".join(texts) + "]}"
     for text in texts:

@@ -1,81 +1,81 @@
-"""Deterministic DOT and SVG renderings of lattice trees.
+"""Deterministic DOT and SVG renderings of lattice trees, streamed from
+the sorted packed keys a chunk at a time, the bonds by `core._bond_texts`:
+sites and bonds in canonical order, integer coordinates only."""
 
-Both formats are emitted byte-for-byte reproducibly: sites and bonds in
-canonical order, integer coordinates only.
-"""
+from bisect import bisect_left
 
-from .core import RootedTree
+from . import core
 from .errors import TooLarge
 
 # SVG refuses trees past this many bonds
 MAX_SVG_BONDS = 10**5
-# and DOT past this many: `export --format dot` on a 1e6-bond path took
-# 5.5 s and peaked at 631 MB (1e5: 0.57 s, 77 MB; CPython 3.11.7 on a
-# 2-core x86-64 VM), so 1e7 would need several GB
-MAX_DOT_BONDS = 10**6
 
 GRID = 10          # pixels per lattice unit
 PAD = 10           # margin around the bounding box
 STROKE = 2         # bond line width
 ROOT_RADIUS = 4
 
-
-def to_dot(tree: RootedTree) -> str:
-    """Graphviz graph with one node per site, named "x_y"; root marked."""
-    if tree.bond_count > MAX_DOT_BONDS:
-        raise TooLarge(
-            f"{tree.bond_count} bonds exceeds the DOT guard {MAX_DOT_BONDS}"
-        )
-    lines = ["graph tree {"]
-    for site in sorted(tree.sites):
-        name = f"\"{site[0]}_{site[1]}\""
-        if site == tree.root:
-            lines.append(f"  {name} [root=true];")
-        else:
-            lines.append(f"  {name};")
-    for (ax, ay), (bx, by) in tree.bonds:
-        lines.append(f"  \"{ax}_{ay}\" -- \"{bx}_{by}\";")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+# bond templates for core._bond_texts
+_DOT_EDGE = ('  "', "_", '" -- "', "_", '";\n', "")
+_SVG_LINE = ('<line x1="', '" y1="', '" x2="', '" y2="',
+             f'" stroke="black" stroke-width="{STROKE}"/>\n', "")
 
 
-def to_svg(tree: RootedTree) -> str:
-    """SVG with bonds as 2px lines on a 10px grid and a filled root dot.
+def _site_ids(tree: core.RootedTree):
+    """The packed sites in order, per chunk of keys those below its last
+    lower end (key >> 1).  The +x bonds' upper ends, a column on, wait
+    until reached, so a chunk sorts only ends near its own keys."""
+    stride, carry, uppers = tree.stride, [], []
+    for part in core._key_chunks(tree.keys):
+        lows = [key >> 1 for key in part]
+        uppers += [(key >> 1) + stride for key in part if key & 1]
+        reached = bisect_left(uppers, lows[-1])
+        ids = sorted({*carry, *lows, *uppers[:reached],
+                      *[(key >> 1) + 1 for key in part if not key & 1]})
+        del uppers[:reached]
+        split = bisect_left(ids, lows[-1])
+        carry = ids[split:]
+        yield ids[:split]
+    yield sorted({*carry, *uppers})
 
-    The y axis is flipped so +y in lattice coordinates points up on the
-    rendered image.
-    """
+
+def to_dot(tree: core.RootedTree, out) -> None:
+    """Write a Graphviz graph to `out`: a node per site, named "x_y",
+    the root marked."""
+    (ox, oy), stride = tree.origin, tree.stride
+    # its line, matched whole: only a line starts with '  "'
+    root = '  "{}_{}"'.format(*tree.root)
+    out.write("graph tree {\n")
+    for ids in _site_ids(tree):
+        text = "".join([f'  "{s // stride + ox}_{s % stride + oy}";\n'
+                        for s in ids])
+        out.write(text.replace(f"{root};\n", f"{root} [root=true];\n", 1))
+    out.writelines(core._bond_texts(tree, _DOT_EDGE, str, str))
+    out.write("}\n")
+
+
+def to_svg(tree: core.RootedTree, out) -> None:
+    """Write an SVG to `out`: bonds as 2px lines on a 10px grid, +y up,
+    and a filled root dot, in the packing's box: from the origin up to
+    row stride - 2 and across to the last keys' column (+1 if one is +x)."""
     if tree.bond_count > MAX_SVG_BONDS:
-        raise TooLarge(
-            f"{tree.bond_count} bonds exceeds the SVG guard {MAX_SVG_BONDS}"
-        )
-    xs = [s[0] for s in tree.sites]
-    ys = [s[1] for s in tree.sites]
-    min_x, max_x = min(xs), max(xs)
-    min_y, max_y = min(ys), max(ys)
+        raise TooLarge(f"{tree.bond_count} bonds exceeds the SVG guard "
+                       f"{MAX_SVG_BONDS}")
+    (ox, oy), keys, width = tree.origin, tree.keys, 2 * tree.stride
+    rows, columns = tree.stride - 2, keys[-1] // width
+    last = keys[bisect_left(keys, columns * width):]   # the last column's
+    columns += any(key & 1 for key in last)
 
-    def place(site):
-        return (
-            (site[0] - min_x) * GRID + PAD,
-            (max_y - site[1]) * GRID + PAD,
-        )
+    def x_text(x):
+        return str((x - ox) * GRID + PAD)
 
-    width = (max_x - min_x) * GRID + 2 * PAD
-    height = (max_y - min_y) * GRID + 2 * PAD
-    lines = [
-        f"<svg xmlns=\"http://www.w3.org/2000/svg\" "
-        f"width=\"{width}\" height=\"{height}\" "
-        f"viewBox=\"0 0 {width} {height}\">"
-    ]
-    for u, v in tree.bonds:
-        (x1, y1), (x2, y2) = place(u), place(v)
-        lines.append(
-            f"<line x1=\"{x1}\" y1=\"{y1}\" x2=\"{x2}\" y2=\"{y2}\" "
-            f"stroke=\"black\" stroke-width=\"{STROKE}\"/>"
-        )
-    rx, ry = place(tree.root)
-    lines.append(
-        f"<circle cx=\"{rx}\" cy=\"{ry}\" r=\"{ROOT_RADIUS}\" fill=\"black\"/>"
-    )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    def y_text(y):
+        return str((oy + rows - y) * GRID + PAD)
+
+    w, h = columns * GRID + 2 * PAD, rows * GRID + 2 * PAD
+    out.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
+              f'height="{h}" viewBox="0 0 {w} {h}">\n')
+    out.writelines(core._bond_texts(tree, _SVG_LINE, x_text, y_text))
+    rx, ry = tree.root
+    out.write(f'<circle cx="{x_text(rx)}" cy="{y_text(ry)}" '
+              f'r="{ROOT_RADIUS}" fill="black"/>\n</svg>\n')

@@ -12,6 +12,7 @@ import io
 import json
 import random
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -624,20 +625,22 @@ def test_oracle_guard(monkeypatch):
 
 
 def test_dot_guard(monkeypatch):
-    monkeypatch.setattr(render, "MAX_DOT_BONDS", 6)
+    # DOT is held to count's MAX_TREE_BONDS, and refused past it before
+    # any number of the canonical text is converted
+    monkeypatch.setattr(core, "MAX_TREE_BONDS", 1000)
     code, out, _ = run_cli(monkeypatch, ["export", "--format", "dot"],
-                           tree_to_json(comb_tree(6)))
+                           tree_to_json(path_tree(1000)))
     assert code == 0 and out.startswith("graph")
+    monkeypatch.setattr(core, "_chunk_numbers", None)
     code, out, err = run_cli(monkeypatch, ["export", "--format", "dot"],
-                             tree_to_json(comb_tree(8)))
+                             tree_to_json(path_tree(1001)))
     assert (code, out) == (3, "")
-    assert err == "error: TooLarge: 8 bonds exceeds the guard 6\n"
+    assert err == "error: TooLarge: 1001 bonds exceeds the guard 1000\n"
 
 
 def test_guards_fire_before_the_bonds_are_checked(monkeypatch):
     monkeypatch.setattr(core, "MAX_TREE_BONDS", 3)
     monkeypatch.setattr(render, "MAX_SVG_BONDS", 3)
-    monkeypatch.setattr(render, "MAX_DOT_BONDS", 3)
     # four bonds, one of them malformed: a size refusal, not a parse error
     text = json.dumps({"root": [0, 0], "bonds": BASE + [[[0, 0], [0.5, 0]]]})
     for argv in (["count"], ["oracle", "--cap", "1000"],
@@ -645,20 +648,6 @@ def test_guards_fire_before_the_bonds_are_checked(monkeypatch):
         code, out, err = run_cli(monkeypatch, argv, text)
         assert (code, out) == (3, ""), argv
         assert "TooLarge" in err
-
-
-def test_dot_guard_is_its_own(monkeypatch):
-    # DOT is refused past MAX_DOT_BONDS, well under count's MAX_TREE_BONDS,
-    # before any number of the canonical text is converted
-    assert render.MAX_DOT_BONDS < core.MAX_TREE_BONDS
-    monkeypatch.setattr(render, "MAX_DOT_BONDS", 1000)
-    monkeypatch.setattr(core, "_chunk_numbers", None)
-    code, out, err = run_cli(monkeypatch, ["export", "--format", "dot"],
-                             tree_to_json(path_tree(1001)))
-    assert (code, out) == (3, "")
-    assert err == "error: TooLarge: 1001 bonds exceeds the guard 1000\n"
-    with pytest.raises(TooLarge, match="1001 bonds exceeds the DOT guard"):
-        render.to_dot(path_tree(1001))
 
 
 def test_svg_guard_passes_trees_at_the_limit(monkeypatch):
@@ -1040,19 +1029,98 @@ coordinate = st.one_of(st.integers(-10**6, 10**6),
 
 @settings(max_examples=60, deadline=None)
 @given(bonds=st.integers(1, 60), seed=st.integers(0, 2**32),
-       dx=coordinate, dy=coordinate)
-def test_the_writer_formats_what_the_decoder_reads(bonds, seed, dx, dy):
+       dx=coordinate, dy=coordinate, pick=st.integers(0, 10**6),
+       chunk=st.sampled_from([32, 64, 96, 32 * 7, core._CHUNK]))
+def test_the_writer_formats_what_the_decoder_reads(bonds, seed, dx, dy, pick,
+                                                   chunk):
+    # any root, far from the origin, in chunks down to one key each; DOT
+    # and SVG as the reference renderings below write them
     grown = random_lattice_tree(bonds, seed)
-    tree = validate_tree((dx, dy), [((u[0] + dx, u[1] + dy),
-                                     (v[0] + dx, v[1] + dy))
-                                    for u, v in grown.bonds])
-    want = (f'{{"root":[{dx},{dy}],"bonds":['
+    sites = sorted(grown.sites)
+    rx, ry = sites[pick % len(sites)]
+    tree = validate_tree((rx + dx, ry + dy), [((u[0] + dx, u[1] + dy),
+                                               (v[0] + dx, v[1] + dy))
+                                              for u, v in grown.bonds])
+    want = (f'{{"root":[{rx + dx},{ry + dy}],"bonds":['
             + ",".join("[[%d,%d],[%d,%d]]" % ends for ends in core._ends(tree))
             + "]}")
-    assert tree_to_json(tree) == want
+    with mock.patch.object(core, "_CHUNK", chunk):
+        assert tree_to_json(tree) == want
+        out = io.StringIO()
+        tree_to_json(tree, out)
+        assert out.getvalue() == want
+        assert_renders_as_the_reference(tree)
+
+
+# render's DOT and SVG as they were once written, from the tree's sites
+# and bonds views: the reference for the writers from the packed keys
+
+def reference_dot(tree):
+    """DOT from the sorted sites and bonds."""
+    lines = ["graph tree {"]
+    for site in sorted(tree.sites):
+        name = f"\"{site[0]}_{site[1]}\""
+        if site == tree.root:
+            lines.append(f"  {name} [root=true];")
+        else:
+            lines.append(f"  {name};")
+    for (ax, ay), (bx, by) in tree.bonds:
+        lines.append(f"  \"{ax}_{ay}\" -- \"{bx}_{by}\";")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_svg(tree):
+    """SVG with its bounding box taken from the sites."""
+    xs = [s[0] for s in tree.sites]
+    ys = [s[1] for s in tree.sites]
+    min_x, max_x = min(xs), max(xs)
+    min_y, max_y = min(ys), max(ys)
+
+    def place(site):
+        return (
+            (site[0] - min_x) * render.GRID + render.PAD,
+            (max_y - site[1]) * render.GRID + render.PAD,
+        )
+
+    width = (max_x - min_x) * render.GRID + 2 * render.PAD
+    height = (max_y - min_y) * render.GRID + 2 * render.PAD
+    lines = [
+        f"<svg xmlns=\"http://www.w3.org/2000/svg\" "
+        f"width=\"{width}\" height=\"{height}\" "
+        f"viewBox=\"0 0 {width} {height}\">"
+    ]
+    for u, v in tree.bonds:
+        (x1, y1), (x2, y2) = place(u), place(v)
+        lines.append(
+            f"<line x1=\"{x1}\" y1=\"{y1}\" x2=\"{x2}\" y2=\"{y2}\" "
+            f"stroke=\"black\" stroke-width=\"{render.STROKE}\"/>"
+        )
+    rx, ry = place(tree.root)
+    lines.append(
+        f"<circle cx=\"{rx}\" cy=\"{ry}\" r=\"{render.ROOT_RADIUS}\" "
+        f"fill=\"black\"/>"
+    )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def rendered(write, tree):
     out = io.StringIO()
-    tree_to_json(tree, out)
-    assert out.getvalue() == want
+    assert write(tree, out) is None
+    return out.getvalue()
+
+
+def assert_renders_as_the_reference(tree):
+    assert rendered(render.to_dot, tree) == reference_dot(tree)
+    assert rendered(render.to_svg, tree) == reference_svg(tree)
+
+
+def ladder(rungs):
+    """A column of `rungs` bonds with a +x bond from each of its sites:
+    tall, and every +x bond reaches the next column."""
+    return validate_tree((0, 0), [((0, y), (0, y + 1)) for y in range(rungs)]
+                         + [((0, y), (1, y)) for y in range(rungs + 1)])
 
 
 def tall_tree():
@@ -1071,12 +1139,14 @@ def tall_tree():
         ((u[0] - 40, u[1] - 60), (v[0] - 40, v[1] - 60))
         for u, v in random_lattice_tree(300, 5).bonds]), id="negative"),
     pytest.param(tall_tree, id="tall"),
+    pytest.param(lambda: ladder(150), id="ladder"),
     pytest.param(lambda: comb_tree(300), id="comb"),
+    pytest.param(lambda: tower_tree(tower_params(1, 3)), id="tower"),
 ])
 @pytest.mark.parametrize("chunk", [1, 31, 32, 64, 97 * 32, core._CHUNK])
 def test_the_writer_formats_each_bond_as_it_did(tree, chunk, monkeypatch):
     # every x table of the writer is one chunk's, and _CHUNK < 32 still
-    # writes a bond at a time
+    # writes a bond at a time; DOT's node pass carries sites across chunks
     tree = tree()
     want = (f'{{"root":[{tree.root[0]},{tree.root[1]}],"bonds":['
             + ",".join("[[%d,%d],[%d,%d]]" % ends for ends in core._ends(tree))
@@ -1086,6 +1156,7 @@ def test_the_writer_formats_each_bond_as_it_did(tree, chunk, monkeypatch):
     out = io.StringIO()
     tree_to_json(tree, out)
     assert out.getvalue() == want
+    assert_renders_as_the_reference(tree)
 
 
 @pytest.mark.parametrize("step", [(1, 0), (0, 1)], ids=["wide", "tall"])
@@ -1111,6 +1182,61 @@ def test_gen_writes_the_same_text_in_chunks(monkeypatch, capsys):
     out = io.StringIO()
     assert tree_to_json(tree, out) is None
     assert out.getvalue() == tree_to_json(tree)
+
+
+# --- DOT and SVG from the keys against renderings of the tuple views -------
+
+@pytest.mark.parametrize("tree", [
+    # 2 * stride = 40,004 > the 8,192 keys of a chunk
+    pytest.param(lambda: core.tree_from_runs((0, 5), [(0, -3, 0, 1, 20_000)]),
+                 id="tall path"),
+    pytest.param(lambda: ladder(10_000), id="tall ladder"),
+    pytest.param(lambda: comb_tree(20_000), id="comb"),
+    pytest.param(lambda: random_lattice_tree(10_000, 2), id="random"),
+])
+def test_trees_of_several_chunks_render_as_the_reference(tree):
+    tree = tree()
+    assert tree.bond_count > core._CHUNK // 32
+    assert_renders_as_the_reference(tree)
+
+
+def test_a_sparse_staircase_renders_in_milliseconds():
+    # 1,000 steps right and 1,000 up: the packed sites span about 10^6
+    # values, so a node pass over the range of site ids, not the
+    # tree's own, would take far longer
+    tree = core.tree_from_runs((0, 0), [
+        run for i in range(1000) for run in ((i, i, 1, 0, 1),
+                                              (i + 1, i, 0, 1, 1))])
+    assert tree.bond_count == 2000 and tree.stride * 1000 > 10**6
+    assert_renders_as_the_reference(tree)
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        rendered(render.to_dot, tree)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.05
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_every_builder_packs_from_the_lower_left_corner(name):
+    # to_svg reads its bounding box from origin and stride: origin is
+    # the least x and the least y of the sites, and the top row is
+    # stride - 2 rows above it
+    def assert_packed(tree):
+        xs = [x for x, _ in tree.sites]
+        ys = [y for _, y in tree.sites]
+        assert tree.origin == (min(xs), min(ys))
+        assert tree.stride == max(ys) - tree.origin[1] + 2
+
+    built = TREES[name]()   # tree_from_runs, random growth or validate_tree
+    assert_packed(built)
+    rng = random.Random(name)
+    for root, pairs in variants(built, rng):
+        text, shuffled = scrambled(root, pairs, rng)
+        tree = validate_tree(root, shuffled)
+        assert_packed(tree)
+        for read in (tree_to_json(tree), text):   # canonical, and not
+            assert_packed(tree_from_json(read))
 
 
 # --- the validation walk against the walk with a seen-set -------------------
